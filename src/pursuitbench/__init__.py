@@ -18,9 +18,9 @@ from .controllers import (
     compute_dynamic_window,
     curvature_heuristic,
     distance_point_to_line,
-    effective_lookahead,
     goal_heuristic,
     min_stable_lookahead,
+    operative_lookahead,
     optimal_velocity_in_window,
     pp_nominal_command,
     proximity_heuristic,
@@ -58,19 +58,15 @@ from .paths import (
     ReferencePath,
     RobotState,
     compute_curvature,
-    cross_track_error,
-    find_lookahead_point,
     generate_corner_path,
     lookahead_from_projection,
     nearest_point_on_path,
     polyline_distances,
-    remaining_distance_to_goal,
     wrap_angle,
 )
 from .simulator import (
     HARDWARE_CLIP,
     PASS_THROUGH,
-    ExecutionModel,
     NoiseModel,
     ScenarioResult,
     TrajectoryLog,

@@ -193,15 +193,18 @@ class StabilityConfig:
             raise ParameterError("min_dimensionless_lookahead must be positive")
 
 
-def _scaled_lookahead(cfg: LookaheadConfig, v: float) -> float:
-    return min(max(v * cfg.projection_time, cfg.min_distance), cfg.max_distance)
+def operative_lookahead(kind: ControllerKind, cfg: LookaheadConfig, v: float) -> float:
+    """Lookahead distance the given law uses at speed ``v``.
 
-
-def effective_lookahead(cfg: LookaheadConfig, v: float) -> float:
-    """Lookahead distance for the current speed under the configured mode."""
-    if cfg.mode == FIXED_LOOKAHEAD:
+    Plain pure pursuit always uses the fixed distance and the adaptive variant
+    always scales it with speed; the regulated and dynamic-window variants
+    honor ``cfg.mode``.
+    """
+    if kind is ControllerKind.PURE_PURSUIT or (
+        kind is not ControllerKind.ADAPTIVE and cfg.mode == FIXED_LOOKAHEAD
+    ):
         return cfg.fixed_distance
-    return _scaled_lookahead(cfg, v)
+    return min(max(v * cfg.projection_time, cfg.min_distance), cfg.max_distance)
 
 
 def pp_nominal_command(curvature: float, v_des: float) -> VelocityCommand:
@@ -382,20 +385,13 @@ def compute_command(
 ) -> VelocityCommand:
     """One control step of the selected tracking law.
 
-    Plain pure pursuit always uses the fixed lookahead distance and the
-    adaptive variant always scales it with speed; the regulated and
-    dynamic-window variants honor ``lookahead_cfg.mode``. The nominal linear
-    command is ``limits.v_max``. Only the dynamic-window variant guarantees
-    its output is reachable within one control period; the other laws may
-    command velocities the execution layer has to clip.
+    The lookahead distance comes from :func:`operative_lookahead` and the
+    nominal linear command is ``limits.v_max``. Only the dynamic-window
+    variant guarantees its output is reachable within one control period; the
+    other laws may command velocities the execution layer has to clip.
     """
     projection = nearest_point_on_path(path, state.pose)
-    if kind is ControllerKind.PURE_PURSUIT:
-        lookahead = lookahead_cfg.fixed_distance
-    elif kind is ControllerKind.ADAPTIVE:
-        lookahead = _scaled_lookahead(lookahead_cfg, state.v)
-    else:
-        lookahead = effective_lookahead(lookahead_cfg, state.v)
+    lookahead = operative_lookahead(kind, lookahead_cfg, state.v)
     target = lookahead_from_projection(path, projection, lookahead)
     curvature = compute_curvature(state.pose, target)
     v_des = limits.v_max

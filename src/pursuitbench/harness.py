@@ -1,10 +1,12 @@
 """Experiment orchestration: config loading, comparison grid, lookahead sweep.
 
-Configuration is a single YAML file. Every key is optional; missing keys fall
-back to the defaults below, which equal the shipped ``experiment_table1``
-profile. Unknown keys are rejected. ``load_config`` accepts either a file
-path or the name of a shipped profile (``experiment_table1``,
-``simulation_table6``).
+Configuration is a single YAML file. Every key is optional. A missing key in
+the ``limits``, ``lookahead``, ``regulation``, ``stability`` or ``noise``
+section takes the default of the dataclass that section builds, except that
+``noise`` defaults to ``sigma_pose_init: 0.01`` and ``seed: 7``; with these
+defaults a config equals the shipped ``experiment_table1`` profile. Unknown
+keys are rejected. ``load_config`` accepts either a file path or the name of
+a shipped profile (``experiment_table1``, ``simulation_table6``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -25,40 +27,18 @@ from .controllers import (
     LookaheadConfig,
     RegulationConfig,
     StabilityConfig,
-    effective_lookahead,
     min_stable_lookahead,
+    operative_lookahead,
 )
 from .errors import ConfigError, ParameterError, PursuitBenchError
 from .metrics import AggregateMetrics, ScenarioMetrics, aggregate, cross_track_stats, scenario_metrics
 from .paths import CornerPathSpec, generate_corner_path
 from .simulator import NoiseModel, run_scenario
 
-_LIMITS_DEFAULTS = {
-    "v_max": 0.5, "v_min": 0.0,
-    "omega_max": 1.0, "omega_min": -1.0,
-    "accel_max": 0.5, "decel_max": 0.5,
-    "ang_accel_max": 1.0, "ang_decel_max": 1.0,
-    "dt": 0.033,
-}
-_LOOKAHEAD_DEFAULTS = {
-    "mode": "velocity_scaled",
-    "fixed_distance": 0.6,
-    "min_distance": 0.3,
-    "max_distance": 0.7,
-    "projection_time": 1.4,
-}
-_REGULATION_DEFAULTS = {
-    "enable_curvature": True, "min_turn_radius": 0.9,
-    "enable_proximity": False, "proximity_threshold": 1.0, "proximity_gain": 0.5,
-    "enable_goal": True, "goal_slowdown_distance": 1.0,
-    "min_regulated_speed": 0.25, "min_approach_speed": 0.05,
-    "combination_mode": "lower_bound",
-}
-_STABILITY_DEFAULTS = {
-    "steering_time_constant": 0.4,
-    "min_dimensionless_lookahead": 2.0,
-}
-_NOISE_DEFAULTS = {"sigma_v": 0.0, "sigma_omega": 0.0, "sigma_pose_init": 0.01, "seed": 7}
+# The one place the YAML defaults differ from the dataclass defaults:
+# experiments perturb the initial pose and seed their trials from 7, while a
+# bare ``NoiseModel()`` stays noise-free for single runs and the sweep.
+_NOISE_OVERRIDES = {"sigma_pose_init": 0.01, "seed": 7}
 _PATH_ENTRY_DEFAULTS = {"name": "", "corner_angle_deg": 90.0, "segment_length": 3.0, "waypoint_spacing": 0.05}
 _PATHS_DEFAULT = [
     {"name": "A", "corner_angle_deg": 45.0},
@@ -67,10 +47,6 @@ _PATHS_DEFAULT = [
 ]
 _CONTROLLERS_DEFAULT = ["pp", "app", "rpp", "dwpp"]
 _LOOKAHEAD_VALUES_DEFAULT = [0.26, 0.39, 0.52, 0.65, 0.78, 0.91, 1.04]
-_TOP_LEVEL_KEYS = {
-    "limits", "lookahead", "regulation", "stability", "paths", "controllers",
-    "trials", "noise", "goal_tolerance", "max_time", "output_dir", "lookahead_values",
-}
 
 PROFILE_NAMES = ("experiment_table1", "simulation_table6")
 
@@ -100,6 +76,9 @@ class SweepConfig:
     lookahead_values: tuple[float, ...]
 
 
+_TOP_LEVEL_KEYS = {field.name for field in fields(ExperimentConfig)} | {"lookahead_values"}
+
+
 def _read_config_text(source: str | Path) -> str:
     path = Path(source)
     if path.exists():
@@ -110,16 +89,17 @@ def _read_config_text(source: str | Path) -> str:
     raise ConfigError(f"'{source}' is neither a config file nor a shipped profile {PROFILE_NAMES}")
 
 
-def _merge_section(raw: Mapping, key: str, defaults: Mapping) -> dict:
+def _section(raw: Mapping, key: str, cls, overrides: Mapping | None = None):
+    """Build dataclass ``cls`` from ``raw[key]`` over ``overrides`` and its own defaults."""
     section = raw.get(key, {})
     if section is None:
         section = {}
     if not isinstance(section, Mapping):
         raise ConfigError(f"{key}: expected a mapping")
-    unknown = set(section) - set(defaults)
+    unknown = set(section) - {field.name for field in fields(cls)}
     if unknown:
         raise ConfigError(f"{key}: unknown key '{sorted(unknown)[0]}'")
-    return {**defaults, **section}
+    return _build(cls, key, {**(overrides or {}), **section})
 
 
 def _build(factory, key: str, values: Mapping):
@@ -217,20 +197,14 @@ def load_config(source: str | Path = "experiment_table1") -> ExperimentConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir: must be a non-empty string")
     return ExperimentConfig(
-        limits=_build(KinodynamicLimits, "limits", _merge_section(raw, "limits", _LIMITS_DEFAULTS)),
-        lookahead=_build(
-            LookaheadConfig, "lookahead", _merge_section(raw, "lookahead", _LOOKAHEAD_DEFAULTS)
-        ),
-        regulation=_build(
-            RegulationConfig, "regulation", _merge_section(raw, "regulation", _REGULATION_DEFAULTS)
-        ),
-        stability=_build(
-            StabilityConfig, "stability", _merge_section(raw, "stability", _STABILITY_DEFAULTS)
-        ),
+        limits=_section(raw, "limits", KinodynamicLimits),
+        lookahead=_section(raw, "lookahead", LookaheadConfig),
+        regulation=_section(raw, "regulation", RegulationConfig),
+        stability=_section(raw, "stability", StabilityConfig),
         paths=_parse_paths(raw),
         controllers=_parse_controllers(raw),
         trials=trials,
-        noise=_build(NoiseModel, "noise", _merge_section(raw, "noise", _NOISE_DEFAULTS)),
+        noise=_section(raw, "noise", NoiseModel, _NOISE_OVERRIDES),
         goal_tolerance=float(goal_tolerance),
         max_time=float(max_time),
         output_dir=output_dir,
@@ -414,15 +388,7 @@ def emit_report(
     )
     lines.append(f"  minimum stable lookahead at v_max={v_max:g} m/s: {threshold:.3f} m")
     for kind in config.controllers:
-        if kind is ControllerKind.PURE_PURSUIT:
-            operative = config.lookahead.fixed_distance
-        elif kind is ControllerKind.ADAPTIVE:
-            operative = min(
-                max(v_max * config.lookahead.projection_time, config.lookahead.min_distance),
-                config.lookahead.max_distance,
-            )
-        else:
-            operative = effective_lookahead(config.lookahead, v_max)
+        operative = operative_lookahead(kind, config.lookahead, v_max)
         verdict = "ok" if operative >= threshold else "BELOW ADVISORY THRESHOLD"
         lines.append(f"  {kind.value:<5}: lookahead {operative:.3f} m at v_max -> {verdict}")
     lines.append("")

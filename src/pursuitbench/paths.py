@@ -195,51 +195,39 @@ class PathProjection(NamedTuple):
     arc_length: float
 
 
+def _project(path: ReferencePath, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each row of ``points`` (shape (n, 2)) onto every path segment.
+
+    Returns the clamped segment parameters ``t`` and the squared distances to
+    the projected points, both of shape (n, segments).
+    """
+    x, y = points[:, 0:1], points[:, 1:2]
+    sx, sy = path.waypoints[:-1, 0], path.waypoints[:-1, 1]
+    dx, dy = path._segments[:, 0], path._segments[:, 1]
+    t = np.clip(((x - sx) * dx + (y - sy) * dy) / path._seg_lengths**2, 0.0, 1.0)
+    ox = x - (sx + t * dx)
+    oy = y - (sy + t * dy)
+    return t, ox * ox + oy * oy
+
+
 def nearest_point_on_path(path: ReferencePath, pose: Pose2D) -> PathProjection:
     """Closest point on the path polyline, segment interiors included.
 
     Ties between equidistant segments resolve to the lowest segment index so
     repeated queries are reproducible.
     """
-    position = np.array([pose.x, pose.y])
-    starts = path.waypoints[:-1]
-    to_position = position - starts
-    t = (to_position * path._segments).sum(axis=1) / path._seg_lengths**2
-    t = np.clip(t, 0.0, 1.0)
-    closest = starts + t[:, None] * path._segments
-    offsets = position - closest
-    dist_sq = (offsets * offsets).sum(axis=1)
-    index = int(np.argmin(dist_sq))
-    arc = float(path.cumulative_arclength[index] + t[index] * path._seg_lengths[index])
-    return PathProjection(closest[index].copy(), index, math.sqrt(float(dist_sq[index])), arc)
+    t, dist_sq = _project(path, np.array([[pose.x, pose.y]]))
+    index = int(np.argmin(dist_sq[0]))
+    fraction = t[0, index]
+    point = path.waypoints[index] + fraction * path._segments[index]
+    arc = float(path.cumulative_arclength[index] + fraction * path._seg_lengths[index])
+    return PathProjection(point, index, math.sqrt(float(dist_sq[0, index])), arc)
 
 
 def polyline_distances(path: ReferencePath, points: np.ndarray) -> np.ndarray:
     """Unsigned distance from each row of ``points`` (shape (n, 2)) to the path."""
-    pts = np.asarray(points, dtype=float)
-    starts = path.waypoints[:-1]
-    to_points = pts[:, None, :] - starts[None, :, :]
-    t = (to_points * path._segments[None, :, :]).sum(axis=2) / path._seg_lengths**2
-    t = np.clip(t, 0.0, 1.0)
-    closest = starts[None, :, :] + t[:, :, None] * path._segments[None, :, :]
-    offsets = pts[:, None, :] - closest
-    dist_sq = (offsets * offsets).sum(axis=2)
+    _, dist_sq = _project(path, np.asarray(points, dtype=float))
     return np.sqrt(dist_sq.min(axis=1))
-
-
-def find_lookahead_point(path: ReferencePath, pose: Pose2D, lookahead: float) -> np.ndarray:
-    """First waypoint at ``lookahead`` distance from the nearest path point.
-
-    The search is stateless: it scans forward from the segment containing the
-    nearest point and returns the first waypoint whose distance from that
-    point reaches ``lookahead`` while its predecessor is still closer. When
-    the remaining path never reaches the lookahead distance the final
-    waypoint is returned.
-    """
-    if not lookahead > 0.0:
-        raise ParameterError("lookahead distance must be positive")
-    projection = nearest_point_on_path(path, pose)
-    return lookahead_from_projection(path, projection, lookahead)
 
 
 def lookahead_from_projection(
@@ -271,13 +259,3 @@ def compute_curvature(pose: Pose2D, target) -> float:
         raise DegenerateGeometryError("lookahead target coincides with the robot position")
     heading_to_target = math.atan2(dy, dx) - pose.theta
     return 2.0 * math.sin(heading_to_target) / distance
-
-
-def cross_track_error(path: ReferencePath, pose: Pose2D) -> float:
-    """Unsigned lateral distance from the pose position to the path polyline."""
-    return nearest_point_on_path(path, pose).distance
-
-
-def remaining_distance_to_goal(path: ReferencePath, pose: Pose2D) -> float:
-    """Arc length from the nearest-point projection to the final waypoint."""
-    return max(0.0, path.length - nearest_point_on_path(path, pose).arc_length)

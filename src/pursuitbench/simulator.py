@@ -35,18 +35,6 @@ _VIOLATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ExecutionModel:
-    """How commanded velocities turn into executed ones."""
-
-    mode: str = HARDWARE_CLIP
-    limits: KinodynamicLimits = KinodynamicLimits()
-
-    def __post_init__(self) -> None:
-        if self.mode not in (HARDWARE_CLIP, PASS_THROUGH):
-            raise ParameterError(f"mode must be '{HARDWARE_CLIP}' or '{PASS_THROUGH}'")
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Optional seeded disturbances; all-zero sigmas give a deterministic run.
 
@@ -219,7 +207,7 @@ def run_scenario(
     limits: KinodynamicLimits,
     lookahead: LookaheadConfig,
     regulation: RegulationConfig,
-    execution: ExecutionModel | None = None,
+    execution: str = HARDWARE_CLIP,
     noise: NoiseModel | None = None,
     *,
     obstacle_distance: float = math.inf,
@@ -230,10 +218,12 @@ def run_scenario(
     """Run one tracking scenario until the goal is reached or time runs out.
 
     Per step: compute the command, record violation flags against ``limits``,
-    pass the command through the execution layer, then integrate. The run
-    ends as soon as the robot is within ``goal_tolerance`` of the final
-    waypoint. Identical inputs (including the noise seed) reproduce the log
-    bit for bit.
+    pass the command through the execution layer, then integrate. Under
+    ``execution="hardware_clip"`` commands other than dynamic-window ones are
+    clipped to the window of ``limits``; ``"pass_through"`` executes every
+    command as given. The run ends as soon as the robot is within
+    ``goal_tolerance`` of the final waypoint. Identical inputs (including the
+    noise seed) reproduce the log bit for bit.
     """
     if max_time <= 0.0:
         raise ParameterError("max_time must be positive")
@@ -241,8 +231,8 @@ def run_scenario(
         raise ParameterError("goal_tolerance must be non-negative")
     if obstacle_distance < 0.0:
         raise ParameterError("obstacle_distance must be non-negative")
-    if execution is None:
-        execution = ExecutionModel(limits=limits)
+    if execution not in (HARDWARE_CLIP, PASS_THROUGH):
+        raise ParameterError(f"execution must be '{HARDWARE_CLIP}' or '{PASS_THROUGH}'")
     if noise is None:
         noise = NoiseModel()
     rng = np.random.default_rng(noise.seed)
@@ -263,8 +253,8 @@ def run_scenario(
                 kind, state, path, limits, lookahead, regulation, obstacle_distance
             )
             flags = _violation_flags(command, state, limits)
-            if execution.mode == HARDWARE_CLIP and kind is not ControllerKind.DYNAMIC_WINDOW:
-                executed = clip_to_feasible(command, state, execution.limits)
+            if execution == HARDWARE_CLIP and kind is not ControllerKind.DYNAMIC_WINDOW:
+                executed = clip_to_feasible(command, state, limits)
             else:
                 executed = command
             if velocity_noise:
@@ -273,8 +263,8 @@ def run_scenario(
                     executed.omega
                     + (rng.normal(0.0, noise.sigma_omega) if noise.sigma_omega > 0.0 else 0.0),
                 )
-                if execution.mode == HARDWARE_CLIP:
-                    executed = clip_to_feasible(executed, state, execution.limits)
+                if execution == HARDWARE_CLIP:
+                    executed = clip_to_feasible(executed, state, limits)
             rows.append(
                 (
                     step * dt,
@@ -284,7 +274,7 @@ def run_scenario(
             )
             state = step_unicycle(state, executed, dt)
         except ParameterError as exc:
-            raise SimulationDivergedError(f"non-finite state at step {step}") from exc
+            raise SimulationDivergedError(f"step {step}: {exc}") from exc
 
     columns = list(zip(*rows)) if rows else [[] for _ in TrajectoryLog._COLUMNS]
     log = TrajectoryLog(

@@ -24,10 +24,11 @@ from pursuitbench import (
     compute_dynamic_window,
     curvature_heuristic,
     distance_point_to_line,
-    effective_lookahead,
-    find_lookahead_point,
     goal_heuristic,
+    lookahead_from_projection,
     min_stable_lookahead,
+    nearest_point_on_path,
+    operative_lookahead,
     optimal_velocity_in_window,
     pp_nominal_command,
     proximity_heuristic,
@@ -80,6 +81,10 @@ class TestTypeValidation:
         with pytest.raises(ParameterError):
             LookaheadConfig(mode="adaptive")
 
+    def test_lookahead_config_rejects_non_positive_fixed_distance(self):
+        with pytest.raises(ParameterError):
+            LookaheadConfig(fixed_distance=0.0)
+
     def test_lookahead_config_rejects_inverted_bounds(self):
         with pytest.raises(ParameterError):
             LookaheadConfig(min_distance=0.8, max_distance=0.7)
@@ -105,16 +110,25 @@ class TestTypeValidation:
 class TestEffectiveLookahead:
     def test_scaled_clamps_at_max(self):
         cfg = LookaheadConfig()
-        assert effective_lookahead(cfg, 0.5) == pytest.approx(0.7)
+        assert operative_lookahead(ControllerKind.REGULATED, cfg, 0.5) == pytest.approx(0.7)
 
     def test_scaled_clamps_at_min_when_stopped(self):
         cfg = LookaheadConfig()
-        assert effective_lookahead(cfg, 0.0) == 0.3
+        assert operative_lookahead(ControllerKind.REGULATED, cfg, 0.0) == 0.3
 
     def test_fixed_mode_ignores_speed(self):
         cfg = LookaheadConfig(mode=FIXED_LOOKAHEAD)
-        assert effective_lookahead(cfg, 0.0) == 0.6
-        assert effective_lookahead(cfg, 5.0) == 0.6
+        assert operative_lookahead(ControllerKind.REGULATED, cfg, 0.0) == 0.6
+        assert operative_lookahead(ControllerKind.REGULATED, cfg, 5.0) == 0.6
+
+    def test_pure_pursuit_fixed_and_adaptive_scaled_in_either_mode(self):
+        for cfg in (LookaheadConfig(), LookaheadConfig(mode=FIXED_LOOKAHEAD)):
+            assert operative_lookahead(ControllerKind.PURE_PURSUIT, cfg, 5.0) == 0.6
+            assert operative_lookahead(ControllerKind.ADAPTIVE, cfg, 0.0) == 0.3
+            assert operative_lookahead(ControllerKind.ADAPTIVE, cfg, 0.4) == pytest.approx(0.56)
+            assert operative_lookahead(ControllerKind.DYNAMIC_WINDOW, cfg, 0.0) == (
+                0.6 if cfg.mode == FIXED_LOOKAHEAD else 0.3
+            )
 
 
 class TestNominalCommand:
@@ -435,7 +449,8 @@ class TestComputeCommand:
             ControllerKind.REGULATED, state, path, self.limits, self.lookahead, self.regulation
         )
         assert command.v < 0.5
-        target = find_lookahead_point(path, state.pose, effective_lookahead(self.lookahead, state.v))
+        lookahead = operative_lookahead(ControllerKind.REGULATED, self.lookahead, state.v)
+        target = lookahead_from_projection(path, nearest_point_on_path(path, state.pose), lookahead)
         kappa = compute_curvature(state.pose, target)
         assert command.omega == pytest.approx(kappa * command.v, abs=1e-12)
 

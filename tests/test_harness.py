@@ -94,10 +94,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="lookahed"):
             load_config(file)
 
-    def test_unknown_nested_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("section", ["limits", "lookahead", "regulation", "stability", "noise"])
+    def test_unknown_nested_key_rejected(self, tmp_path, section):
         file = tmp_path / "bad.yaml"
-        file.write_text("limits: {vmax: 0.5}\n")
-        with pytest.raises(ConfigError, match="vmax"):
+        file.write_text(f"{section}: {{vmax: 0.5}}\n")
+        with pytest.raises(ConfigError, match=f"{section}: unknown key 'vmax'"):
             load_config(file)
 
     def test_invalid_value_names_section(self, tmp_path):

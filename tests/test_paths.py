@@ -12,12 +12,10 @@ from pursuitbench import (
     ReferencePath,
     RobotState,
     compute_curvature,
-    cross_track_error,
-    find_lookahead_point,
     generate_corner_path,
+    lookahead_from_projection,
     nearest_point_on_path,
     polyline_distances,
-    remaining_distance_to_goal,
     wrap_angle,
 )
 
@@ -160,6 +158,14 @@ class TestNearestPoint:
             assert proj.distance <= waypoint_distances.min() + 1e-12
 
 
+def find_lookahead_point(path, pose, lookahead):
+    return lookahead_from_projection(path, nearest_point_on_path(path, pose), lookahead)
+
+
+def remaining_distance(path, pose):
+    return path.length - nearest_point_on_path(path, pose).arc_length
+
+
 class TestLookaheadPoint:
     def test_straight_path_from_origin(self):
         path = straight_path(spacing=0.1)
@@ -211,10 +217,6 @@ class TestLookaheadPoint:
                 expected = path.waypoints[-1]
             np.testing.assert_array_equal(target, expected)
 
-    def test_rejects_non_positive_lookahead(self):
-        with pytest.raises(ParameterError):
-            find_lookahead_point(straight_path(), Pose2D(0, 0, 0), 0.0)
-
 
 class TestCurvature:
     def test_diagonal_target_gives_unit_curvature(self):
@@ -262,39 +264,45 @@ class TestCurvature:
 class TestCrossTrackAndGoalDistance:
     def test_cross_track_matches_nearest_distance(self):
         path = corner_path(90.0, spacing=0.1)
-        for pose in (Pose2D(1.0, 0.1, 0.0), Pose2D(0.5, 0.0, 0.0), Pose2D(2.5, 0.5, 0.0)):
-            assert cross_track_error(path, pose) == nearest_point_on_path(path, pose).distance
+        poses = (Pose2D(1.0, 0.1, 0.0), Pose2D(0.5, 0.0, 0.0), Pose2D(2.5, 0.5, 0.0))
+        batch = polyline_distances(path, [[pose.x, pose.y] for pose in poses])
+        for pose, expected, batch_distance in zip(poses, (0.1, 0.0, 0.5), batch):
+            distance = nearest_point_on_path(path, pose).distance
+            assert distance == pytest.approx(expected, abs=1e-12)
+            assert batch_distance == distance
 
     def test_remaining_distance_at_start(self):
         path = corner_path(45.0)
-        assert remaining_distance_to_goal(path, Pose2D(0.0, 0.0, 0.0)) == pytest.approx(6.0)
+        assert remaining_distance(path, Pose2D(0.0, 0.0, 0.0)) == pytest.approx(6.0)
 
     def test_remaining_distance_at_goal(self):
         path = corner_path(45.0)
         goal = path.goal
-        assert remaining_distance_to_goal(path, Pose2D(goal[0], goal[1], 0.0)) == pytest.approx(
+        assert remaining_distance(path, Pose2D(goal[0], goal[1], 0.0)) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_remaining_distance_mid_first_leg(self):
         path = corner_path(45.0)
-        assert remaining_distance_to_goal(path, Pose2D(1.3, 0.0, 0.0)) == pytest.approx(
+        assert remaining_distance(path, Pose2D(1.3, 0.0, 0.0)) == pytest.approx(
             4.7, abs=1e-9
         )
 
     def test_remaining_distance_non_increasing_along_straight_path(self):
         path = straight_path()
         xs = np.linspace(0.0, 6.0, 200)
-        remaining = [remaining_distance_to_goal(path, Pose2D(x, 0.02, 0.0)) for x in xs]
+        remaining = [remaining_distance(path, Pose2D(x, 0.02, 0.0)) for x in xs]
         assert np.all(np.diff(remaining) <= 1e-12)
 
     def test_polyline_distances_matches_scalar_query(self):
-        path = corner_path(135.0)
+        # Both queries share one projection kernel, so they agree exactly.
         rng = np.random.default_rng(8)
-        points = rng.uniform(-1.0, 4.0, size=(50, 2))
-        batch = polyline_distances(path, points)
-        for (x, y), expected in zip(points, batch):
-            assert cross_track_error(path, Pose2D(x, y, 0.0)) == pytest.approx(expected, abs=1e-12)
+        long_path = corner_path(90.0, segment_length=10.0, spacing=0.01)  # 2,000 segments
+        for path, high in ((corner_path(135.0), 4.0), (long_path, 11.0)):
+            points = rng.uniform(-1.0, high, size=(50, 2))
+            batch = polyline_distances(path, points)
+            for (x, y), expected in zip(points, batch):
+                assert nearest_point_on_path(path, Pose2D(x, y, 0.0)).distance == expected
 
 
 class TestCsvRoundTrip:

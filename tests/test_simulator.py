@@ -5,9 +5,9 @@ import pytest
 
 from conftest import corner_path, straight_path
 from pursuitbench import (
+    HARDWARE_CLIP,
     PASS_THROUGH,
     ControllerKind,
-    ExecutionModel,
     KinodynamicLimits,
     LookaheadConfig,
     NoiseModel,
@@ -15,11 +15,12 @@ from pursuitbench import (
     Pose2D,
     RegulationConfig,
     RobotState,
+    SimulationDivergedError,
     TrajectoryLog,
     VelocityCommand,
     clip_to_feasible,
     initial_state_on_path,
-    remaining_distance_to_goal,
+    nearest_point_on_path,
     run_scenario,
     step_unicycle,
 )
@@ -51,7 +52,7 @@ def run(path, kind, **overrides):
 class TestExecutionAndNoiseModels:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ParameterError):
-            ExecutionModel(mode="ideal")
+            run(straight_path(), ControllerKind.PURE_PURSUIT, execution="ideal")
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ParameterError):
@@ -134,7 +135,7 @@ class TestRunScenario:
         result = run(path, ControllerKind.DYNAMIC_WINDOW)
         log = result.log
         remaining = [
-            remaining_distance_to_goal(path, Pose2D(x, y, t))
+            path.length - nearest_point_on_path(path, Pose2D(x, y, t)).arc_length
             for x, y, t in zip(log.x, log.y, log.theta)
         ]
         moving = log.v[:-1] > 0
@@ -196,11 +197,31 @@ class TestRunScenario:
         assert (log.v_exec != log.v_cmd).any()
 
     def test_pass_through_executes_raw_commands(self):
-        execution = ExecutionModel(mode=PASS_THROUGH)
-        log = run(corner_path(135.0), ControllerKind.PURE_PURSUIT, execution=execution).log
+        log = run(corner_path(135.0), ControllerKind.PURE_PURSUIT, execution=PASS_THROUGH).log
         np.testing.assert_array_equal(log.v_exec, log.v_cmd)
         np.testing.assert_array_equal(log.omega_exec, log.omega_cmd)
         assert log.any_violation.any()  # flags still reflect the raw command
+
+    def test_hardware_clip_uses_the_run_limits(self):
+        limits = KinodynamicLimits(
+            v_max=0.26, omega_max=0.5, omega_min=-0.5,
+            accel_max=0.26, decel_max=0.26, ang_accel_max=0.5, ang_decel_max=0.5,
+        )
+        log = run(
+            corner_path(135.0), ControllerKind.PURE_PURSUIT, limits=limits, execution=HARDWARE_CLIP
+        ).log
+        dv, dw = limits.accel_max * limits.dt, limits.ang_accel_max * limits.dt
+        assert log.any_violation.any()
+        assert np.all(log.v_exec <= limits.v_max)
+        assert np.all(np.abs(log.omega_exec) <= limits.omega_max)
+        assert np.all(np.abs(log.v_exec - log.v) <= dv + 1e-12)
+        assert np.all(np.abs(log.omega_exec - log.omega) <= dw + 1e-12)
+
+    def test_parameter_error_inside_loop_keeps_its_message(self):
+        limits = KinodynamicLimits(v_max=-0.1, v_min=-0.5)
+        message = "step 0: regulated velocity must be non-negative"
+        with pytest.raises(SimulationDivergedError, match=message):
+            run(straight_path(), ControllerKind.DYNAMIC_WINDOW, limits=limits)
 
     def test_times_out_without_reaching_goal(self):
         result = run(straight_path(), ControllerKind.PURE_PURSUIT, max_time=1.0)
