@@ -29,9 +29,6 @@ VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
 COMBINE_LOWER_BOUND = "lower_bound"
 COMBINE_HARD_CAP = "hard_cap"
 
-# Closed-boundary membership tolerance for points on the window edges.
-_EDGE_TOL = 1e-9
-
 
 class ControllerKind(enum.Enum):
     """The four tracking laws the benchmark compares."""
@@ -71,6 +68,8 @@ class KinodynamicLimits:
         )
         if not all(math.isfinite(value) for value in values):
             raise ParameterError("limits must be finite")
+        if self.v_max < 0.0:
+            raise ParameterError("v_max must be non-negative")
         if self.v_min > self.v_max:
             raise ParameterError("v_min must not exceed v_max")
         if self.omega_min > self.omega_max:
@@ -94,12 +93,6 @@ class DynamicWindow:
     def __post_init__(self) -> None:
         if self.v_lo > self.v_hi or self.omega_lo > self.omega_hi:
             raise ParameterError("window bounds must be ordered")
-
-    def contains(self, v: float, omega: float, tol: float = _EDGE_TOL) -> bool:
-        return (
-            self.v_lo - tol <= v <= self.v_hi + tol
-            and self.omega_lo - tol <= omega <= self.omega_hi + tol
-        )
 
 
 @dataclass(frozen=True)
@@ -173,6 +166,9 @@ class RegulationConfig:
             raise ParameterError("proximity_gain must be in (0, 1]")
         if self.goal_slowdown_distance <= 0.0:
             raise ParameterError("goal_slowdown_distance must be positive")
+        for name in ("min_regulated_speed", "min_approach_speed"):
+            if getattr(self, name) < 0.0:
+                raise ParameterError(f"{name} must be non-negative")
         if self.combination_mode not in (COMBINE_LOWER_BOUND, COMBINE_HARD_CAP):
             raise ParameterError(
                 f"combination_mode must be '{COMBINE_LOWER_BOUND}' or '{COMBINE_HARD_CAP}'"
@@ -320,53 +316,20 @@ def distance_point_to_line(v: float, omega: float, curvature: float) -> float:
 def optimal_velocity_in_window(window: DynamicWindow, curvature: float) -> VelocityCommand:
     """Feasible velocity closest to the tracking line omega = curvature * v.
 
-    Three cases:
-
-    * zero curvature: take the largest linear velocity; the angular velocity
-      is 0 when the window straddles it, otherwise the bound nearer zero.
-    * the line crosses the window: of the crossings with the four (extended)
-      window edges, take the one with the largest linear velocity. The result
-      lies exactly on the line.
-    * no crossing: take the window vertex nearest the line; ties prefer the
-      larger linear velocity, then the larger |omega|.
+    Ties go to the larger v. With omega clamped into the window the distance
+    is piecewise linear in v, so the optimum is one clamp: v is where the line
+    leaves through the omega bound it heads for, clamped into [v_lo, v_hi],
+    and omega is the line at that v, clamped into [omega_lo, omega_hi]. Zero
+    curvature takes v_hi and the feasible omega nearest zero.
     """
     if curvature == 0.0:
-        if window.omega_lo <= 0.0 <= window.omega_hi:
-            omega = 0.0
-        elif abs(window.omega_lo) <= abs(window.omega_hi):
-            omega = window.omega_lo
-        else:
-            omega = window.omega_hi
-        return VelocityCommand(window.v_hi, omega)
-
-    crossings = (
-        (window.v_lo, curvature * window.v_lo),
-        (window.v_hi, curvature * window.v_hi),
-        (window.omega_lo / curvature, window.omega_lo),
-        (window.omega_hi / curvature, window.omega_hi),
-    )
-    best = None
-    for v, omega in crossings:
-        if window.contains(v, omega) and (best is None or v > best[0]):
-            best = (v, omega)
-    if best is not None:
-        # Clamp away any sub-tolerance overhang so the result stays inside
-        # the closed window.
-        v = min(max(best[0], window.v_lo), window.v_hi)
-        omega = min(max(best[1], window.omega_lo), window.omega_hi)
-        return VelocityCommand(v, omega)
-
-    vertices = (
-        (window.v_lo, window.omega_lo),
-        (window.v_lo, window.omega_hi),
-        (window.v_hi, window.omega_lo),
-        (window.v_hi, window.omega_hi),
-    )
-    v, omega = min(
-        vertices,
-        key=lambda p: (distance_point_to_line(p[0], p[1], curvature), -p[0], -abs(p[1])),
-    )
-    return VelocityCommand(v, omega)
+        return VelocityCommand(window.v_hi, min(max(0.0, window.omega_lo), window.omega_hi))
+    bound = window.omega_hi if curvature > 0.0 else window.omega_lo
+    v = bound / curvature  # where the line leaves through the omega bound
+    if window.v_lo <= v < window.v_hi:
+        return VelocityCommand(v, bound)  # on the line; curvature * v could round past bound
+    v = min(max(v, window.v_lo), window.v_hi)
+    return VelocityCommand(v, min(max(curvature * v, window.omega_lo), window.omega_hi))
 
 
 def min_stable_lookahead(v: float, cfg: StabilityConfig) -> float:

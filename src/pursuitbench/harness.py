@@ -181,9 +181,7 @@ def _parse_raw(source: str | Path) -> dict:
     return dict(raw)
 
 
-def load_config(source: str | Path = "experiment_table1") -> ExperimentConfig:
-    """Load and validate an experiment config from a file or shipped profile."""
-    raw = _parse_raw(source)
+def _build_config(raw: Mapping) -> ExperimentConfig:
     trials = raw.get("trials", 5)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ConfigError("trials: must be a positive integer")
@@ -211,9 +209,15 @@ def load_config(source: str | Path = "experiment_table1") -> ExperimentConfig:
     )
 
 
+def load_config(source: str | Path = "experiment_table1") -> ExperimentConfig:
+    """Load and validate an experiment config from a file or shipped profile."""
+    return _build_config(_parse_raw(source))
+
+
 def load_sweep_config(source: str | Path = "simulation_table6") -> SweepConfig:
     """Load a sweep description: a base config plus its ``lookahead_values``."""
-    return SweepConfig(base=load_config(source), lookahead_values=_parse_lookahead_values(_parse_raw(source)))
+    raw = _parse_raw(source)
+    return SweepConfig(base=_build_config(raw), lookahead_values=_parse_lookahead_values(raw))
 
 
 def _trial_noise(config: ExperimentConfig, trial: int) -> NoiseModel:

@@ -41,10 +41,6 @@ class Pose2D:
             raise ParameterError("pose components must be finite")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class RobotState:
@@ -233,7 +229,9 @@ def polyline_distances(path: ReferencePath, points: np.ndarray) -> np.ndarray:
 def lookahead_from_projection(
     path: ReferencePath, projection: PathProjection, lookahead: float
 ) -> np.ndarray:
-    """Lookahead search starting from a precomputed projection."""
+    """Lookahead search from a precomputed projection; ``lookahead`` must be positive."""
+    if not lookahead > 0.0:
+        raise ParameterError("lookahead must be positive")
     points = path.waypoints
     reference = projection.point
     previous = math.hypot(*(points[projection.segment_index] - reference))

@@ -213,7 +213,6 @@ def run_scenario(
     obstacle_distance: float = math.inf,
     max_time: float = 60.0,
     goal_tolerance: float = 0.15,
-    initial_state: RobotState | None = None,
 ) -> ScenarioResult:
     """Run one tracking scenario until the goal is reached or time runs out.
 
@@ -236,7 +235,7 @@ def run_scenario(
     if noise is None:
         noise = NoiseModel()
     rng = np.random.default_rng(noise.seed)
-    state = initial_state if initial_state is not None else initial_state_on_path(path, noise, rng)
+    state = initial_state_on_path(path, noise, rng)
     velocity_noise = noise.sigma_v > 0.0 or noise.sigma_omega > 0.0
 
     goal_x, goal_y = float(path.goal[0]), float(path.goal[1])

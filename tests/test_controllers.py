@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import corner_path, straight_path
 from pursuitbench import (
@@ -48,6 +50,12 @@ def line_crosses_window(window, kappa):
     """The line omega = kappa * v meets the window (exact interval test)."""
     lo, hi = sorted((kappa * window.v_lo, kappa * window.v_hi))
     return lo <= window.omega_hi and hi >= window.omega_lo
+
+
+def bounds(lo, hi):
+    """Ordered (low, high) pairs in [lo, hi], equal pairs included."""
+    value = st.floats(lo, hi)
+    return st.one_of(value.map(lambda x: (x, x)), st.tuples(value, value).map(sorted).map(tuple))
 
 
 def random_window(rng, v_range=(0.0, 0.5), w_range=(-1.0, 1.0)):
@@ -394,6 +402,41 @@ class TestOptimalVelocity:
         command = optimal_velocity_in_window(DynamicWindow(0.3, 0.3, 0.1, 0.1), -5.0)
         assert command == VelocityCommand(0.3, 0.1)
 
+    def test_crossing_next_to_v_hi_stays_on_the_line(self):
+        # The omega_hi crossing lies 5e-10 below v_hi: the command must be
+        # that crossing, not the nearby vertex (0.4, 0.5) off the line.
+        kappa = 0.5 / (0.4 - 5e-10)
+        command = optimal_velocity_in_window(DynamicWindow(0.1, 0.4, -0.5, 0.5), kappa)
+        assert command == VelocityCommand(0.5 / kappa, 0.5)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        v_bounds=bounds(0.0, 2.0),
+        omega_bounds=bounds(-2.0, 2.0),
+        kappa=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    )
+    @example(v_bounds=(0.3, 0.3), omega_bounds=(0.1, 0.1), kappa=-5.0)
+    @example(v_bounds=(0.3, 0.4), omega_bounds=(0.2, 0.6), kappa=0.0)
+    def test_selection_is_feasible_and_optimal(self, v_bounds, omega_bounds, kappa):
+        window = DynamicWindow(*v_bounds, *omega_bounds)
+        command = optimal_velocity_in_window(window, kappa)
+        assert window.v_lo <= command.v <= window.v_hi
+        assert window.omega_lo <= command.omega <= window.omega_hi
+        distance = distance_point_to_line(command.v, command.omega, kappa)
+        for v in v_bounds:
+            for omega in omega_bounds:
+                assert distance <= distance_point_to_line(v, omega, kappa) + 1e-12
+        if line_crosses_window(window, kappa):
+            assert abs(kappa * command.v - command.omega) <= 1e-12
+            # The feasible stretch of the line ends where it leaves through
+            # the omega bound it heads for, or at v_hi.
+            if kappa == 0.0:
+                fastest = window.v_hi
+            else:
+                exit_omega = window.omega_hi if kappa > 0.0 else window.omega_lo
+                fastest = min(window.v_hi, exit_omega / kappa)
+            assert command.v >= fastest
+
 
 class TestMinStableLookahead:
     def test_zero_speed(self):
@@ -440,7 +483,8 @@ class TestComputeCommand:
             ControllerKind.DYNAMIC_WINDOW, state, path, self.limits, self.lookahead, self.regulation
         )
         window = compute_dynamic_window(state, self.limits)
-        assert window.contains(command.v, command.omega)
+        assert window.v_lo <= command.v <= window.v_hi
+        assert window.omega_lo <= command.omega <= window.omega_hi
 
     def test_regulated_slows_down_and_recomputes_omega(self):
         path = corner_path(135.0)

@@ -13,6 +13,7 @@ from pursuitbench import (
     run_comparison,
     run_lookahead_sweep,
 )
+from pursuitbench import harness
 from pursuitbench.cli import main
 
 SMALL_CONFIG = """
@@ -130,6 +131,37 @@ class TestLoadConfig:
     def test_missing_source_rejected(self):
         with pytest.raises(ConfigError, match="neither"):
             load_config("no_such_profile")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("limits: {v_max: -0.1, v_min: -0.5}\n", "limits: v_max"),
+            (
+                "regulation: {combination_mode: hard_cap, min_regulated_speed: -0.1}\n",
+                "regulation: min_regulated_speed",
+            ),
+            ("regulation: {min_approach_speed: -0.1}\n", "regulation: min_approach_speed"),
+        ],
+        ids=["v_max", "min_regulated_speed", "min_approach_speed"],
+    )
+    def test_negative_speed_ceiling_rejected(self, tmp_path, text, message):
+        file = tmp_path / "bad.yaml"
+        file.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{message} must be non-negative$"):
+            load_config(file)
+
+    def test_sweep_config_reads_its_file_once(self, monkeypatch):
+        reads = []
+        read = harness._read_config_text
+
+        def counting_read(source):
+            reads.append(source)
+            return read(source)
+
+        monkeypatch.setattr(harness, "_read_config_text", counting_read)
+        sweep = load_sweep_config("simulation_table6")
+        assert reads == ["simulation_table6"]
+        assert sweep.base == load_config("simulation_table6")
 
 
 class TestRunComparison:

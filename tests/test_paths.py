@@ -217,6 +217,11 @@ class TestLookaheadPoint:
                 expected = path.waypoints[-1]
             np.testing.assert_array_equal(target, expected)
 
+    @pytest.mark.parametrize("lookahead", [0.0, -1.0])
+    def test_rejects_non_positive_lookahead(self, lookahead):
+        with pytest.raises(ParameterError, match="lookahead must be positive"):
+            find_lookahead_point(corner_path(90.0), Pose2D(2.7, 0.0, 0.0), lookahead)
+
 
 class TestCurvature:
     def test_diagonal_target_gives_unit_curvature(self):

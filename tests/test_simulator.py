@@ -218,9 +218,11 @@ class TestRunScenario:
         assert np.all(np.abs(log.omega_exec - log.omega) <= dw + 1e-12)
 
     def test_parameter_error_inside_loop_keeps_its_message(self):
-        limits = KinodynamicLimits(v_max=-0.1, v_min=-0.5)
-        message = "step 0: regulated velocity must be non-negative"
-        with pytest.raises(SimulationDivergedError, match=message):
+        # At ~1.7e308 m/s the second step carries x past the largest float;
+        # the projection overflows on the way there.
+        limits = KinodynamicLimits(v_max=1.7e308, accel_max=1.7e308, decel_max=1.7e308, dt=1.0)
+        message = "step 1: pose components must be finite"
+        with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError, match=message):
             run(straight_path(), ControllerKind.DYNAMIC_WINDOW, limits=limits)
 
     def test_times_out_without_reaching_goal(self):
