@@ -1,12 +1,18 @@
 """Experiment orchestration: config loading, comparison grid, lookahead sweep.
 
-Configuration is a single YAML file. Every key is optional. A missing key in
-the ``limits``, ``lookahead``, ``regulation``, ``stability`` or ``noise``
-section takes the default of the dataclass that section builds, except that
-``noise`` defaults to ``sigma_pose_init: 0.01`` and ``seed: 7``; with these
-defaults a config equals the shipped ``experiment_table1`` profile. Unknown
-keys are rejected. ``load_config`` accepts either a file path or the name of
-a shipped profile (``experiment_table1``, ``simulation_table6``).
+Configuration is a single YAML file and every key is optional. The schema is
+the config dataclasses themselves: a missing key takes the field default of
+``ExperimentConfig`` (for ``lookahead_values``, of ``SweepConfig``), so an
+empty file equals ``ExperimentConfig()``, which is the shipped
+``experiment_table1`` profile. A section mapping (``limits``, ``lookahead``,
+``regulation``, ``stability``, ``noise``) is merged over the default instance
+of that section and a ``paths`` entry over ``_PATH_ENTRY``. Every given key
+must exist in those defaults, and its value must have the type of its
+default: a float default takes any finite int or float, while an int, bool or
+str default takes exactly that type, so a bool is never read as a number.
+The dataclasses then check the values themselves. ``load_config`` accepts
+either a file path or the name of a shipped profile (``experiment_table1``,
+``simulation_table6``).
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import math
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -35,48 +42,133 @@ from .metrics import AggregateMetrics, ScenarioMetrics, aggregate, cross_track_s
 from .paths import CornerPathSpec, generate_corner_path
 from .simulator import NoiseModel, run_scenario
 
-# The one place the YAML defaults differ from the dataclass defaults:
-# experiments perturb the initial pose and seed their trials from 7, while a
-# bare ``NoiseModel()`` stays noise-free for single runs and the sweep.
-_NOISE_OVERRIDES = {"sigma_pose_init": 0.01, "seed": 7}
-_PATH_ENTRY_DEFAULTS = {"name": "", "corner_angle_deg": 90.0, "segment_length": 3.0, "waypoint_spacing": 0.05}
-_PATHS_DEFAULT = [
-    {"name": "A", "corner_angle_deg": 45.0},
-    {"name": "B", "corner_angle_deg": 90.0},
-    {"name": "C", "corner_angle_deg": 135.0},
-]
-_CONTROLLERS_DEFAULT = ["pp", "app", "rpp", "dwpp"]
-_LOOKAHEAD_VALUES_DEFAULT = [0.26, 0.39, 0.52, 0.65, 0.78, 0.91, 1.04]
-
 PROFILE_NAMES = ("experiment_table1", "simulation_table6")
+
+# One ``paths`` entry as written in YAML; a missing key takes its value here.
+_PATH_ENTRY = {
+    "name": "",
+    "corner_angle_deg": 90.0,
+    "segment_length": 3.0,
+    "waypoint_spacing": CornerPathSpec.waypoint_spacing,
+}
+
+
+def _corner(entry: Mapping) -> tuple[str, CornerPathSpec]:
+    """A ``paths`` entry merged over ``_PATH_ENTRY``, as (name, spec)."""
+    merged = {**_PATH_ENTRY, **entry}
+    spec = CornerPathSpec(
+        merged["segment_length"], math.radians(merged["corner_angle_deg"]), merged["waypoint_spacing"]
+    )
+    return merged["name"], spec
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully validated experiment description."""
+    """One fully validated experiment; the defaults are ``experiment_table1``."""
 
-    limits: KinodynamicLimits
-    lookahead: LookaheadConfig
-    regulation: RegulationConfig
-    stability: StabilityConfig
-    paths: tuple[tuple[str, CornerPathSpec], ...]
-    controllers: tuple[ControllerKind, ...]
-    trials: int
-    noise: NoiseModel
-    goal_tolerance: float
-    max_time: float
-    output_dir: str
+    limits: KinodynamicLimits = KinodynamicLimits()
+    lookahead: LookaheadConfig = LookaheadConfig()
+    regulation: RegulationConfig = RegulationConfig()
+    stability: StabilityConfig = StabilityConfig()
+    paths: tuple[tuple[str, CornerPathSpec], ...] = tuple(
+        _corner({"name": name, "corner_angle_deg": angle})
+        for name, angle in (("A", 45.0), ("B", 90.0), ("C", 135.0))
+    )
+    controllers: tuple[ControllerKind, ...] = tuple(ControllerKind)
+    trials: int = 5
+    # Experiments perturb the initial pose; a bare ``NoiseModel()`` is noise-free.
+    noise: NoiseModel = NoiseModel(sigma_pose_init=0.01, seed=7)
+    goal_tolerance: float = 0.15
+    max_time: float = 60.0
+    output_dir: str = "results"
+
+    def __post_init__(self) -> None:
+        if not (self.paths and self.controllers):
+            raise ParameterError("paths and controllers must be non-empty")
+        names = [name for name, _ in self.paths]
+        for position, name in enumerate(names):
+            if not name:
+                raise ParameterError(f"paths[{position}]: name must be non-empty")
+            if name in names[:position]:
+                raise ParameterError(f"paths[{position}]: duplicate path name '{name}'")
+        if self.trials < 1:
+            raise ParameterError("trials must be at least 1")
+        if not (0.0 < self.goal_tolerance < math.inf):
+            raise ParameterError("goal_tolerance must be positive and finite")
+        if not (self.limits.dt <= self.max_time < math.inf):
+            raise ParameterError(f"max_time must be finite and at least limits.dt ({self.limits.dt:g} s)")
+        if not self.output_dir:
+            raise ParameterError("output_dir must be non-empty")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """A base experiment plus the fixed lookahead values to sweep over."""
 
-    base: ExperimentConfig
-    lookahead_values: tuple[float, ...]
+    base: ExperimentConfig = ExperimentConfig()
+    lookahead_values: tuple[float, ...] = (0.26, 0.39, 0.52, 0.65, 0.78, 0.91, 1.04)
+
+    def __post_init__(self) -> None:
+        values = self.lookahead_values
+        if not values or not all(a < b for a, b in zip((0.0, *values), values)):
+            raise ParameterError("lookahead_values must be non-empty, positive and strictly increasing")
 
 
-_TOP_LEVEL_KEYS = {field.name for field in fields(ExperimentConfig)} | {"lookahead_values"}
+# Every top-level key with a default of the type it takes in YAML: the fields
+# of ``ExperimentConfig``, except that ``paths`` and ``controllers`` are lists
+# of entries like their first one, plus the sweep's ``lookahead_values``.
+_TOP_LEVEL = {
+    **{field.name: getattr(ExperimentConfig, field.name) for field in fields(ExperimentConfig)},
+    "paths": [_PATH_ENTRY],
+    "controllers": [kind.value for kind in ControllerKind],
+    "lookahead_values": list(SweepConfig.lookahead_values),
+}
+
+# How each entry of a top-level list becomes part of the config value.
+_LIST_ENTRY = {"paths": _corner, "controllers": ControllerKind.from_name, "lookahead_values": float}
+
+_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _label(key: str, name) -> str:
+    return f"{key}: {name}" if key else str(name)
+
+
+def _build(key: str, factory, *args, **kwargs):
+    try:
+        return factory(*args, **kwargs)
+    except ParameterError as exc:
+        raise ConfigError(_label(key, exc)) from exc
+
+
+def _check(key: str, value, default):
+    """YAML ``value`` checked against ``default``; see the module docstring.
+
+    A mapping default returns only the keys given, for the caller to merge;
+    a dataclass default returns the dataclass with the given fields replaced;
+    a list default takes a non-empty list of entries like its first one.
+    """
+    if is_dataclass(default):
+        own = {field.name: getattr(default, field.name) for field in fields(default)}
+        return _build(key, replace, default, **_check(key, value, own))
+    if isinstance(default, dict):
+        if value is None:
+            value = {}
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{key} must be a mapping")
+        for name in value:
+            if name not in default:
+                raise ConfigError(_label(key, f"unknown key '{name}'"))
+        return {name: _check(_label(key, name), item, default[name]) for name, item in value.items()}
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key} must be a non-empty list")
+        return [_check(f"{key}[{position}]", item, default[0]) for position, item in enumerate(value)]
+    if type(default) is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not type(default) or (type(value) is float and not math.isfinite(value)):
+        raise ConfigError(f"{key} must be {_EXPECTED[type(default)]}, got {value!r}")
+    return value
 
 
 def _read_config_text(source: str | Path) -> str:
@@ -89,146 +181,40 @@ def _read_config_text(source: str | Path) -> str:
     raise ConfigError(f"'{source}' is neither a config file nor a shipped profile {PROFILE_NAMES}")
 
 
-def _section(raw: Mapping, key: str, cls, overrides: Mapping | None = None):
-    """Build dataclass ``cls`` from ``raw[key]`` over ``overrides`` and its own defaults."""
-    section = raw.get(key, {})
-    if section is None:
-        section = {}
-    if not isinstance(section, Mapping):
-        raise ConfigError(f"{key}: expected a mapping")
-    unknown = set(section) - {field.name for field in fields(cls)}
-    if unknown:
-        raise ConfigError(f"{key}: unknown key '{sorted(unknown)[0]}'")
-    return _build(cls, key, {**(overrides or {}), **section})
-
-
-def _build(factory, key: str, values: Mapping):
-    try:
-        return factory(**values)
-    except (ParameterError, TypeError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _parse_paths(raw: Mapping) -> tuple[tuple[str, CornerPathSpec], ...]:
-    entries = raw.get("paths", _PATHS_DEFAULT)
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("paths: expected a non-empty list")
-    parsed = []
-    seen = set()
-    for position, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"paths[{position}]: expected a mapping")
-        unknown = set(entry) - set(_PATH_ENTRY_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"paths[{position}]: unknown key '{sorted(unknown)[0]}'")
-        merged = {**_PATH_ENTRY_DEFAULTS, **entry}
-        name = merged["name"]
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"paths[{position}].name: expected a non-empty string")
-        if name in seen:
-            raise ConfigError(f"paths[{position}].name: duplicate path name '{name}'")
-        seen.add(name)
-        spec = _build(
-            CornerPathSpec,
-            f"paths[{position}]",
-            {
-                "segment_length": merged["segment_length"],
-                "corner_angle": math.radians(merged["corner_angle_deg"]),
-                "waypoint_spacing": merged["waypoint_spacing"],
-            },
-        )
-        parsed.append((name, spec))
-    return tuple(parsed)
-
-
-def _parse_controllers(raw: Mapping) -> tuple[ControllerKind, ...]:
-    names = raw.get("controllers", _CONTROLLERS_DEFAULT)
-    if not isinstance(names, list) or not names:
-        raise ConfigError("controllers: expected a non-empty list")
-    try:
-        return tuple(ControllerKind.from_name(name) for name in names)
-    except ParameterError as exc:
-        raise ConfigError(f"controllers: {exc}") from exc
-
-
-def _parse_lookahead_values(raw: Mapping) -> tuple[float, ...]:
-    values = raw.get("lookahead_values", _LOOKAHEAD_VALUES_DEFAULT)
-    if not isinstance(values, list) or not values:
-        raise ConfigError("lookahead_values: expected a non-empty list")
-    floats = []
-    for value in values:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise ConfigError("lookahead_values: entries must be positive numbers")
-        floats.append(float(value))
-    if any(b <= a for a, b in zip(floats, floats[1:])):
-        raise ConfigError("lookahead_values: entries must be strictly increasing")
-    return tuple(floats)
-
-
-def _parse_raw(source: str | Path) -> dict:
+def _parse(source: str | Path) -> dict:
+    """The keys a config file sets, checked and converted to config values."""
     text = _read_config_text(source)
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, Mapping):
+    if raw is not None and not isinstance(raw, Mapping):
         raise ConfigError(f"{source}: top level must be a mapping")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
-    return dict(raw)
-
-
-def _build_config(raw: Mapping) -> ExperimentConfig:
-    trials = raw.get("trials", 5)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError("trials: must be a positive integer")
-    goal_tolerance = raw.get("goal_tolerance", 0.15)
-    if not isinstance(goal_tolerance, (int, float)) or goal_tolerance <= 0:
-        raise ConfigError("goal_tolerance: must be a positive number")
-    max_time = raw.get("max_time", 60.0)
-    if not isinstance(max_time, (int, float)) or max_time <= 0:
-        raise ConfigError("max_time: must be a positive number")
-    output_dir = raw.get("output_dir", "results")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir: must be a non-empty string")
-    return ExperimentConfig(
-        limits=_section(raw, "limits", KinodynamicLimits),
-        lookahead=_section(raw, "lookahead", LookaheadConfig),
-        regulation=_section(raw, "regulation", RegulationConfig),
-        stability=_section(raw, "stability", StabilityConfig),
-        paths=_parse_paths(raw),
-        controllers=_parse_controllers(raw),
-        trials=trials,
-        noise=_section(raw, "noise", NoiseModel, _NOISE_OVERRIDES),
-        goal_tolerance=float(goal_tolerance),
-        max_time=float(max_time),
-        output_dir=output_dir,
-    )
-
-
-def load_config(source: str | Path = "experiment_table1") -> ExperimentConfig:
-    """Load and validate an experiment config from a file or shipped profile."""
-    return _build_config(_parse_raw(source))
+    values = _check("", raw, _TOP_LEVEL)
+    for name, convert in _LIST_ENTRY.items():
+        if name in values:
+            values[name] = tuple(
+                _build(f"{name}[{position}]", convert, entry) for position, entry in enumerate(values[name])
+            )
+    return values
 
 
 def load_sweep_config(source: str | Path = "simulation_table6") -> SweepConfig:
     """Load a sweep description: a base config plus its ``lookahead_values``."""
-    raw = _parse_raw(source)
-    return SweepConfig(base=_build_config(raw), lookahead_values=_parse_lookahead_values(raw))
+    values = _parse(source)
+    lookahead_values = values.pop("lookahead_values", SweepConfig.lookahead_values)
+    return _build("", SweepConfig, _build("", replace, ExperimentConfig(), **values), lookahead_values)
+
+
+def load_config(source: str | Path = "experiment_table1") -> ExperimentConfig:
+    """Load and validate an experiment config from a file or shipped profile."""
+    return load_sweep_config(source).base
 
 
 def _trial_noise(config: ExperimentConfig, trial: int) -> NoiseModel:
     # Single-trial runs stay unperturbed; SD columns need >= 2 trials anyway.
     sigma_pose = config.noise.sigma_pose_init if config.trials > 1 else 0.0
-    return NoiseModel(
-        sigma_v=config.noise.sigma_v,
-        sigma_omega=config.noise.sigma_omega,
-        sigma_pose_init=sigma_pose,
-        seed=config.noise.seed + trial,
-    )
+    return replace(config.noise, sigma_pose_init=sigma_pose, seed=config.noise.seed + trial)
 
 
 _METRICS_HEADER = (

@@ -50,8 +50,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_v < 0.0 or self.sigma_omega < 0.0 or self.sigma_pose_init < 0.0:
+        if not all(sigma >= 0.0 for sigma in (self.sigma_v, self.sigma_omega, self.sigma_pose_init)):
             raise ParameterError("noise sigmas must be non-negative")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ParameterError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -107,23 +109,6 @@ class TrajectoryLog:
                 writer.writerow(
                     [int(value) if isinstance(value, np.bool_) else repr(float(value)) for value in row]
                 )
-
-    @classmethod
-    def from_csv(cls, file: str | Path) -> "TrajectoryLog":
-        with open(file, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(header) != cls._COLUMNS:
-                raise ParameterError(f"{file}: unexpected trajectory CSV header")
-            rows = [row for row in reader if row]
-        columns = list(zip(*rows)) if rows else [[] for _ in cls._COLUMNS]
-        arrays = {}
-        for name, column in zip(cls._COLUMNS, columns):
-            if name.startswith("viol_"):
-                arrays[name] = np.array([bool(int(value)) for value in column])
-            else:
-                arrays[name] = np.array([float(value) for value in column])
-        return cls(**arrays)
 
 
 @dataclass(frozen=True)
@@ -211,8 +196,8 @@ def run_scenario(
     noise: NoiseModel | None = None,
     *,
     obstacle_distance: float = math.inf,
-    max_time: float = 60.0,
-    goal_tolerance: float = 0.15,
+    max_time: float,
+    goal_tolerance: float,
 ) -> ScenarioResult:
     """Run one tracking scenario until the goal is reached or time runs out.
 
@@ -224,9 +209,9 @@ def run_scenario(
     ``goal_tolerance`` of the final waypoint. Identical inputs (including the
     noise seed) reproduce the log bit for bit.
     """
-    if max_time <= 0.0:
-        raise ParameterError("max_time must be positive")
-    if goal_tolerance < 0.0:
+    if not limits.dt <= max_time < math.inf:
+        raise ParameterError("max_time must be finite and at least limits.dt")
+    if not goal_tolerance >= 0.0:
         raise ParameterError("goal_tolerance must be non-negative")
     if obstacle_distance < 0.0:
         raise ParameterError("obstacle_distance must be non-negative")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from pursuitbench import (
     ConfigError,
     ControllerKind,
+    ExperimentConfig,
     ParameterError,
+    SweepConfig,
     emit_report,
     load_config,
     load_sweep_config,
@@ -82,6 +85,39 @@ class TestLoadConfig:
         assert cfg.limits.v_max == 0.3
         assert cfg.limits.dt == 0.033
         assert cfg.trials == 2
+
+    def test_defaults_are_the_table1_profile(self):
+        assert ExperimentConfig() == load_config("experiment_table1")
+        assert SweepConfig().lookahead_values == load_sweep_config("simulation_table6").lookahead_values
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("goal_tolerance: true", "goal_tolerance"),
+            ("max_time: true", "max_time"),
+            ("limits: {v_max: true}", "limits: v_max"),
+            ("regulation: {enable_goal: 0}", "regulation: enable_goal"),
+            ("paths: [{corner_angle_deg: true}]", "paths[0]: corner_angle_deg"),
+            ("noise: {sigma_v: .nan}", "noise: sigma_v"),
+            ("regulation: {min_turn_radius: .nan}", "regulation: min_turn_radius"),
+            ("stability: {steering_time_constant: .nan}", "stability: steering_time_constant"),
+            ("max_time: .inf", "max_time"),
+            ("max_time: .nan", "max_time"),
+            ("goal_tolerance: .inf", "goal_tolerance"),
+            ("max_time: 0.01", "max_time"),
+            ("noise: {seed: 1.5}", "noise: seed"),
+            ("noise: {seed: -1}", "noise: seed"),
+            ("trials: 2.0", "trials"),
+            ("lookahead: {mode: 3}", "lookahead: mode"),
+            ("paths: [{name: 3}]", "paths[0]: name"),
+            ("lookahead_values: [true]", "lookahead_values[0]"),
+        ],
+    )
+    def test_mistyped_or_non_finite_value_rejected(self, tmp_path, text, key):
+        file = tmp_path / "bad.yaml"
+        file.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+            load_config(file)
 
     def test_zero_trials_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -57,6 +58,16 @@ class TestExecutionAndNoiseModels:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ParameterError):
             NoiseModel(sigma_v=-0.1)
+
+    @pytest.mark.parametrize("field", ["sigma_v", "sigma_omega", "sigma_pose_init"])
+    def test_rejects_nan_sigma(self, field):
+        with pytest.raises(ParameterError, match="sigmas"):
+            NoiseModel(**{field: math.nan})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            NoiseModel(seed=seed)
 
 
 class TestClipToFeasible:
@@ -238,21 +249,37 @@ class TestRunScenario:
         with pytest.raises(ParameterError):
             run(straight_path(), ControllerKind.REGULATED, obstacle_distance=-1.0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"max_time": math.inf}, "max_time"),
+            ({"max_time": math.nan}, "max_time"),
+            ({"max_time": 0.02}, "max_time"),
+            ({"goal_tolerance": math.nan}, "goal_tolerance"),
+        ],
+        ids=["inf_max_time", "nan_max_time", "max_time_below_dt", "nan_goal_tolerance"],
+    )
+    def test_rejects_non_finite_or_too_short_run(self, overrides, message):
+        with pytest.raises(ParameterError, match=message):
+            run(straight_path(), ControllerKind.PURE_PURSUIT, **overrides)
+
 
 class TestTrajectoryLogIO:
     def test_csv_round_trip(self, tmp_path):
         result = run(corner_path(90.0), ControllerKind.DYNAMIC_WINDOW)
         file = tmp_path / "traj.csv"
         result.log.to_csv(file)
-        loaded = TrajectoryLog.from_csv(file)
-        for column in TrajectoryLog._COLUMNS:
-            np.testing.assert_array_equal(getattr(loaded, column), getattr(result.log, column))
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        file = tmp_path / "bad.csv"
-        file.write_text("t,x,y\n0,0,0\n")
-        with pytest.raises(ParameterError):
-            TrajectoryLog.from_csv(file)
+        with open(file, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert tuple(header) == TrajectoryLog._COLUMNS
+        assert len(rows) == len(result.log)
+        for index, name in enumerate(TrajectoryLog._COLUMNS):
+            column = getattr(result.log, name)
+            if name.startswith("viol_"):
+                expected = [str(int(value)) for value in column]
+            else:
+                expected = [repr(float(value)) for value in column]
+            assert [row[index] for row in rows] == expected
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
