@@ -1,11 +1,10 @@
 """Pure pursuit tracking controllers, a deterministic unicycle simulator,
-and a benchmark harness comparing them on corner paths."""
+and a benchmark harness comparing them on corner paths.
+
+The root exports the library API; helpers used only inside the package stay
+in their modules."""
 
 from .controllers import (
-    COMBINE_HARD_CAP,
-    COMBINE_LOWER_BOUND,
-    FIXED_LOOKAHEAD,
-    VELOCITY_SCALED_LOOKAHEAD,
     ControllerKind,
     DynamicWindow,
     KinodynamicLimits,
@@ -13,18 +12,10 @@ from .controllers import (
     RegulationConfig,
     StabilityConfig,
     VelocityCommand,
-    apply_regulation_to_window,
     compute_command,
     compute_dynamic_window,
-    curvature_heuristic,
-    distance_point_to_line,
-    goal_heuristic,
-    min_stable_lookahead,
     operative_lookahead,
     optimal_velocity_in_window,
-    pp_nominal_command,
-    proximity_heuristic,
-    regulate_linear_velocity,
 )
 from .errors import (
     ConfigError,
@@ -42,38 +33,8 @@ from .harness import (
     run_comparison,
     run_lookahead_sweep,
 )
-from .metrics import (
-    AggregateMetrics,
-    MeanSD,
-    ScenarioMetrics,
-    aggregate,
-    cross_track_stats,
-    scenario_metrics,
-    violation_ratio,
-)
-from .paths import (
-    CornerPathSpec,
-    PathProjection,
-    Pose2D,
-    ReferencePath,
-    RobotState,
-    compute_curvature,
-    generate_corner_path,
-    lookahead_from_projection,
-    nearest_point_on_path,
-    polyline_distances,
-    wrap_angle,
-)
-from .simulator import (
-    HARDWARE_CLIP,
-    PASS_THROUGH,
-    NoiseModel,
-    ScenarioResult,
-    TrajectoryLog,
-    clip_to_feasible,
-    initial_state_on_path,
-    run_scenario,
-    step_unicycle,
-)
+from .metrics import ScenarioMetrics, scenario_metrics
+from .paths import CornerPathSpec, Pose2D, ReferencePath, RobotState, generate_corner_path
+from .simulator import NoiseModel, ScenarioResult, TrajectoryLog, run_scenario
 
 __version__ = "0.1.0"

@@ -3,20 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .controllers import (
-    FIXED_LOOKAHEAD,
-    ControllerKind,
-    DynamicWindow,
-    distance_point_to_line,
-    optimal_velocity_in_window,
-)
+from .controllers import FIXED_LOOKAHEAD, ControllerKind
 from .errors import ConfigError, PursuitBenchError
 from .harness import load_config, load_sweep_config, run_comparison, run_lookahead_sweep, emit_report
 from .metrics import scenario_metrics
@@ -81,35 +72,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_optimal(args: argparse.Namespace) -> int:
-    window = DynamicWindow(args.v_lo, args.v_hi, args.w_lo, args.w_hi)
-    command = optimal_velocity_in_window(window, args.kappa)
-    analytic_distance = distance_point_to_line(command.v, command.omega, args.kappa)
-
-    n = args.grid
-    vs = np.linspace(window.v_lo, window.v_hi, n)
-    ws = np.linspace(window.omega_lo, window.omega_hi, n)
-    distances = np.abs(args.kappa * vs[:, None] - ws[None, :]) / math.sqrt(args.kappa**2 + 1.0)
-    grid_min = float(distances.min())
-    near_best = distances <= grid_min + 1e-12
-    best_v_index = int(np.where(near_best.any(axis=1))[0].max())
-    best_w_candidates = np.where(near_best[best_v_index])[0]
-    best_w_index = int(best_w_candidates[np.argmax(np.abs(ws[best_w_candidates]))])
-
-    print(
-        f"window: v [{window.v_lo:g}, {window.v_hi:g}],"
-        f" omega [{window.omega_lo:g}, {window.omega_hi:g}], kappa {args.kappa:g}"
-    )
-    print(f"analytic : v={command.v:.6f} omega={command.omega:.6f} distance={analytic_distance:.9f}")
-    print(
-        f"grid {n}x{n}: v={vs[best_v_index]:.6f} omega={ws[best_w_index]:.6f}"
-        f" distance={grid_min:.9f}"
-    )
-    agrees = analytic_distance <= grid_min + 1e-9
-    print(f"analytic distance <= grid minimum + 1e-9: {'yes' if agrees else 'NO'}")
-    return 0 if agrees else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pursuitbench",
@@ -134,18 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--config", default="experiment_table1", help="config file or profile name")
     simulate.add_argument("--out", default=None, help="output directory (default: config output_dir)")
     simulate.set_defaults(func=_cmd_simulate)
-
-    check = sub.add_parser(
-        "check-optimal",
-        help="query the closed-form window selection and compare it against a grid search",
-    )
-    check.add_argument("--v-lo", type=float, required=True)
-    check.add_argument("--v-hi", type=float, required=True)
-    check.add_argument("--w-lo", type=float, required=True)
-    check.add_argument("--w-hi", type=float, required=True)
-    check.add_argument("--kappa", type=float, required=True)
-    check.add_argument("--grid", type=int, default=201, help="grid resolution per axis")
-    check.set_defaults(func=_cmd_check_optimal)
     return parser
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError
 from .paths import (
@@ -28,6 +28,14 @@ VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
 
 COMBINE_LOWER_BOUND = "lower_bound"
 COMBINE_HARD_CAP = "hard_cap"
+
+
+def _require_finite(config) -> None:
+    """Reject the first float field of a config dataclass that is NaN or infinite."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{field.name} must be finite")
 
 
 class ControllerKind(enum.Enum):
@@ -62,12 +70,7 @@ class KinodynamicLimits:
     dt: float = 0.033
 
     def __post_init__(self) -> None:
-        values = (
-            self.v_max, self.v_min, self.omega_max, self.omega_min,
-            self.accel_max, self.decel_max, self.ang_accel_max, self.ang_decel_max, self.dt,
-        )
-        if not all(math.isfinite(value) for value in values):
-            raise ParameterError("limits must be finite")
+        _require_finite(self)
         if self.v_max < 0.0:
             raise ParameterError("v_max must be non-negative")
         if self.v_min > self.v_max:
@@ -127,11 +130,12 @@ class LookaheadConfig:
             raise ParameterError(
                 f"mode must be '{FIXED_LOOKAHEAD}' or '{VELOCITY_SCALED_LOOKAHEAD}'"
             )
+        _require_finite(self)
         if not 0.0 < self.min_distance <= self.max_distance:
             raise ParameterError("need 0 < min_distance <= max_distance")
-        if self.projection_time <= 0.0:
+        if not self.projection_time > 0.0:
             raise ParameterError("projection_time must be positive")
-        if self.fixed_distance <= 0.0:
+        if not self.fixed_distance > 0.0:
             raise ParameterError("fixed_distance must be positive")
 
 
@@ -158,16 +162,17 @@ class RegulationConfig:
     combination_mode: str = COMBINE_LOWER_BOUND
 
     def __post_init__(self) -> None:
-        if self.min_turn_radius <= 0.0:
+        _require_finite(self)
+        if not self.min_turn_radius > 0.0:
             raise ParameterError("min_turn_radius must be positive")
-        if self.proximity_threshold <= 0.0:
+        if not self.proximity_threshold > 0.0:
             raise ParameterError("proximity_threshold must be positive")
         if not 0.0 < self.proximity_gain <= 1.0:
             raise ParameterError("proximity_gain must be in (0, 1]")
-        if self.goal_slowdown_distance <= 0.0:
+        if not self.goal_slowdown_distance > 0.0:
             raise ParameterError("goal_slowdown_distance must be positive")
         for name in ("min_regulated_speed", "min_approach_speed"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ParameterError(f"{name} must be non-negative")
         if self.combination_mode not in (COMBINE_LOWER_BOUND, COMBINE_HARD_CAP):
             raise ParameterError(
@@ -183,9 +188,10 @@ class StabilityConfig:
     min_dimensionless_lookahead: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.steering_time_constant <= 0.0:
+        _require_finite(self)
+        if not self.steering_time_constant > 0.0:
             raise ParameterError("steering_time_constant must be positive")
-        if self.min_dimensionless_lookahead <= 0.0:
+        if not self.min_dimensionless_lookahead > 0.0:
             raise ParameterError("min_dimensionless_lookahead must be positive")
 
 
@@ -201,11 +207,6 @@ def operative_lookahead(kind: ControllerKind, cfg: LookaheadConfig, v: float) ->
     ):
         return cfg.fixed_distance
     return min(max(v * cfg.projection_time, cfg.min_distance), cfg.max_distance)
-
-
-def pp_nominal_command(curvature: float, v_des: float) -> VelocityCommand:
-    """Nominal command: drive at ``v_des`` along the arc of the given curvature."""
-    return VelocityCommand(v_des, curvature * v_des)
 
 
 def curvature_heuristic(v: float, turn_radius: float, min_radius: float) -> float:
@@ -308,11 +309,6 @@ def apply_regulation_to_window(window: DynamicWindow, v_reg: float) -> DynamicWi
     return DynamicWindow(v_lo, v_hi, window.omega_lo, window.omega_hi)
 
 
-def distance_point_to_line(v: float, omega: float, curvature: float) -> float:
-    """Euclidean distance from (v, omega) to the line omega = curvature * v."""
-    return abs(curvature * v - omega) / math.sqrt(curvature * curvature + 1.0)
-
-
 def optimal_velocity_in_window(window: DynamicWindow, curvature: float) -> VelocityCommand:
     """Feasible velocity closest to the tracking line omega = curvature * v.
 
@@ -359,12 +355,12 @@ def compute_command(
     curvature = compute_curvature(state.pose, target)
     v_des = limits.v_max
     if kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE):
-        return pp_nominal_command(curvature, v_des)
+        return VelocityCommand(v_des, curvature * v_des)
 
     goal_distance = max(0.0, path.length - projection.arc_length)
     v_reg = regulate_linear_velocity(v_des, curvature, obstacle_distance, goal_distance, regulation_cfg)
     if kind is ControllerKind.REGULATED:
-        return pp_nominal_command(curvature, v_reg)
+        return VelocityCommand(v_reg, curvature * v_reg)
 
     window = apply_regulation_to_window(compute_dynamic_window(state, limits), v_reg)
     return optimal_velocity_in_window(window, curvature)

@@ -91,8 +91,8 @@ class ExperimentConfig:
                 raise ParameterError(f"paths[{position}]: name must be non-empty")
             if name in names[:position]:
                 raise ParameterError(f"paths[{position}]: duplicate path name '{name}'")
-        if self.trials < 1:
-            raise ParameterError("trials must be at least 1")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ParameterError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not (0.0 < self.goal_tolerance < math.inf):
             raise ParameterError("goal_tolerance must be positive and finite")
         if not (self.limits.dt <= self.max_time < math.inf):

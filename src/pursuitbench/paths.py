@@ -138,7 +138,6 @@ class CornerPathSpec:
     segment_length: float
     corner_angle: float
     waypoint_spacing: float = 0.05
-    start_pose: Pose2D = Pose2D(0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.segment_length) and self.segment_length > 0.0):
@@ -150,23 +149,18 @@ class CornerPathSpec:
 
 
 def generate_corner_path(spec: CornerPathSpec) -> ReferencePath:
-    """Sample a corner path anchored at the spec's start pose.
+    """Sample a corner path that starts at the origin.
 
-    The first leg leaves ``start_pose`` along its heading; the second leg's
-    heading deviates counter-clockwise by ``corner_angle``. Waypoints are
-    evenly spaced at approximately ``waypoint_spacing`` with both leg
-    endpoints included, so the total arc length is exactly twice the
-    segment length.
+    The first leg runs along +x; the second leg's heading deviates
+    counter-clockwise by ``corner_angle``. Waypoints are evenly spaced at
+    approximately ``waypoint_spacing`` with both leg endpoints included, so
+    the total arc length is exactly twice the segment length.
     """
     intervals = max(1, round(spec.segment_length / spec.waypoint_spacing))
     offsets = np.linspace(0.0, spec.segment_length, intervals + 1)
-    heading_1 = spec.start_pose.theta
-    heading_2 = heading_1 + spec.corner_angle
-    direction_1 = np.array([math.cos(heading_1), math.sin(heading_1)])
-    direction_2 = np.array([math.cos(heading_2), math.sin(heading_2)])
-    start = np.array([spec.start_pose.x, spec.start_pose.y])
-    leg_1 = start + np.outer(offsets, direction_1)
-    leg_2 = leg_1[-1] + np.outer(offsets[1:], direction_2)
+    leg_1 = np.column_stack((offsets, np.zeros_like(offsets)))
+    direction = np.array([math.cos(spec.corner_angle), math.sin(spec.corner_angle)])
+    leg_2 = leg_1[-1] + np.outer(offsets[1:], direction)
     return ReferencePath(np.vstack((leg_1, leg_2)))
 
 

@@ -2,8 +2,8 @@
 
 The execution layer reproduces the gap between commanded and executed
 velocities: commands from the non-window-aware laws are projected onto the
-currently reachable velocity window (``hardware_clip``), while dynamic-window
-commands are feasible by construction and execute unchanged.
+currently reachable velocity window, while dynamic-window commands are
+feasible by construction and execute unchanged.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .controllers import (
 from .errors import ParameterError, SimulationDivergedError
 from .paths import Pose2D, ReferencePath, RobotState
 
-HARDWARE_CLIP = "hardware_clip"
-PASS_THROUGH = "pass_through"
-
 # Commands are flagged as violations only beyond this absolute slack.
 _VIOLATION_TOL = 1e-9
 
@@ -40,8 +37,8 @@ class NoiseModel:
 
     ``sigma_pose_init`` perturbs the initial x/y (meters) and heading
     (radians). ``sigma_v``/``sigma_omega`` model actuation noise added to the
-    executed command; under ``hardware_clip`` the noisy velocities are
-    re-projected onto the reachable window.
+    executed command; the noisy velocities are re-projected onto the
+    reachable window.
     """
 
     sigma_v: float = 0.0
@@ -169,16 +166,12 @@ def _violation_flags(
     return viol_v, viol_w, viol_a, viol_alpha
 
 
-def initial_state_on_path(
-    path: ReferencePath, noise: NoiseModel | None = None, rng: np.random.Generator | None = None
-) -> RobotState:
-    """Rest state at the first waypoint, heading along the first segment."""
+def _initial_state(path: ReferencePath, noise: NoiseModel, rng: np.random.Generator) -> RobotState:
+    """Rest state at the first waypoint, heading along the first segment, perturbed by ``noise``."""
     first, second = path.waypoints[0], path.waypoints[1]
     x, y = float(first[0]), float(first[1])
     theta = math.atan2(float(second[1] - first[1]), float(second[0] - first[0]))
-    if noise is not None and noise.sigma_pose_init > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(noise.seed)
+    if noise.sigma_pose_init > 0.0:
         sigma = noise.sigma_pose_init
         x += rng.normal(0.0, sigma)
         y += rng.normal(0.0, sigma)
@@ -192,7 +185,6 @@ def run_scenario(
     limits: KinodynamicLimits,
     lookahead: LookaheadConfig,
     regulation: RegulationConfig,
-    execution: str = HARDWARE_CLIP,
     noise: NoiseModel | None = None,
     *,
     obstacle_distance: float = math.inf,
@@ -202,12 +194,11 @@ def run_scenario(
     """Run one tracking scenario until the goal is reached or time runs out.
 
     Per step: compute the command, record violation flags against ``limits``,
-    pass the command through the execution layer, then integrate. Under
-    ``execution="hardware_clip"`` commands other than dynamic-window ones are
-    clipped to the window of ``limits``; ``"pass_through"`` executes every
-    command as given. The run ends as soon as the robot is within
-    ``goal_tolerance`` of the final waypoint. Identical inputs (including the
-    noise seed) reproduce the log bit for bit.
+    clip the command to the dynamic window of ``limits`` unless it is a
+    dynamic-window command, add the actuation noise and clip again, then
+    integrate. The run ends as soon as the robot is within ``goal_tolerance``
+    of the final waypoint. Identical inputs (including the noise seed)
+    reproduce the log bit for bit.
     """
     if not limits.dt <= max_time < math.inf:
         raise ParameterError("max_time must be finite and at least limits.dt")
@@ -215,12 +206,10 @@ def run_scenario(
         raise ParameterError("goal_tolerance must be non-negative")
     if obstacle_distance < 0.0:
         raise ParameterError("obstacle_distance must be non-negative")
-    if execution not in (HARDWARE_CLIP, PASS_THROUGH):
-        raise ParameterError(f"execution must be '{HARDWARE_CLIP}' or '{PASS_THROUGH}'")
     if noise is None:
         noise = NoiseModel()
     rng = np.random.default_rng(noise.seed)
-    state = initial_state_on_path(path, noise, rng)
+    state = _initial_state(path, noise, rng)
     velocity_noise = noise.sigma_v > 0.0 or noise.sigma_omega > 0.0
 
     goal_x, goal_y = float(path.goal[0]), float(path.goal[1])
@@ -237,7 +226,7 @@ def run_scenario(
                 kind, state, path, limits, lookahead, regulation, obstacle_distance
             )
             flags = _violation_flags(command, state, limits)
-            if execution == HARDWARE_CLIP and kind is not ControllerKind.DYNAMIC_WINDOW:
+            if kind is not ControllerKind.DYNAMIC_WINDOW:
                 executed = clip_to_feasible(command, state, limits)
             else:
                 executed = command
@@ -247,8 +236,7 @@ def run_scenario(
                     executed.omega
                     + (rng.normal(0.0, noise.sigma_omega) if noise.sigma_omega > 0.0 else 0.0),
                 )
-                if execution == HARDWARE_CLIP:
-                    executed = clip_to_feasible(executed, state, limits)
+                executed = clip_to_feasible(executed, state, limits)
             rows.append(
                 (
                     step * dt,

@@ -38,3 +38,8 @@ def bench_lookahead() -> LookaheadConfig:
 @pytest.fixture
 def bench_regulation() -> RegulationConfig:
     return RegulationConfig()
+
+
+def distance_point_to_line(v: float, omega: float, curvature: float) -> float:
+    """Euclidean distance from (v, omega) to the line omega = curvature * v."""
+    return abs(curvature * v - omega) / math.sqrt(curvature * curvature + 1.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import straight_path
+from conftest import distance_point_to_line, straight_path
 from pursuitbench import (
     ControllerKind,
     DynamicWindow,
@@ -19,7 +19,6 @@ from pursuitbench import (
     Pose2D,
     RobotState,
     VelocityCommand,
-    distance_point_to_line,
     generate_corner_path,
     load_config,
     load_sweep_config,
@@ -27,10 +26,10 @@ from pursuitbench import (
     run_lookahead_sweep,
     run_scenario,
     scenario_metrics,
-    step_unicycle,
-    violation_ratio,
 )
 from pursuitbench.cli import main
+from pursuitbench.metrics import violation_ratio
+from pursuitbench.simulator import step_unicycle
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -1,15 +1,13 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import corner_path, straight_path
+from conftest import corner_path, distance_point_to_line, straight_path
 from pursuitbench import (
-    COMBINE_HARD_CAP,
-    FIXED_LOOKAHEAD,
     ControllerKind,
     DynamicWindow,
     KinodynamicLimits,
@@ -20,22 +18,22 @@ from pursuitbench import (
     RobotState,
     StabilityConfig,
     VelocityCommand,
-    apply_regulation_to_window,
     compute_command,
-    compute_curvature,
     compute_dynamic_window,
-    curvature_heuristic,
-    distance_point_to_line,
-    goal_heuristic,
-    lookahead_from_projection,
-    min_stable_lookahead,
-    nearest_point_on_path,
     operative_lookahead,
     optimal_velocity_in_window,
-    pp_nominal_command,
+)
+from pursuitbench.controllers import (
+    COMBINE_HARD_CAP,
+    FIXED_LOOKAHEAD,
+    apply_regulation_to_window,
+    curvature_heuristic,
+    goal_heuristic,
+    min_stable_lookahead,
     proximity_heuristic,
     regulate_linear_velocity,
 )
+from pursuitbench.paths import compute_curvature, lookahead_from_projection, nearest_point_on_path
 
 
 def grid_distances(window, kappa, n=201):
@@ -56,6 +54,15 @@ def bounds(lo, hi):
     """Ordered (low, high) pairs in [lo, hi], equal pairs included."""
     value = st.floats(lo, hi)
     return st.one_of(value.map(lambda x: (x, x)), st.tuples(value, value).map(sorted).map(tuple))
+
+
+# Every float field of the lookahead, regulation and stability sections.
+SECTION_FLOATS = [
+    pytest.param(cls, field.name, id=f"{cls.__name__}.{field.name}")
+    for cls in (LookaheadConfig, RegulationConfig, StabilityConfig)
+    for field in fields(cls)
+    if type(field.default) is float
+]
 
 
 def random_window(rng, v_range=(0.0, 0.5), w_range=(-1.0, 1.0)):
@@ -105,6 +112,12 @@ class TestTypeValidation:
         with pytest.raises(ParameterError):
             RegulationConfig(combination_mode="strict")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("cls, name", SECTION_FLOATS)
+    def test_section_config_rejects_non_finite_value(self, cls, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite$"):
+            cls(**{name: value})
+
     def test_stability_config_rejects_non_positive_values(self):
         with pytest.raises(ParameterError):
             StabilityConfig(steering_time_constant=0.0)
@@ -140,22 +153,23 @@ class TestEffectiveLookahead:
 
 
 class TestNominalCommand:
-    def test_straight_line(self):
-        assert pp_nominal_command(0.0, 0.5) == VelocityCommand(0.5, 0.0)
-
-    def test_unit_curvature(self):
-        assert pp_nominal_command(1.0, 0.5) == VelocityCommand(0.5, 0.5)
-
-    def test_negative_curvature(self):
-        assert pp_nominal_command(-2.0, 0.25) == VelocityCommand(0.25, -0.5)
-
-    def test_command_lies_on_tracking_line(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            kappa = rng.uniform(-20, 20)
-            v = rng.uniform(0, 1)
-            command = pp_nominal_command(kappa, v)
-            assert command.omega == kappa * command.v
+    def test_command_lies_on_tracking_line(self, bench_limits, bench_lookahead, bench_regulation):
+        # pp, app and rpp drive along the arc to their lookahead point: omega = kappa * v exactly.
+        path = corner_path(90.0)
+        regulated_speeds, curvatures = [], []
+        for x, y, theta, v in [(2.8, 0.05, 0.3, 0.5), (3.2, 0.5, 2.0, 0.2), (2.0, -0.2, -0.4, 0.0)]:
+            state = RobotState(Pose2D(x, y, theta), v, 0.0)
+            for kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE, ControllerKind.REGULATED):
+                distance = operative_lookahead(kind, bench_lookahead, state.v)
+                target = lookahead_from_projection(path, nearest_point_on_path(path, state.pose), distance)
+                kappa = compute_curvature(state.pose, target)
+                command = compute_command(kind, state, path, bench_limits, bench_lookahead, bench_regulation)
+                assert command.omega == kappa * command.v
+                curvatures.append(kappa)
+                if kind is ControllerKind.REGULATED:
+                    regulated_speeds.append(command.v)
+        assert min(curvatures) < 0.0 < max(curvatures)
+        assert min(regulated_speeds) < bench_limits.v_max  # the regulated speed is on the line too
 
 
 class TestHeuristics:

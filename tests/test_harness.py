@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from pursuitbench import (
 )
 from pursuitbench import harness
 from pursuitbench.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 SMALL_CONFIG = """
 paths:
@@ -124,6 +129,11 @@ class TestLoadConfig:
         file.write_text("trials: 0\n")
         with pytest.raises(ConfigError, match="trials"):
             load_config(file)
+
+    @pytest.mark.parametrize("trials", [2.0, True])
+    def test_trials_must_be_an_int(self, trials):
+        with pytest.raises(ParameterError, match="^trials must be an integer"):
+            ExperimentConfig(trials=trials)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
@@ -343,17 +353,27 @@ class TestCli:
         assert main(["simulate", "--controller", "pp", "--path", "Z", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_check_optimal_agrees_with_grid(self, capsys):
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_simulate_non_finite_lookahead_names_the_field(self, tmp_path, capsys, value):
         code = main(
-            ["check-optimal", "--v-lo", "0.2", "--v-hi", "0.5", "--w-lo", "-1", "--w-hi", "1", "--kappa", "10"]
+            ["simulate", "--controller", "pp", "--path", "B", "--lookahead", value, "--out", str(tmp_path)]
         )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "analytic" in out
-        assert "yes" in out
+        assert code == 1
+        assert capsys.readouterr().err == "error: fixed_distance must be finite\n"
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text("trials: 0\n")
         assert main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 1
         assert "trials" in capsys.readouterr().err
+
+
+def test_shipped_profiles_match_golden_digests(tmp_path):
+    """``compare`` and ``sweep`` on the shipped profiles write the bytes pinned in bench/golden.json."""
+    golden = json.loads(GOLDEN.read_text())
+    assert main(["compare", "--config", "experiment_table1", "--out", str(tmp_path / "table1")]) == 0
+    assert main(["sweep", "--config", "simulation_table6", "--out", str(tmp_path / "sweep6")]) == 0
+    for workload in ("table1", "sweep6"):
+        for file, digest in golden[workload].items():
+            written = hashlib.sha256((tmp_path / workload / file).read_bytes()).hexdigest()
+            assert written == digest, f"{workload}/{file}"

@@ -12,12 +12,10 @@ from pursuitbench import (
     RegulationConfig,
     ScenarioMetrics,
     TrajectoryLog,
-    aggregate,
-    cross_track_stats,
     run_scenario,
     scenario_metrics,
-    violation_ratio,
 )
+from pursuitbench.metrics import aggregate, cross_track_stats, violation_ratio
 
 
 def make_log(xs, ys, violations=None):

@@ -11,8 +11,10 @@ from pursuitbench import (
     Pose2D,
     ReferencePath,
     RobotState,
-    compute_curvature,
     generate_corner_path,
+)
+from pursuitbench.paths import (
+    compute_curvature,
     lookahead_from_projection,
     nearest_point_on_path,
     polyline_distances,
@@ -95,13 +97,6 @@ class TestCornerPathGeneration:
         second_leg = np.diff(path.waypoints[30:], axis=0)
         headings = np.arctan2(second_leg[:, 1], second_leg[:, 0])
         np.testing.assert_allclose(headings, angle, atol=1e-12)
-
-    def test_anchored_at_start_pose(self):
-        start = Pose2D(1.0, 2.0, math.radians(30.0))
-        path = generate_corner_path(CornerPathSpec(2.0, math.radians(60.0), 0.1, start))
-        np.testing.assert_allclose(path.waypoints[0], [1.0, 2.0], atol=1e-12)
-        first_step = path.waypoints[1] - path.waypoints[0]
-        assert math.atan2(first_step[1], first_step[0]) == pytest.approx(start.theta)
 
     def test_total_length_is_twice_segment(self):
         path = generate_corner_path(CornerPathSpec(3.0, math.radians(45.0), 0.07))

@@ -6,8 +6,6 @@ import pytest
 
 from conftest import corner_path, straight_path
 from pursuitbench import (
-    HARDWARE_CLIP,
-    PASS_THROUGH,
     ControllerKind,
     KinodynamicLimits,
     LookaheadConfig,
@@ -19,12 +17,10 @@ from pursuitbench import (
     SimulationDivergedError,
     TrajectoryLog,
     VelocityCommand,
-    clip_to_feasible,
-    initial_state_on_path,
-    nearest_point_on_path,
     run_scenario,
-    step_unicycle,
 )
+from pursuitbench.paths import nearest_point_on_path
+from pursuitbench.simulator import clip_to_feasible, step_unicycle
 
 
 def euler_reference(state, command, dt, substeps=1000):
@@ -51,10 +47,6 @@ def run(path, kind, **overrides):
 
 
 class TestExecutionAndNoiseModels:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            run(straight_path(), ControllerKind.PURE_PURSUIT, execution="ideal")
-
     def test_rejects_negative_sigma(self):
         with pytest.raises(ParameterError):
             NoiseModel(sigma_v=-0.1)
@@ -196,9 +188,9 @@ class TestRunScenario:
 
     def test_seed_changes_initial_pose(self):
         path = corner_path(90.0)
-        state_a = initial_state_on_path(path, NoiseModel(sigma_pose_init=0.01, seed=1))
-        state_b = initial_state_on_path(path, NoiseModel(sigma_pose_init=0.01, seed=2))
-        assert (state_a.pose.x, state_a.pose.y) != (state_b.pose.x, state_b.pose.y)
+        log_a = run(path, ControllerKind.PURE_PURSUIT, noise=NoiseModel(sigma_pose_init=0.01, seed=1)).log
+        log_b = run(path, ControllerKind.PURE_PURSUIT, noise=NoiseModel(sigma_pose_init=0.01, seed=2)).log
+        assert (log_a.x[0], log_a.y[0]) != (log_b.x[0], log_b.y[0])
 
     def test_velocity_noise_stays_within_limits_under_clipping(self):
         noise = NoiseModel(sigma_v=0.05, sigma_omega=0.05, seed=0)
@@ -207,20 +199,12 @@ class TestRunScenario:
         assert np.all((log.v_exec >= limits.v_min - 1e-12) & (log.v_exec <= limits.v_max + 1e-12))
         assert (log.v_exec != log.v_cmd).any()
 
-    def test_pass_through_executes_raw_commands(self):
-        log = run(corner_path(135.0), ControllerKind.PURE_PURSUIT, execution=PASS_THROUGH).log
-        np.testing.assert_array_equal(log.v_exec, log.v_cmd)
-        np.testing.assert_array_equal(log.omega_exec, log.omega_cmd)
-        assert log.any_violation.any()  # flags still reflect the raw command
-
     def test_hardware_clip_uses_the_run_limits(self):
         limits = KinodynamicLimits(
             v_max=0.26, omega_max=0.5, omega_min=-0.5,
             accel_max=0.26, decel_max=0.26, ang_accel_max=0.5, ang_decel_max=0.5,
         )
-        log = run(
-            corner_path(135.0), ControllerKind.PURE_PURSUIT, limits=limits, execution=HARDWARE_CLIP
-        ).log
+        log = run(corner_path(135.0), ControllerKind.PURE_PURSUIT, limits=limits).log
         dv, dw = limits.accel_max * limits.dt, limits.ang_accel_max * limits.dt
         assert log.any_violation.any()
         assert np.all(log.v_exec <= limits.v_max)
