@@ -61,7 +61,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trajectory_file = out / f"traj_{label}_{kind.value}.csv"
     result.log.to_csv(trajectory_file)
-    metrics = scenario_metrics(result, reference)
+    metrics = scenario_metrics(result)
     print(
         f"{kind.value} on {label}: reached={metrics.reached_goal}"
         f" violations={metrics.violation_ratio:.1f}%"

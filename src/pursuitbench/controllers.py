@@ -16,11 +16,11 @@ from dataclasses import dataclass, fields
 
 from .errors import ParameterError
 from .paths import (
+    PathProjection,
     ReferencePath,
     RobotState,
     compute_curvature,
     lookahead_from_projection,
-    nearest_point_on_path,
 )
 
 FIXED_LOOKAHEAD = "fixed"
@@ -337,6 +337,7 @@ def compute_command(
     kind: ControllerKind,
     state: RobotState,
     path: ReferencePath,
+    projection: PathProjection,
     limits: KinodynamicLimits,
     lookahead_cfg: LookaheadConfig,
     regulation_cfg: RegulationConfig,
@@ -344,12 +345,12 @@ def compute_command(
 ) -> VelocityCommand:
     """One control step of the selected tracking law.
 
-    The lookahead distance comes from :func:`operative_lookahead` and the
+    ``projection`` is ``nearest_point_on_path(path, state.pose)``. The
+    lookahead distance comes from :func:`operative_lookahead` and the
     nominal linear command is ``limits.v_max``. Only the dynamic-window
     variant guarantees its output is reachable within one control period; the
     other laws may command velocities the execution layer has to clip.
     """
-    projection = nearest_point_on_path(path, state.pose)
     lookahead = operative_lookahead(kind, lookahead_cfg, state.v)
     target = lookahead_from_projection(path, projection, lookahead)
     curvature = compute_curvature(state.pose, target)

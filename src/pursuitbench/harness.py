@@ -93,10 +93,12 @@ class ExperimentConfig:
                 raise ParameterError(f"paths[{position}]: duplicate path name '{name}'")
         if type(self.trials) is not int or self.trials < 1:
             raise ParameterError(f"trials must be an integer of at least 1, got {self.trials!r}")
-        if not (0.0 < self.goal_tolerance < math.inf):
-            raise ParameterError("goal_tolerance must be positive and finite")
-        if not (self.limits.dt <= self.max_time < math.inf):
-            raise ParameterError(f"max_time must be finite and at least limits.dt ({self.limits.dt:g} s)")
+        if type(self.goal_tolerance) is bool or not (0.0 < self.goal_tolerance < math.inf):
+            raise ParameterError(f"goal_tolerance must be positive and finite, got {self.goal_tolerance!r}")
+        if type(self.max_time) is bool or not (self.limits.dt <= self.max_time < math.inf):
+            raise ParameterError(
+                f"max_time must be finite and at least limits.dt ({self.limits.dt:g} s), got {self.max_time!r}"
+            )
         if not self.output_dir:
             raise ParameterError("output_dir must be non-empty")
 
@@ -260,7 +262,7 @@ def run_comparison(
                         f"path {name}, controller {kind.value}, trial {trial}: {exc}"
                     ) from exc
                 result.log.to_csv(out / f"traj_{name}_{kind.value}_trial{trial}.csv")
-                metrics = scenario_metrics(result, reference)
+                metrics = scenario_metrics(result)
                 per_trial.append(metrics)
                 metric_rows.append(
                     (
@@ -312,7 +314,7 @@ def run_lookahead_sweep(
             )
         except PursuitBenchError as exc:
             raise type(exc)(f"path {name}, lookahead {value}: {exc}") from exc
-        mean_cte, _ = cross_track_stats(result.log, reference)
+        mean_cte, _ = cross_track_stats(result.log)
         rows.append((value, mean_cte, result.travel_time))
     with open(out / "sweep.csv", "w", newline="") as handle:
         writer = csv.writer(handle)

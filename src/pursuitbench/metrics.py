@@ -8,7 +8,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .paths import ReferencePath, polyline_distances
 from .simulator import ScenarioResult, TrajectoryLog
 
 
@@ -47,17 +46,16 @@ def violation_ratio(log: TrajectoryLog) -> float:
     return 100.0 * float(np.count_nonzero(log.any_violation)) / len(log)
 
 
-def cross_track_stats(log: TrajectoryLog, path: ReferencePath) -> tuple[float, float]:
-    """(mean, max) lateral deviation over all logged poses."""
+def cross_track_stats(log: TrajectoryLog) -> tuple[float, float]:
+    """(mean, max) of the logged distance from each pose to the path."""
     if len(log) == 0:
         raise ParameterError("cannot compute metrics over an empty log")
-    distances = polyline_distances(path, np.column_stack((log.x, log.y)))
-    return float(distances.mean()), float(distances.max())
+    return float(log.cte.mean()), float(log.cte.max())
 
 
-def scenario_metrics(result: ScenarioResult, path: ReferencePath) -> ScenarioMetrics:
+def scenario_metrics(result: ScenarioResult) -> ScenarioMetrics:
     """Assemble all four metrics for one run."""
-    mean_cte, max_cte = cross_track_stats(result.log, path)
+    mean_cte, max_cte = cross_track_stats(result.log)
     return ScenarioMetrics(
         violation_ratio=violation_ratio(result.log),
         mean_cte=mean_cte,

@@ -76,8 +76,13 @@ class ReferencePath:
         self._segments = segments
         self._seg_lengths = seg_lengths
         self._cumlen = np.concatenate(([0.0], np.cumsum(seg_lengths)))
-        for arr in (self._waypoints, self._segments, self._seg_lengths, self._cumlen):
+        # Computed once for the per-step kernels: contiguous per-segment rows
+        # for the projection, plain floats for the lookahead scan.
+        starts, deltas, self._seg_len_sq = points[:-1].T.copy(), segments.T.copy(), seg_lengths**2
+        for arr in (points, segments, seg_lengths, self._cumlen, starts, deltas, self._seg_len_sq):
             arr.setflags(write=False)
+        (self._sx, self._sy), (self._dx, self._dy) = starts, deltas
+        self._xs, self._ys = map(tuple, points.T.tolist())
 
     def __len__(self) -> int:
         return self._waypoints.shape[0]
@@ -185,39 +190,23 @@ class PathProjection(NamedTuple):
     arc_length: float
 
 
-def _project(path: ReferencePath, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project each row of ``points`` (shape (n, 2)) onto every path segment.
-
-    Returns the clamped segment parameters ``t`` and the squared distances to
-    the projected points, both of shape (n, segments).
-    """
-    x, y = points[:, 0:1], points[:, 1:2]
-    sx, sy = path.waypoints[:-1, 0], path.waypoints[:-1, 1]
-    dx, dy = path._segments[:, 0], path._segments[:, 1]
-    t = np.clip(((x - sx) * dx + (y - sy) * dy) / path._seg_lengths**2, 0.0, 1.0)
-    ox = x - (sx + t * dx)
-    oy = y - (sy + t * dy)
-    return t, ox * ox + oy * oy
-
-
 def nearest_point_on_path(path: ReferencePath, pose: Pose2D) -> PathProjection:
     """Closest point on the path polyline, segment interiors included.
 
     Ties between equidistant segments resolve to the lowest segment index so
     repeated queries are reproducible.
     """
-    t, dist_sq = _project(path, np.array([[pose.x, pose.y]]))
-    index = int(np.argmin(dist_sq[0]))
-    fraction = t[0, index]
-    point = path.waypoints[index] + fraction * path._segments[index]
-    arc = float(path.cumulative_arclength[index] + fraction * path._seg_lengths[index])
-    return PathProjection(point, index, math.sqrt(float(dist_sq[0, index])), arc)
-
-
-def polyline_distances(path: ReferencePath, points: np.ndarray) -> np.ndarray:
-    """Unsigned distance from each row of ``points`` (shape (n, 2)) to the path."""
-    _, dist_sq = _project(path, np.asarray(points, dtype=float))
-    return np.sqrt(dist_sq.min(axis=1))
+    x, y = pose.x, pose.y
+    sx, sy, dx, dy = path._sx, path._sy, path._dx, path._dy
+    t = np.clip(((x - sx) * dx + (y - sy) * dy) / path._seg_len_sq, 0.0, 1.0)
+    ox = x - (sx + t * dx)
+    oy = y - (sy + t * dy)
+    dist_sq = ox * ox + oy * oy
+    index = int(dist_sq.argmin())
+    fraction = t[index]
+    point = path._waypoints[index] + fraction * path._segments[index]
+    arc = float(path._cumlen[index] + fraction * path._seg_lengths[index])
+    return PathProjection(point, index, math.sqrt(float(dist_sq[index])), arc)
 
 
 def lookahead_from_projection(
@@ -226,15 +215,16 @@ def lookahead_from_projection(
     """Lookahead search from a precomputed projection; ``lookahead`` must be positive."""
     if not lookahead > 0.0:
         raise ParameterError("lookahead must be positive")
-    points = path.waypoints
-    reference = projection.point
-    previous = math.hypot(*(points[projection.segment_index] - reference))
-    for index in range(projection.segment_index + 1, len(points)):
-        distance = math.hypot(*(points[index] - reference))
+    xs, ys = path._xs, path._ys
+    rx, ry = float(projection.point[0]), float(projection.point[1])
+    start = projection.segment_index
+    previous = math.hypot(xs[start] - rx, ys[start] - ry)
+    for index in range(start + 1, len(xs)):
+        distance = math.hypot(xs[index] - rx, ys[index] - ry)
         if previous < lookahead <= distance:
-            return points[index].copy()
+            return path._waypoints[index].copy()
         previous = distance
-    return points[-1].copy()
+    return path._waypoints[-1].copy()
 
 
 def compute_curvature(pose: Pose2D, target) -> float:

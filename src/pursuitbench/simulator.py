@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .controllers import (
     compute_dynamic_window,
 )
 from .errors import ParameterError, SimulationDivergedError
-from .paths import Pose2D, ReferencePath, RobotState
+from .paths import Pose2D, ReferencePath, RobotState, nearest_point_on_path
 
 # Commands are flagged as violations only beyond this absolute slack.
 _VIOLATION_TOL = 1e-9
@@ -47,8 +47,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(sigma >= 0.0 for sigma in (self.sigma_v, self.sigma_omega, self.sigma_pose_init)):
-            raise ParameterError("noise sigmas must be non-negative")
+        for name in ("sigma_v", "sigma_omega", "sigma_pose_init"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"noise sigmas must be finite and non-negative: {name}")
         if type(self.seed) is not int or self.seed < 0:
             raise ParameterError("seed must be a non-negative integer")
 
@@ -57,9 +58,10 @@ class NoiseModel:
 class TrajectoryLog:
     """Column-oriented per-step record of a simulated run.
 
-    Columns: time, pose and state velocities at command time, the raw
+    CSV columns: time, pose and state velocities at command time, the raw
     command, the executed velocities, and the four violation flags (raw
-    command vs. the velocity / acceleration limits).
+    command vs. the velocity / acceleration limits). In memory only: ``cte``
+    and ``arc_length``, the distance and arc length of each pose's projection.
     """
 
     t: np.ndarray
@@ -76,6 +78,8 @@ class TrajectoryLog:
     viol_w: np.ndarray
     viol_a: np.ndarray
     viol_alpha: np.ndarray
+    cte: np.ndarray
+    arc_length: np.ndarray
 
     _COLUMNS = (
         "t", "x", "y", "theta", "v", "omega", "v_cmd", "omega_cmd",
@@ -84,8 +88,8 @@ class TrajectoryLog:
 
     def __post_init__(self) -> None:
         size = self.t.size
-        for name in self._COLUMNS:
-            column = getattr(self, name)
+        for field in fields(self):
+            column = getattr(self, field.name)
             if column.size != size:
                 raise ParameterError("log columns must have equal length")
             column.setflags(write=False)
@@ -102,10 +106,10 @@ class TrajectoryLog:
         with open(file, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(self._COLUMNS)
-            for row in zip(*(getattr(self, name) for name in self._COLUMNS)):
-                writer.writerow(
-                    [int(value) if isinstance(value, np.bool_) else repr(float(value)) for value in row]
-                )
+            columns = [getattr(self, name) for name in self._COLUMNS]
+            writer.writerows(
+                zip(*(map(int if c.dtype == bool else repr, c.tolist()) for c in columns))
+            )
 
 
 @dataclass(frozen=True)
@@ -193,12 +197,13 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one tracking scenario until the goal is reached or time runs out.
 
-    Per step: compute the command, record violation flags against ``limits``,
-    clip the command to the dynamic window of ``limits`` unless it is a
-    dynamic-window command, add the actuation noise and clip again, then
-    integrate. The run ends as soon as the robot is within ``goal_tolerance``
-    of the final waypoint. Identical inputs (including the noise seed)
-    reproduce the log bit for bit.
+    Per step: project the pose onto the path once, compute the command from
+    that projection, record violation flags against ``limits``, clip the
+    command to the dynamic window of ``limits`` unless it is a dynamic-window
+    command, add the actuation noise and clip again, then integrate. The run
+    ends as soon as the robot is within ``goal_tolerance`` of the final
+    waypoint, tested before each step and after the last one. Identical
+    inputs (including the noise seed) reproduce the log bit for bit.
     """
     if not limits.dt <= max_time < math.inf:
         raise ParameterError("max_time must be finite and at least limits.dt")
@@ -213,17 +218,19 @@ def run_scenario(
     velocity_noise = noise.sigma_v > 0.0 or noise.sigma_omega > 0.0
 
     goal_x, goal_y = float(path.goal[0]), float(path.goal[1])
+
+    def at_goal(pose: Pose2D) -> bool:
+        return math.hypot(pose.x - goal_x, pose.y - goal_y) <= goal_tolerance
+
     dt = limits.dt
-    total_steps = int(round(max_time / dt))
     rows: list[tuple] = []
-    reached = False
-    for step in range(total_steps):
-        if math.hypot(state.pose.x - goal_x, state.pose.y - goal_y) <= goal_tolerance:
-            reached = True
+    for step in range(int(round(max_time / dt))):
+        if at_goal(state.pose):
             break
         try:
+            projection = nearest_point_on_path(path, state.pose)
             command = compute_command(
-                kind, state, path, limits, lookahead, regulation, obstacle_distance
+                kind, state, path, projection, limits, lookahead, regulation, obstacle_distance
             )
             flags = _violation_flags(command, state, limits)
             if kind is not ControllerKind.DYNAMIC_WINDOW:
@@ -242,17 +249,19 @@ def run_scenario(
                     step * dt,
                     state.pose.x, state.pose.y, state.pose.theta, state.v, state.omega,
                     command.v, command.omega, executed.v, executed.omega, *flags,
+                    projection.distance, projection.arc_length,
                 )
             )
             state = step_unicycle(state, executed, dt)
         except ParameterError as exc:
             raise SimulationDivergedError(f"step {step}: {exc}") from exc
 
-    columns = list(zip(*rows)) if rows else [[] for _ in TrajectoryLog._COLUMNS]
+    names = [field.name for field in fields(TrajectoryLog)]
+    columns = list(zip(*rows)) if rows else [[] for _ in names]
     log = TrajectoryLog(
         **{
             name: np.array(column, dtype=bool if name.startswith("viol_") else float)
-            for name, column in zip(TrajectoryLog._COLUMNS, columns)
+            for name, column in zip(names, columns)
         }
     )
-    return ScenarioResult(log, reached, len(log) * dt)
+    return ScenarioResult(log, at_goal(state.pose), len(log) * dt)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from pursuitbench import (
     RegulationConfig,
     generate_corner_path,
 )
+from pursuitbench.paths import PathProjection
 
 
 def straight_path(length: float = 6.0, spacing: float = 0.05) -> ReferencePath:
@@ -43,3 +45,59 @@ def bench_regulation() -> RegulationConfig:
 def distance_point_to_line(v: float, omega: float, curvature: float) -> float:
     """Euclidean distance from (v, omega) to the line omega = curvature * v."""
     return abs(curvature * v - omega) / math.sqrt(curvature * curvature + 1.0)
+
+
+# Exactness oracles: the batch projection, the numpy lookahead scan and the
+# row-wise trajectory CSV writer that the package used before its per-step
+# kernels were rewritten. The package must reproduce them bit for bit.
+
+
+def project_all(path: ReferencePath, points) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped segment parameters and squared distances, both (n, segments)."""
+    points = np.asarray(points, dtype=float)
+    x, y = points[:, 0:1], points[:, 1:2]
+    segments = np.diff(path.waypoints, axis=0)
+    sx, sy = path.waypoints[:-1, 0], path.waypoints[:-1, 1]
+    dx, dy = segments[:, 0], segments[:, 1]
+    t = np.clip(((x - sx) * dx + (y - sy) * dy) / np.hypot(dx, dy) ** 2, 0.0, 1.0)
+    ox = x - (sx + t * dx)
+    oy = y - (sy + t * dy)
+    return t, ox * ox + oy * oy
+
+
+def polyline_distances(path: ReferencePath, points) -> np.ndarray:
+    """Unsigned distance from each row of ``points`` to the path."""
+    _, dist_sq = project_all(path, points)
+    return np.sqrt(dist_sq.min(axis=1))
+
+
+def nearest_point_oracle(path: ReferencePath, x: float, y: float) -> PathProjection:
+    t, dist_sq = project_all(path, [[x, y]])
+    index = int(np.argmin(dist_sq[0]))
+    fraction = t[0, index]
+    segment = path.waypoints[index + 1] - path.waypoints[index]
+    point = path.waypoints[index] + fraction * segment
+    arc = float(path.cumulative_arclength[index] + fraction * np.hypot(*segment))
+    return PathProjection(point, index, math.sqrt(float(dist_sq[0, index])), arc)
+
+
+def lookahead_oracle(path: ReferencePath, projection: PathProjection, lookahead: float) -> np.ndarray:
+    points = path.waypoints
+    reference = projection.point
+    previous = math.hypot(*(points[projection.segment_index] - reference))
+    for index in range(projection.segment_index + 1, len(points)):
+        distance = math.hypot(*(points[index] - reference))
+        if previous < lookahead <= distance:
+            return points[index].copy()
+        previous = distance
+    return points[-1].copy()
+
+
+def write_log_rowwise(log, file) -> None:
+    with open(file, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(log._COLUMNS)
+        for row in zip(*(getattr(log, name) for name in log._COLUMNS)):
+            writer.writerow(
+                [int(value) if isinstance(value, np.bool_) else repr(float(value)) for value in row]
+            )

@@ -160,10 +160,13 @@ class TestNominalCommand:
         for x, y, theta, v in [(2.8, 0.05, 0.3, 0.5), (3.2, 0.5, 2.0, 0.2), (2.0, -0.2, -0.4, 0.0)]:
             state = RobotState(Pose2D(x, y, theta), v, 0.0)
             for kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE, ControllerKind.REGULATED):
+                projection = nearest_point_on_path(path, state.pose)
                 distance = operative_lookahead(kind, bench_lookahead, state.v)
-                target = lookahead_from_projection(path, nearest_point_on_path(path, state.pose), distance)
+                target = lookahead_from_projection(path, projection, distance)
                 kappa = compute_curvature(state.pose, target)
-                command = compute_command(kind, state, path, bench_limits, bench_lookahead, bench_regulation)
+                command = compute_command(
+                    kind, state, path, projection, bench_limits, bench_lookahead, bench_regulation
+                )
                 assert command.omega == kappa * command.v
                 curvatures.append(kappa)
                 if kind is ControllerKind.REGULATED:
@@ -475,7 +478,8 @@ class TestComputeCommand:
         state = RobotState(Pose2D(1.0, 0.0, 0.0), 0.5, 0.0)
         for kind in ControllerKind:
             command = compute_command(
-                kind, state, path, self.limits, self.lookahead, self.regulation
+                kind, state, path, nearest_point_on_path(path, state.pose),
+                self.limits, self.lookahead, self.regulation
             )
             assert command.v == pytest.approx(0.5)
             assert command.omega == pytest.approx(0.0, abs=1e-12)
@@ -484,7 +488,8 @@ class TestComputeCommand:
         path = corner_path(135.0)
         state = RobotState(Pose2D(2.9, 0.0, 0.0), 0.5, 0.0)
         command = compute_command(
-            ControllerKind.PURE_PURSUIT, state, path, self.limits, self.lookahead, self.regulation
+            ControllerKind.PURE_PURSUIT, state, path, nearest_point_on_path(path, state.pose),
+            self.limits, self.lookahead, self.regulation
         )
         reachable = state.omega + self.limits.ang_accel_max * self.limits.dt
         assert command.v == 0.5
@@ -494,7 +499,8 @@ class TestComputeCommand:
         path = corner_path(135.0)
         state = RobotState(Pose2D(2.9, 0.0, 0.0), 0.5, 0.0)
         command = compute_command(
-            ControllerKind.DYNAMIC_WINDOW, state, path, self.limits, self.lookahead, self.regulation
+            ControllerKind.DYNAMIC_WINDOW, state, path, nearest_point_on_path(path, state.pose),
+            self.limits, self.lookahead, self.regulation
         )
         window = compute_dynamic_window(state, self.limits)
         assert window.v_lo <= command.v <= window.v_hi
@@ -504,7 +510,8 @@ class TestComputeCommand:
         path = corner_path(135.0)
         state = RobotState(Pose2D(2.9, 0.0, 0.0), 0.5, 0.0)
         command = compute_command(
-            ControllerKind.REGULATED, state, path, self.limits, self.lookahead, self.regulation
+            ControllerKind.REGULATED, state, path, nearest_point_on_path(path, state.pose),
+            self.limits, self.lookahead, self.regulation
         )
         assert command.v < 0.5
         lookahead = operative_lookahead(ControllerKind.REGULATED, self.lookahead, state.v)
@@ -518,7 +525,8 @@ class TestComputeCommand:
         fixed_cfg = replace(self.lookahead, mode=FIXED_LOOKAHEAD)
         for cfg in (self.lookahead, fixed_cfg):
             command = compute_command(
-                ControllerKind.PURE_PURSUIT, state, path, self.limits, cfg, self.regulation
+                ControllerKind.PURE_PURSUIT, state, path, nearest_point_on_path(path, state.pose),
+                self.limits, cfg, self.regulation
             )
             assert command == VelocityCommand(0.5, 0.0)
 
@@ -528,10 +536,12 @@ class TestComputeCommand:
         path = corner_path(90.0)
         state = RobotState(Pose2D(2.75, 0.0, 0.0), 0.0, 0.0)
         adaptive = compute_command(
-            ControllerKind.ADAPTIVE, state, path, self.limits, self.lookahead, self.regulation
+            ControllerKind.ADAPTIVE, state, path, nearest_point_on_path(path, state.pose),
+            self.limits, self.lookahead, self.regulation
         )
         plain = compute_command(
-            ControllerKind.PURE_PURSUIT, state, path, self.limits, self.lookahead, self.regulation
+            ControllerKind.PURE_PURSUIT, state, path, nearest_point_on_path(path, state.pose),
+            self.limits, self.lookahead, self.regulation
         )
         assert adaptive.omega != plain.omega
 
@@ -540,11 +550,13 @@ class TestComputeCommand:
         state = RobotState(Pose2D(1.0, 0.0, 0.0), 0.5, 0.0)
         regulation = replace(self.regulation, enable_proximity=True)
         near = compute_command(
-            ControllerKind.REGULATED, state, path, self.limits, self.lookahead, regulation,
+            ControllerKind.REGULATED, state, path, nearest_point_on_path(path, state.pose),
+            self.limits, self.lookahead, regulation,
             obstacle_distance=0.4,
         )
         far = compute_command(
-            ControllerKind.REGULATED, state, path, self.limits, self.lookahead, regulation,
+            ControllerKind.REGULATED, state, path, nearest_point_on_path(path, state.pose),
+            self.limits, self.lookahead, regulation,
             obstacle_distance=math.inf,
         )
         assert near.v < far.v

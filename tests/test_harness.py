@@ -135,6 +135,11 @@ class TestLoadConfig:
         with pytest.raises(ParameterError, match="^trials must be an integer"):
             ExperimentConfig(trials=trials)
 
+    @pytest.mark.parametrize("name", ["goal_tolerance", "max_time"])
+    def test_bool_is_not_a_number(self, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be .*, got True$"):
+            ExperimentConfig(**{name: True})
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("lookahed: {}\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import corner_path, straight_path
+from conftest import corner_path, polyline_distances, straight_path
 from pursuitbench import (
     ControllerKind,
     KinodynamicLimits,
@@ -18,10 +18,12 @@ from pursuitbench import (
 from pursuitbench.metrics import aggregate, cross_track_stats, violation_ratio
 
 
-def make_log(xs, ys, violations=None):
+def make_log(xs, ys, violations=None, path=None):
+    """A log at the given positions; ``cte`` is their distance to ``path`` (0 without one)."""
     n = len(xs)
     violations = violations if violations is not None else [False] * n
     zeros = np.zeros(n)
+    cte = polyline_distances(path, np.column_stack((xs, ys))) if path is not None and n else zeros
     return TrajectoryLog(
         t=0.033 * np.arange(n),
         x=np.asarray(xs, dtype=float),
@@ -37,6 +39,8 @@ def make_log(xs, ys, violations=None):
         viol_w=np.zeros(n, dtype=bool),
         viol_a=np.zeros(n, dtype=bool),
         viol_alpha=np.zeros(n, dtype=bool),
+        cte=cte.copy(),
+        arc_length=zeros.copy(),
     )
 
 
@@ -71,38 +75,38 @@ class TestViolationRatio:
 class TestCrossTrackStats:
     def test_on_path_every_step(self):
         path = straight_path()
-        mean_cte, max_cte = cross_track_stats(make_log([0.5, 1.0, 1.5], [0, 0, 0]), path)
+        mean_cte, max_cte = cross_track_stats(make_log([0.5, 1.0, 1.5], [0, 0, 0], path=path))
         assert (mean_cte, max_cte) == (0.0, 0.0)
 
     def test_two_lateral_samples(self):
         path = straight_path()
-        mean_cte, max_cte = cross_track_stats(make_log([1.0, 2.0], [0.1, 0.3]), path)
+        mean_cte, max_cte = cross_track_stats(make_log([1.0, 2.0], [0.1, 0.3], path=path))
         assert mean_cte == pytest.approx(0.2)
         assert max_cte == pytest.approx(0.3)
 
     def test_sharp_corner_overshoot_ordering(self):
         path = corner_path(135.0)
-        _, max_pp = cross_track_stats(run(path, ControllerKind.PURE_PURSUIT).log, path)
-        _, max_dw = cross_track_stats(run(path, ControllerKind.DYNAMIC_WINDOW).log, path)
+        _, max_pp = cross_track_stats(run(path, ControllerKind.PURE_PURSUIT).log)
+        _, max_dw = cross_track_stats(run(path, ControllerKind.DYNAMIC_WINDOW).log)
         assert max_dw < max_pp
 
     def test_mean_never_exceeds_max(self):
         path = corner_path(90.0)
         rng = np.random.default_rng(12)
-        log = make_log(rng.uniform(0, 3, 50), rng.uniform(-1, 1, 50))
-        mean_cte, max_cte = cross_track_stats(log, path)
+        log = make_log(rng.uniform(0, 3, 50), rng.uniform(-1, 1, 50), path=path)
+        mean_cte, max_cte = cross_track_stats(log)
         assert 0.0 <= mean_cte <= max_cte
 
     def test_empty_log_rejected(self):
         with pytest.raises(ParameterError):
-            cross_track_stats(empty_log(), straight_path())
+            cross_track_stats(empty_log())
 
 
 class TestScenarioMetrics:
     def test_assembles_all_fields(self):
         path = straight_path()
         result = run(path, ControllerKind.DYNAMIC_WINDOW)
-        metrics = scenario_metrics(result, path)
+        metrics = scenario_metrics(result)
         assert metrics.violation_ratio == 0.0
         assert metrics.reached_goal
         assert metrics.travel_time == result.travel_time

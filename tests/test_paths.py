@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import corner_path, straight_path
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    corner_path,
+    lookahead_oracle,
+    nearest_point_oracle,
+    polyline_distances,
+    project_all,
+    straight_path,
+)
 from pursuitbench import (
     CornerPathSpec,
     DegenerateGeometryError,
@@ -17,7 +27,6 @@ from pursuitbench.paths import (
     compute_curvature,
     lookahead_from_projection,
     nearest_point_on_path,
-    polyline_distances,
     wrap_angle,
 )
 
@@ -151,6 +160,52 @@ class TestNearestPoint:
             proj = nearest_point_on_path(path, Pose2D(x, y, 0.0))
             waypoint_distances = np.hypot(path.waypoints[:, 0] - x, path.waypoints[:, 1] - y)
             assert proj.distance <= waypoint_distances.min() + 1e-12
+
+
+# Half-metre grid coordinates make exact ties and U-turns common; free floats
+# cover everything else.
+_grid = st.integers(-4, 4).map(lambda k: 0.5 * k)
+_coordinate = st.one_of(_grid, st.floats(-5.0, 5.0))
+polylines = st.one_of(
+    st.lists(st.tuples(_grid, _grid), min_size=2, max_size=12),
+    st.lists(st.tuples(_coordinate, _coordinate), min_size=2, max_size=30),
+).filter(lambda points: all(math.dist(a, b) >= 1e-6 for a, b in zip(points, points[1:])))
+_U_TURN = [(0.0, 0.0), (2.0, 0.0), (2.0, 0.3), (0.0, 0.3)]
+
+
+def assert_same_projection(actual, expected):
+    assert actual.segment_index == expected.segment_index
+    assert actual.distance == expected.distance
+    assert actual.arc_length == expected.arc_length
+    assert actual.point.tobytes() == expected.point.tobytes()
+
+
+class TestKernelsMatchOracles:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(points=polylines, x=_coordinate, y=_coordinate)
+    @example(points=_U_TURN, x=1.0, y=0.15)  # equidistant from both legs of a U-turn
+    @example(points=[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], x=1.5, y=-0.5)  # at a shared vertex
+    def test_nearest_point_is_the_batch_oracle(self, points, x, y):
+        path = ReferencePath(points)
+        projection = nearest_point_on_path(path, Pose2D(x, y, 0.0))
+        assert_same_projection(projection, nearest_point_oracle(path, x, y))
+        _, dist_sq = project_all(path, [[x, y]])
+        assert np.all(dist_sq[0, : projection.segment_index] > dist_sq[0, projection.segment_index])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        points=polylines,
+        x=_coordinate,
+        y=_coordinate,
+        lookahead=st.one_of(st.integers(1, 12).map(lambda k: 0.25 * k), st.floats(1e-3, 10.0)),
+    )
+    @example(points=_U_TURN, x=1.0, y=0.15, lookahead=0.3)
+    @example(points=[(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], x=0.0, y=0.0, lookahead=0.5)
+    def test_lookahead_is_the_numpy_scan(self, points, x, y, lookahead):
+        path = ReferencePath(points)
+        projection = nearest_point_on_path(path, Pose2D(x, y, 0.0))
+        target = lookahead_from_projection(path, projection, lookahead)
+        assert target.tobytes() == lookahead_oracle(path, projection, lookahead).tobytes()
 
 
 def find_lookahead_point(path, pose, lookahead):
@@ -295,7 +350,7 @@ class TestCrossTrackAndGoalDistance:
         assert np.all(np.diff(remaining) <= 1e-12)
 
     def test_polyline_distances_matches_scalar_query(self):
-        # Both queries share one projection kernel, so they agree exactly.
+        # The batch oracle and the per-step kernel do the same IEEE operations.
         rng = np.random.default_rng(8)
         long_path = corner_path(90.0, segment_length=10.0, spacing=0.01)  # 2,000 segments
         for path, high in ((corner_path(135.0), 4.0), (long_path, 11.0)):

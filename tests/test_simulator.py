@@ -1,10 +1,20 @@
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import corner_path, straight_path
+import pursuitbench.simulator as simulator
+from conftest import (
+    corner_path,
+    nearest_point_oracle,
+    polyline_distances,
+    straight_path,
+    write_log_rowwise,
+)
 from pursuitbench import (
     ControllerKind,
     KinodynamicLimits,
@@ -55,6 +65,11 @@ class TestExecutionAndNoiseModels:
     def test_rejects_nan_sigma(self, field):
         with pytest.raises(ParameterError, match="sigmas"):
             NoiseModel(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["sigma_v", "sigma_omega", "sigma_pose_init"])
+    def test_rejects_infinite_sigma(self, field):
+        with pytest.raises(ParameterError, match=f"sigmas must be finite.*{field}"):
+            NoiseModel(**{field: math.inf})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
@@ -220,6 +235,39 @@ class TestRunScenario:
         with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError, match=message):
             run(straight_path(), ControllerKind.DYNAMIC_WINDOW, limits=limits)
 
+    def test_goal_reached_on_the_final_step_counts(self):
+        path = straight_path()
+        steps = len(run(path, ControllerKind.DYNAMIC_WINDOW).log)
+        result = run(path, ControllerKind.DYNAMIC_WINDOW, max_time=steps * 0.033)
+        assert len(result.log) == steps
+        assert result.reached_goal
+
+    def test_projects_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(path, pose):
+            calls.append(pose)
+            return nearest_point_on_path(path, pose)
+
+        monkeypatch.setattr(simulator, "nearest_point_on_path", counting)
+        log = run(corner_path(90.0), ControllerKind.REGULATED).log
+        assert len(calls) == len(log)
+        assert [(pose.x, pose.y) for pose in calls] == list(zip(log.x, log.y))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(ControllerKind),
+        sigma=st.sampled_from([0.0, 0.01, 0.05]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_logged_projection_is_the_oracle_projection(self, kind, sigma, seed):
+        path = corner_path(135.0)
+        noise = NoiseModel(sigma_v=sigma, sigma_omega=sigma, sigma_pose_init=sigma, seed=seed)
+        log = run(path, kind, noise=noise).log
+        points = np.column_stack((log.x, log.y))
+        assert log.cte.tobytes() == polyline_distances(path, points).tobytes()
+        assert log.arc_length.tolist() == [nearest_point_oracle(path, x, y).arc_length for x, y in points]
+
     def test_times_out_without_reaching_goal(self):
         result = run(straight_path(), ControllerKind.PURE_PURSUIT, max_time=1.0)
         assert not result.reached_goal
@@ -282,4 +330,42 @@ class TestTrajectoryLogIO:
                 viol_w=np.array([False]),
                 viol_a=np.array([False]),
                 viol_alpha=np.array([False]),
+                cte=np.array([0.0]),
+                arc_length=np.array([0.0]),
             )
+
+    @pytest.mark.parametrize("name", ["cte", "arc_length"])
+    def test_projection_column_length_checked(self, name):
+        columns = {field.name: np.zeros(2, dtype=float) for field in fields(TrajectoryLog)}
+        columns[name] = np.zeros(1)
+        with pytest.raises(ParameterError):
+            TrajectoryLog(**columns)
+
+    @settings(
+        max_examples=200, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        columns=st.integers(0, 8).flatmap(
+            lambda n: st.fixed_dictionaries(
+                {
+                    field.name: st.lists(
+                        st.booleans() if field.name.startswith("viol_") else st.floats(),
+                        min_size=n,
+                        max_size=n,
+                    )
+                    for field in fields(TrajectoryLog)
+                }
+            )
+        )
+    )
+    def test_csv_bytes_are_the_rowwise_writer(self, tmp_path, columns):
+        log = TrajectoryLog(
+            **{
+                name: np.array(values, dtype=bool if name.startswith("viol_") else float)
+                for name, values in columns.items()
+            }
+        )
+        log.to_csv(tmp_path / "columns.csv")
+        write_log_rowwise(log, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
