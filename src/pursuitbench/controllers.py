@@ -276,36 +276,46 @@ def regulate_linear_velocity(
     return min(v_cmd, v_reg)
 
 
+def _clamp_range(lo: float, hi: float, lo_bound: float, hi_bound: float) -> tuple[float, float]:
+    """The range [lo, hi] with each end clamped into [lo_bound, hi_bound].
+
+    Each end meets its own bound first (``max`` for the low end, ``min`` for
+    the high end), so a range that overlaps the bounds is intersected with
+    them exactly; one that misses them collapses to the bound nearest to it.
+    """
+    return min(max(lo_bound, lo), hi_bound), max(min(hi_bound, hi), lo_bound)
+
+
 def compute_dynamic_window(state: RobotState, limits: KinodynamicLimits) -> DynamicWindow:
-    """Velocities reachable within one control period from the current state."""
-    v_hi = min(limits.v_max, state.v + limits.accel_max * limits.dt)
-    v_lo = max(limits.v_min, state.v - limits.decel_max * limits.dt)
-    omega_hi = min(limits.omega_max, state.omega + limits.ang_accel_max * limits.dt)
-    omega_lo = max(limits.omega_min, state.omega - limits.ang_decel_max * limits.dt)
-    # A state outside the static limits cannot re-enter them in one step;
-    # pin the window to the nearest static bound instead of inverting it.
-    if v_lo > v_hi:
-        v_lo = v_hi = limits.v_max if state.v > limits.v_max else limits.v_min
-    if omega_lo > omega_hi:
-        omega_lo = omega_hi = (
-            limits.omega_max if state.omega > limits.omega_max else limits.omega_min
-        )
+    """Velocities reachable within one control period, clamped into the static limits.
+
+    A state outside the static limits cannot re-enter them in one step; its
+    window collapses to the nearest static bound.
+    """
+    dt = limits.dt
+    v_lo, v_hi = _clamp_range(
+        state.v - limits.decel_max * dt, state.v + limits.accel_max * dt, limits.v_min, limits.v_max
+    )
+    omega_lo, omega_hi = _clamp_range(
+        state.omega - limits.ang_decel_max * dt,
+        state.omega + limits.ang_accel_max * dt,
+        limits.omega_min,
+        limits.omega_max,
+    )
     return DynamicWindow(v_lo, v_hi, omega_lo, omega_hi)
 
 
 def apply_regulation_to_window(window: DynamicWindow, v_reg: float) -> DynamicWindow:
-    """Intersect the window's linear range with the admissible range [0, v_reg].
+    """Clamp the admissible linear range [0, v_reg] into the window.
 
-    When the two ranges do not overlap (the regulated ceiling is unreachable
-    this step) the linear range collapses to its lower bound: the robot
-    brakes as hard as the window allows.
+    The result never leaves the window. When the two ranges do not overlap
+    (the regulated ceiling is unreachable this step, or the robot is reversing
+    faster than it can stop), the linear range collapses to the window bound
+    nearest to them: the robot brakes as hard as the window allows.
     """
     if v_reg < 0.0:
         raise ParameterError("regulated velocity must be non-negative")
-    v_lo = max(window.v_lo, 0.0)
-    v_hi = min(window.v_hi, v_reg)
-    if v_hi < v_lo:
-        v_hi = v_lo
+    v_lo, v_hi = _clamp_range(0.0, v_reg, window.v_lo, window.v_hi)
     return DynamicWindow(v_lo, v_hi, window.omega_lo, window.omega_hi)
 
 

@@ -38,7 +38,9 @@ from .controllers import (
     operative_lookahead,
 )
 from .errors import ConfigError, ParameterError, PursuitBenchError
-from .metrics import AggregateMetrics, ScenarioMetrics, aggregate, cross_track_stats, scenario_metrics
+from .metrics import (
+    METRICS, AggregateMetrics, ScenarioMetrics, aggregate, cross_track_stats, scenario_metrics,
+)
 from .paths import CornerPathSpec, generate_corner_path
 from .simulator import NoiseModel, run_scenario
 
@@ -219,10 +221,18 @@ def _trial_noise(config: ExperimentConfig, trial: int) -> NoiseModel:
     return replace(config.noise, sigma_pose_init=sigma_pose, seed=config.noise.seed + trial)
 
 
-_METRICS_HEADER = (
-    "path", "controller", "trial", "seed",
-    "violation_ratio", "mean_cte", "max_cte", "travel_time", "reached_goal",
-)
+def _output_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
+    """``out_dir``, or the config's ``output_dir`` when it is None; created if missing."""
+    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_csv(file: Path, header, rows) -> None:
+    with open(file, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def run_comparison(
@@ -235,8 +245,7 @@ def run_comparison(
     per scenario. Re-running the same config reproduces the files byte for
     byte.
     """
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config, out_dir)
     aggregates: dict[tuple[str, str], AggregateMetrics] = {}
     metric_rows = []
     for name, spec in config.paths:
@@ -267,16 +276,13 @@ def run_comparison(
                 metric_rows.append(
                     (
                         name, kind.value, trial, noise.seed,
-                        repr(metrics.violation_ratio), repr(metrics.mean_cte),
-                        repr(metrics.max_cte), repr(metrics.travel_time),
+                        *(repr(getattr(metrics, metric.name)) for metric in METRICS),
                         int(metrics.reached_goal),
                     )
                 )
             aggregates[(name, kind.value)] = aggregate(per_trial)
-    with open(out / "metrics.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_METRICS_HEADER)
-        writer.writerows(metric_rows)
+    header = ("path", "controller", "trial", "seed", *(metric.name for metric in METRICS), "reached_goal")
+    _write_csv(out / "metrics.csv", header, metric_rows)
     return aggregates
 
 
@@ -291,8 +297,7 @@ def run_lookahead_sweep(
     (lookahead, mean_cte, travel_time) sorted by lookahead.
     """
     config = sweep.base
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config, out_dir)
     name, spec = config.paths[0]
     reference = generate_corner_path(spec)
     regulation = replace(
@@ -316,20 +321,9 @@ def run_lookahead_sweep(
             raise type(exc)(f"path {name}, lookahead {value}: {exc}") from exc
         mean_cte, _ = cross_track_stats(result.log)
         rows.append((value, mean_cte, result.travel_time))
-    with open(out / "sweep.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lookahead", "mean_cte", "travel_time"])
-        for value, mean_cte, travel_time in rows:
-            writer.writerow([repr(value), repr(mean_cte), repr(travel_time)])
+    header = ("lookahead", "mean_cte", "travel_time")
+    _write_csv(out / "sweep.csv", header, [map(repr, row) for row in rows])
     return rows
-
-
-_TABLE_TITLES = (
-    ("violation_ratio", "Constraint violation ratio [%]", "{:.1f}"),
-    ("mean_cte", "Mean cross track error [m]", "{:.2f}"),
-    ("max_cte", "Max cross track error [m]", "{:.2f}"),
-    ("travel_time", "Travel time [s]", "{:.1f}"),
-)
 
 
 def emit_report(
@@ -345,8 +339,7 @@ def emit_report(
     """
     if not results:
         raise ParameterError("no results to report")
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config, out_dir)
     path_names = [name for name, _ in config.paths]
     controller_names = [kind.value for kind in config.controllers]
 
@@ -359,14 +352,15 @@ def emit_report(
         "",
     ]
     cell_width = 16
-    for field, title, fmt in _TABLE_TITLES:
-        lines.append(f"{title} (mean ± sd)")
+    for metric in METRICS:
+        fmt = metric.metadata["format"]
+        lines.append(f"{metric.metadata['title']} (mean ± sd)")
         header = "path".ljust(8) + "".join(name.upper().rjust(cell_width) for name in controller_names)
         lines.append(header)
         for path_name in path_names:
             row = path_name.ljust(8)
             for controller in controller_names:
-                stats = getattr(results[(path_name, controller)], field)
+                stats = getattr(results[(path_name, controller)], metric.name)
                 row += f"{fmt.format(stats.mean)} ± {fmt.format(stats.sd)}".rjust(cell_width)
             lines.append(row)
         lines.append("")
@@ -387,27 +381,13 @@ def emit_report(
 
     text = "\n".join(lines)
     (out / "summary.txt").write_text(text)
-    with open(out / "summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "path", "controller", "trials", "reached",
-                "violation_ratio_mean", "violation_ratio_sd",
-                "mean_cte_mean", "mean_cte_sd",
-                "max_cte_mean", "max_cte_sd",
-                "travel_time_mean", "travel_time_sd",
-            ]
-        )
-        for path_name in path_names:
-            for controller in controller_names:
-                agg = results[(path_name, controller)]
-                writer.writerow(
-                    [
-                        path_name, controller, agg.trial_count, agg.reached_count,
-                        repr(agg.violation_ratio.mean), repr(agg.violation_ratio.sd),
-                        repr(agg.mean_cte.mean), repr(agg.mean_cte.sd),
-                        repr(agg.max_cte.mean), repr(agg.max_cte.sd),
-                        repr(agg.travel_time.mean), repr(agg.travel_time.sd),
-                    ]
-                )
+    header = ["path", "controller", "trials", "reached"]
+    header += [f"{metric.name}_{stat}" for metric in METRICS for stat in ("mean", "sd")]
+    rows = []
+    for path_name in path_names:
+        for controller in controller_names:
+            agg = results[(path_name, controller)]
+            stats = [repr(value) for metric in METRICS for value in getattr(agg, metric.name)]
+            rows.append([path_name, controller, agg.trial_count, agg.reached_count, *stats])
+    _write_csv(out / "summary.csv", header, rows)
     return text

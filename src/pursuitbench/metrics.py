@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -16,15 +16,24 @@ class MeanSD(NamedTuple):
     sd: float
 
 
+def _metric(title: str, fmt: str):
+    """A metric field; ``title`` and ``fmt`` head and format its summary table."""
+    return field(metadata={"title": title, "format": fmt})
+
+
 @dataclass(frozen=True)
 class ScenarioMetrics:
     """The four per-run metrics plus whether the goal was reached."""
 
-    violation_ratio: float
-    mean_cte: float
-    max_cte: float
-    travel_time: float
+    violation_ratio: float = _metric("Constraint violation ratio [%]", "{:.1f}")
+    mean_cte: float = _metric("Mean cross track error [m]", "{:.2f}")
+    max_cte: float = _metric("Max cross track error [m]", "{:.2f}")
+    travel_time: float = _metric("Travel time [s]", "{:.1f}")
     reached_goal: bool
+
+
+# The four metric fields in report order; they name every metric column.
+METRICS = tuple(metric for metric in fields(ScenarioMetrics) if metric.metadata)
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,8 @@ def aggregate(trials: Sequence[ScenarioMetrics]) -> AggregateMetrics:
     return AggregateMetrics(
         trial_count=len(trials),
         reached_count=sum(1 for trial in trials if trial.reached_goal),
-        violation_ratio=_mean_sd([trial.violation_ratio for trial in trials]),
-        mean_cte=_mean_sd([trial.mean_cte for trial in trials]),
-        max_cte=_mean_sd([trial.max_cte for trial in trials]),
-        travel_time=_mean_sd([trial.travel_time for trial in trials]),
+        **{
+            metric.name: _mean_sd([getattr(trial, metric.name) for trial in trials])
+            for metric in METRICS
+        },
     )

@@ -1,9 +1,9 @@
 """Deterministic discrete-time unicycle simulation.
 
 The execution layer reproduces the gap between commanded and executed
-velocities: commands from the non-window-aware laws are projected onto the
-currently reachable velocity window, while dynamic-window commands are
-feasible by construction and execute unchanged.
+velocities: every command is projected onto the currently reachable velocity
+window. A dynamic-window command already lies inside it and executes
+unchanged.
 """
 
 from __future__ import annotations
@@ -124,7 +124,10 @@ class ScenarioResult:
 def clip_to_feasible(
     command: VelocityCommand, state: RobotState, limits: KinodynamicLimits
 ) -> VelocityCommand:
-    """Project a command onto the current dynamic window, one axis at a time."""
+    """Project a command onto the current dynamic window, one axis at a time.
+
+    A command already inside the window comes back bit for bit.
+    """
     window = compute_dynamic_window(state, limits)
     return VelocityCommand(
         min(max(command.v, window.v_lo), window.v_hi),
@@ -148,26 +151,24 @@ def step_unicycle(state: RobotState, executed: VelocityCommand, dt: float) -> Ro
     return RobotState(Pose2D(x, y, theta + omega * dt), v, omega)
 
 
+def _outside(value: float, lo: float, hi: float) -> bool:
+    return value > hi + _VIOLATION_TOL or value < lo - _VIOLATION_TOL
+
+
 def _violation_flags(
     command: VelocityCommand, state: RobotState, limits: KinodynamicLimits
 ) -> tuple[bool, bool, bool, bool]:
     dt = limits.dt
-    viol_v = (
-        command.v > limits.v_max + _VIOLATION_TOL or command.v < limits.v_min - _VIOLATION_TOL
+    return (
+        _outside(command.v, limits.v_min, limits.v_max),
+        _outside(command.omega, limits.omega_min, limits.omega_max),
+        _outside(command.v, state.v - limits.decel_max * dt, state.v + limits.accel_max * dt),
+        _outside(
+            command.omega,
+            state.omega - limits.ang_decel_max * dt,
+            state.omega + limits.ang_accel_max * dt,
+        ),
     )
-    viol_w = (
-        command.omega > limits.omega_max + _VIOLATION_TOL
-        or command.omega < limits.omega_min - _VIOLATION_TOL
-    )
-    viol_a = (
-        command.v > state.v + limits.accel_max * dt + _VIOLATION_TOL
-        or command.v < state.v - limits.decel_max * dt - _VIOLATION_TOL
-    )
-    viol_alpha = (
-        command.omega > state.omega + limits.ang_accel_max * dt + _VIOLATION_TOL
-        or command.omega < state.omega - limits.ang_decel_max * dt - _VIOLATION_TOL
-    )
-    return viol_v, viol_w, viol_a, viol_alpha
 
 
 def _initial_state(path: ReferencePath, noise: NoiseModel, rng: np.random.Generator) -> RobotState:
@@ -199,17 +200,18 @@ def run_scenario(
 
     Per step: project the pose onto the path once, compute the command from
     that projection, record violation flags against ``limits``, clip the
-    command to the dynamic window of ``limits`` unless it is a dynamic-window
-    command, add the actuation noise and clip again, then integrate. The run
-    ends as soon as the robot is within ``goal_tolerance`` of the final
-    waypoint, tested before each step and after the last one. Identical
-    inputs (including the noise seed) reproduce the log bit for bit.
+    command to the dynamic window of ``limits`` (a dynamic-window command is
+    inside it and comes back unchanged), add the actuation noise and clip
+    again, then integrate. The run ends as soon as the robot is within
+    ``goal_tolerance`` of the final waypoint, tested before each step and
+    after the last one. Identical inputs (including the noise seed) reproduce
+    the log bit for bit.
     """
     if not limits.dt <= max_time < math.inf:
         raise ParameterError("max_time must be finite and at least limits.dt")
-    if not goal_tolerance >= 0.0:
-        raise ParameterError("goal_tolerance must be non-negative")
-    if obstacle_distance < 0.0:
+    if not 0.0 < goal_tolerance < math.inf:
+        raise ParameterError("goal_tolerance must be positive and finite")
+    if not obstacle_distance >= 0.0:
         raise ParameterError("obstacle_distance must be non-negative")
     if noise is None:
         noise = NoiseModel()
@@ -233,10 +235,7 @@ def run_scenario(
                 kind, state, path, projection, limits, lookahead, regulation, obstacle_distance
             )
             flags = _violation_flags(command, state, limits)
-            if kind is not ControllerKind.DYNAMIC_WINDOW:
-                executed = clip_to_feasible(command, state, limits)
-            else:
-                executed = command
+            executed = clip_to_feasible(command, state, limits)
             if velocity_noise:
                 executed = VelocityCommand(
                     executed.v + (rng.normal(0.0, noise.sigma_v) if noise.sigma_v > 0.0 else 0.0),

@@ -6,10 +6,13 @@ import pytest
 
 from pursuitbench import (
     CornerPathSpec,
+    DynamicWindow,
     KinodynamicLimits,
     LookaheadConfig,
+    ParameterError,
     ReferencePath,
     RegulationConfig,
+    RobotState,
     generate_corner_path,
 )
 from pursuitbench.paths import PathProjection
@@ -101,3 +104,38 @@ def write_log_rowwise(log, file) -> None:
             writer.writerow(
                 [int(value) if isinstance(value, np.bool_) else repr(float(value)) for value in row]
             )
+
+
+# Window oracles: the dynamic window and regulated window as the package
+# computed them before both became one clamp rule. The old regulated window
+# left the reachable one when its whole linear range was negative; everywhere
+# else the package must reproduce them bit for bit.
+
+
+def dynamic_window_oracle(state: RobotState, limits: KinodynamicLimits) -> DynamicWindow:
+    v_hi = min(limits.v_max, state.v + limits.accel_max * limits.dt)
+    v_lo = max(limits.v_min, state.v - limits.decel_max * limits.dt)
+    omega_hi = min(limits.omega_max, state.omega + limits.ang_accel_max * limits.dt)
+    omega_lo = max(limits.omega_min, state.omega - limits.ang_decel_max * limits.dt)
+    if v_lo > v_hi:
+        v_lo = v_hi = limits.v_max if state.v > limits.v_max else limits.v_min
+    if omega_lo > omega_hi:
+        omega_lo = omega_hi = (
+            limits.omega_max if state.omega > limits.omega_max else limits.omega_min
+        )
+    return DynamicWindow(v_lo, v_hi, omega_lo, omega_hi)
+
+
+def regulated_window_oracle(window: DynamicWindow, v_reg: float) -> DynamicWindow:
+    if v_reg < 0.0:
+        raise ParameterError("regulated velocity must be non-negative")
+    v_lo = max(window.v_lo, 0.0)
+    v_hi = min(window.v_hi, v_reg)
+    if v_hi < v_lo:
+        v_hi = v_lo
+    return DynamicWindow(v_lo, v_hi, window.omega_lo, window.omega_hi)
+
+
+def window_bits(window: DynamicWindow) -> tuple[str, ...]:
+    """The window's four bounds as exact hex strings, so -0.0 differs from 0.0."""
+    return tuple(map(float.hex, (window.v_lo, window.v_hi, window.omega_lo, window.omega_hi)))

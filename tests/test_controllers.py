@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import corner_path, distance_point_to_line, straight_path
+from conftest import (
+    corner_path,
+    distance_point_to_line,
+    dynamic_window_oracle,
+    regulated_window_oracle,
+    straight_path,
+    window_bits,
+)
 from pursuitbench import (
     ControllerKind,
     DynamicWindow,
@@ -54,6 +61,35 @@ def bounds(lo, hi):
     """Ordered (low, high) pairs in [lo, hi], equal pairs included."""
     value = st.floats(lo, hi)
     return st.one_of(value.map(lambda x: (x, x)), st.tuples(value, value).map(sorted).map(tuple))
+
+
+positive = st.floats(0.0, 10.0, exclude_min=True)
+
+
+@st.composite
+def any_limits(draw):
+    """Any valid envelope, a negative v_min (reversing) included."""
+    v_max = draw(st.floats(0.0, 2.0))
+    omega_min, omega_max = draw(bounds(-2.0, 2.0))
+    return KinodynamicLimits(
+        v_max=v_max,
+        v_min=draw(st.floats(-2.0, v_max)),
+        omega_min=omega_min,
+        omega_max=omega_max,
+        accel_max=draw(positive),
+        decel_max=draw(positive),
+        ang_accel_max=draw(positive),
+        ang_decel_max=draw(positive),
+        dt=draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+
+
+# Any state, also one outside the static limits.
+any_state = st.builds(
+    lambda v, omega: RobotState(Pose2D(0.0, 0.0, 0.0), v, omega),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+)
 
 
 # Every float field of the lookahead, regulation and stability sections.
@@ -302,6 +338,12 @@ class TestDynamicWindow:
             assert limits.v_min <= window.v_lo <= window.v_hi <= limits.v_max
             assert limits.omega_min <= window.omega_lo <= window.omega_hi <= limits.omega_max
 
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(limits=any_limits(), state=any_state)
+    def test_matches_the_old_rule_bit_for_bit(self, limits, state):
+        window = compute_dynamic_window(state, limits)
+        assert window_bits(window) == window_bits(dynamic_window_oracle(state, limits))
+
 
 class TestApplyRegulation:
     def test_caps_upper_bound(self):
@@ -315,6 +357,30 @@ class TestApplyRegulation:
     def test_empty_intersection_collapses_to_lower_bound(self):
         window = apply_regulation_to_window(DynamicWindow(0.38, 0.42, -1, 1), 0.10)
         assert (window.v_lo, window.v_hi) == (0.38, 0.38)
+
+    def test_reversing_window_brakes_instead_of_leaving_it(self):
+        # Reversing at -0.03 m/s with v_min = -0.5: the reachable range lies
+        # below zero, so [0, v_reg] collapses to its nearest end, not to 0.
+        window = apply_regulation_to_window(DynamicWindow(-0.0465, -0.0135, -1, 1), 0.5)
+        assert (window.v_lo, window.v_hi) == (-0.0135, -0.0135)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        v_bounds=bounds(-2.0, 2.0),
+        omega_bounds=bounds(-2.0, 2.0),
+        v_reg=st.floats(-0.0, 3.0),
+    )
+    @example(v_bounds=(-0.0, -0.0), omega_bounds=(0.0, 0.0), v_reg=0.0)
+    @example(v_bounds=(-1.0, -0.0), omega_bounds=(0.0, 0.0), v_reg=-0.0)
+    @example(v_bounds=(-0.0, 0.0), omega_bounds=(0.0, 0.0), v_reg=0.0)
+    def test_matches_the_old_rule_unless_the_window_is_all_reverse(self, v_bounds, omega_bounds, v_reg):
+        window = DynamicWindow(*v_bounds, *omega_bounds)
+        regulated = apply_regulation_to_window(window, v_reg)
+        if window.v_hi >= 0.0:
+            assert window_bits(regulated) == window_bits(regulated_window_oracle(window, v_reg))
+        else:
+            # The old rule returned v = 0 here, outside the window.
+            assert regulated.v_lo == regulated.v_hi == window.v_hi
 
     def test_rejects_negative_regulation(self):
         with pytest.raises(ParameterError):
@@ -425,6 +491,19 @@ class TestOptimalVelocity:
         kappa = 0.5 / (0.4 - 5e-10)
         command = optimal_velocity_in_window(DynamicWindow(0.1, 0.4, -0.5, 0.5), kappa)
         assert command == VelocityCommand(0.5 / kappa, 0.5)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        limits=any_limits(),
+        state=any_state,
+        v_reg=st.floats(0.0, 3.0),
+        kappa=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    )
+    def test_dwpp_selection_is_reachable(self, limits, state, v_reg, kappa):
+        window = compute_dynamic_window(state, limits)
+        command = optimal_velocity_in_window(apply_regulation_to_window(window, v_reg), kappa)
+        assert window.v_lo <= command.v <= window.v_hi
+        assert window.omega_lo <= command.omega <= window.omega_hi
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(

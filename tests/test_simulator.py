@@ -172,6 +172,20 @@ class TestRunScenario:
         assert result.reached_goal
         assert not result.log.any_violation.any()
 
+    def test_dynamic_window_never_violates_while_reversing(self):
+        # With reversing allowed, velocity noise leaves the robot below zero
+        # speed; dwpp must brake inside the window, not jump to v = 0.
+        limits = KinodynamicLimits(v_min=-0.5)
+        violating = [
+            seed
+            for seed in range(40)
+            if run(
+                corner_path(90.0), ControllerKind.DYNAMIC_WINDOW,
+                limits=limits, noise=NoiseModel(sigma_v=0.05, seed=seed),
+            ).log.any_violation.any()
+        ]
+        assert violating == []
+
     def test_dynamic_window_commands_pass_through_unchanged(self):
         result = run(corner_path(135.0), ControllerKind.DYNAMIC_WINDOW)
         log = result.log
@@ -279,6 +293,8 @@ class TestRunScenario:
         with pytest.raises(ParameterError):
             run(straight_path(), ControllerKind.PURE_PURSUIT, goal_tolerance=-0.1)
         with pytest.raises(ParameterError):
+            run(straight_path(), ControllerKind.PURE_PURSUIT, goal_tolerance=0.0)
+        with pytest.raises(ParameterError):
             run(straight_path(), ControllerKind.REGULATED, obstacle_distance=-1.0)
 
     @pytest.mark.parametrize(
@@ -288,8 +304,13 @@ class TestRunScenario:
             ({"max_time": math.nan}, "max_time"),
             ({"max_time": 0.02}, "max_time"),
             ({"goal_tolerance": math.nan}, "goal_tolerance"),
+            ({"goal_tolerance": math.inf}, "goal_tolerance"),
+            ({"obstacle_distance": math.nan}, "obstacle_distance"),
         ],
-        ids=["inf_max_time", "nan_max_time", "max_time_below_dt", "nan_goal_tolerance"],
+        ids=[
+            "inf_max_time", "nan_max_time", "max_time_below_dt", "nan_goal_tolerance",
+            "inf_goal_tolerance", "nan_obstacle_distance",
+        ],
     )
     def test_rejects_non_finite_or_too_short_run(self, overrides, message):
         with pytest.raises(ParameterError, match=message):
