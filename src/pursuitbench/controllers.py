@@ -73,10 +73,13 @@ class KinodynamicLimits:
         _require_finite(self)
         if self.v_max < 0.0:
             raise ParameterError("v_max must be non-negative")
-        if self.v_min > self.v_max:
-            raise ParameterError("v_min must not exceed v_max")
-        if self.omega_min > self.omega_max:
-            raise ParameterError("omega_min must not exceed omega_max")
+        # Every run starts at rest, so the static limits must contain v = omega = 0.
+        if self.v_min > 0.0:
+            raise ParameterError("v_min must not be positive (runs start at rest)")
+        if self.omega_min > 0.0:
+            raise ParameterError("omega_min must not be positive (runs start at rest)")
+        if self.omega_max < 0.0:
+            raise ParameterError("omega_max must not be negative (runs start at rest)")
         for name in ("accel_max", "decel_max", "ang_accel_max", "ang_decel_max"):
             if getattr(self, name) <= 0.0:
                 raise ParameterError(f"{name} must be positive")

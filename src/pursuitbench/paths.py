@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,6 +21,12 @@ import numpy as np
 from .errors import DegenerateGeometryError, ParameterError
 
 _TWO_PI = 2.0 * math.pi
+
+# A cell of the projection grid is this many mean segment lengths wide.
+_CELL_SEGMENTS = 4.0
+# The grid lists a segment in at most this many cells on average; a path whose
+# long segments would need more gets wider cells.
+_CELL_BUDGET = 32
 
 
 def wrap_angle(theta: float) -> float:
@@ -58,7 +67,8 @@ class RobotState:
 class ReferencePath:
     """Ordered planar waypoints with cumulative arc-length metadata.
 
-    Instances are immutable after construction; the exposed arrays are
+    Instances are immutable after construction (the projection's cell grid
+    is derived from the waypoints on first use); the exposed arrays are
     read-only views and safe to share between threads.
     """
 
@@ -77,18 +87,29 @@ class ReferencePath:
         self._seg_lengths = seg_lengths
         self._cumlen = np.concatenate(([0.0], np.cumsum(seg_lengths)))
         # Computed once for the per-step kernels: contiguous per-segment rows
-        # for the projection, plain floats for the lookahead scan.
+        # for the projection's scan, plain floats for the lookahead scan.
         starts, deltas, self._seg_len_sq = points[:-1].T.copy(), segments.T.copy(), seg_lengths**2
         for arr in (points, segments, seg_lengths, self._cumlen, starts, deltas, self._seg_len_sq):
             arr.setflags(write=False)
         (self._sx, self._sy), (self._dx, self._dy) = starts, deltas
         self._xs, self._ys = map(tuple, points.T.tolist())
+        self._cum = self._cumlen.tolist()
+        # Bounds the rounding of the cumulative sums (one per waypoint), the
+        # cell quotients and the distances, with a wide margin.
+        self._slack = (
+            16.0 * sys.float_info.epsilon * (len(points) + 16) * (float(np.abs(points).max()) + self.length)
+        )
 
     def __len__(self) -> int:
         return self._waypoints.shape[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReferencePath({len(self)} waypoints, {self.length:.3f} m)"
+
+    @cached_property
+    def _grid(self) -> "_CellGrid | None":
+        """The projection's cell grid, built on the first query; None if unusable."""
+        return _CellGrid.build(self)
 
     @property
     def waypoints(self) -> np.ndarray:
@@ -190,13 +211,114 @@ class PathProjection(NamedTuple):
     arc_length: float
 
 
+class _CellGrid(NamedTuple):
+    """Square cells over a path, each listing the segments near it.
+
+    A cell lists every segment whose bounding box touches the 3 x 3 block of
+    cells around it, as ascending index runs ``(first, stop)``. A segment
+    that a cell does not list lies outside that block, so it is at least one
+    cell width away from any point in the cell. A listed segment nearer than
+    ``limit`` (the cell width less the path's rounding slack) is therefore
+    nearer than every unlisted one.
+    """
+
+    x0: float
+    y0: float
+    scale: float  # cells per metre: 1 / cell width
+    columns: int
+    rows: int
+    cells: dict  # column * rows + row -> (first, stop, first, stop, ...)
+    limit: float
+    # Per segment, as floats: its direction, squared length and length.
+    dx: list
+    dy: list
+    len_sq: list
+    lengths: list
+
+    @staticmethod
+    def build(path: ReferencePath) -> "_CellGrid | None":
+        """The grid of ``path``; None if the float kernel cannot run on it or no answer could be certified."""
+        len_sq = path._seg_len_sq
+        if not np.all((len_sq > 0.0) & (len_sq < math.inf)):
+            return None  # a squared length under- or overflowed: the scan answers
+        points = path._waypoints
+        lo, hi = np.minimum(points[:-1], points[1:]), np.maximum(points[:-1], points[1:])
+        # The mean, not the median: np.median imports numpy.ma, which costs memory.
+        size = _CELL_SEGMENTS * float(path._seg_lengths.mean())
+        while math.isfinite(size):
+            # A margin of two cells keeps every listed index non-negative.
+            scale, origin = 1.0 / size, points.min(axis=0) - 2.0 * size
+            first = np.floor((lo - origin) * scale) - 1.0
+            last = np.floor((hi - origin) * scale) + 1.0
+            if np.prod(last - first + 1.0, axis=1).sum() <= _CELL_BUDGET * len(lo):
+                break
+            size *= 2.0
+        if not math.isfinite(size) or not size > path._slack:
+            return None
+        (c0s, r0s), (c1s, r1s) = first.T.astype(np.int64).tolist(), last.T.astype(np.int64).tolist()
+        rows = max(r1s) + 1
+        cells: dict[int, list] = {}  # key -> flat [first, stop, first, stop, ...]
+        for index, (c0, r0, c1, r1) in enumerate(zip(c0s, r0s, c1s, r1s)):
+            for column in range(c0, c1 + 1):
+                for key in range(column * rows + r0, column * rows + r1 + 1):
+                    runs = cells.setdefault(key, [])
+                    if runs and runs[-1] == index:
+                        runs[-1] = index + 1
+                    else:
+                        runs += (index, index + 1)
+        shared: dict[tuple, tuple] = {}  # neighbouring cells often list the same runs
+        for key, runs in cells.items():
+            runs = tuple(runs)
+            cells[key] = shared.setdefault(runs, runs)
+        return _CellGrid(
+            float(origin[0]),
+            float(origin[1]),
+            scale,
+            max(c1s) + 1,
+            rows,
+            cells,
+            size - path._slack,
+            *(column.tolist() for column in (path._dx, path._dy, len_sq, path._seg_lengths)),
+        )
+
+
 def nearest_point_on_path(path: ReferencePath, pose: Pose2D) -> PathProjection:
     """Closest point on the path polyline, segment interiors included.
 
     Ties between equidistant segments resolve to the lowest segment index so
-    repeated queries are reproducible.
+    repeated queries are reproducible. The path's cell grid answers when it
+    certifies its result (see ``_CellGrid``); otherwise every segment is
+    scanned. Both evaluate a segment with the same floating-point operations,
+    so the result does not depend on which one answered.
     """
     x, y = pose.x, pose.y
+    grid = path._grid
+    if grid is not None:
+        column, row = (x - grid.x0) * grid.scale, (y - grid.y0) * grid.scale
+        if 0.0 <= column < grid.columns and 0.0 <= row < grid.rows:
+            best, xs, ys, dxs, dys, len_sq = math.inf, path._xs, path._ys, grid.dx, grid.dy, grid.len_sq
+            runs = iter(grid.cells.get(int(column) * grid.rows + int(row), ()))
+            for first, stop in zip(runs, runs):
+                for index in range(first, stop):
+                    sx, sy, dx, dy = xs[index], ys[index], dxs[index], dys[index]
+                    t = ((x - sx) * dx + (y - sy) * dy) / len_sq[index]
+                    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # np.clip's rule: -0.0 stays
+                    px = sx + t * dx
+                    py = sy + t * dy
+                    ox = x - px
+                    oy = y - py
+                    dist_sq = ox * ox + oy * oy
+                    if dist_sq < best:
+                        best, nearest, fraction, point = dist_sq, index, t, (px, py)
+            distance = math.sqrt(best)
+            if distance < grid.limit:
+                arc = path._cum[nearest] + fraction * grid.lengths[nearest]
+                return PathProjection(np.array(point), nearest, distance, arc)
+    return _nearest_by_scan(path, x, y)
+
+
+def _nearest_by_scan(path: ReferencePath, x: float, y: float) -> PathProjection:
+    """The projection from every segment at once, in numpy."""
     sx, sy, dx, dy = path._sx, path._sy, path._dx, path._dy
     t = np.clip(((x - sx) * dx + (y - sy) * dy) / path._seg_len_sq, 0.0, 1.0)
     ox = x - (sx + t * dx)
@@ -212,12 +334,21 @@ def nearest_point_on_path(path: ReferencePath, pose: Pose2D) -> PathProjection:
 def lookahead_from_projection(
     path: ReferencePath, projection: PathProjection, lookahead: float
 ) -> np.ndarray:
-    """Lookahead search from a precomputed projection; ``lookahead`` must be positive."""
+    """Lookahead search from ``projection = nearest_point_on_path(path, pose)``.
+
+    Returns the first waypoint after the projection's segment whose distance
+    from the projected point reaches ``lookahead`` (which must be positive)
+    while the waypoint before it is nearer, or the goal if none does.
+    """
     if not lookahead > 0.0:
         raise ParameterError("lookahead must be positive")
     xs, ys = path._xs, path._ys
     rx, ry = float(projection.point[0]), float(projection.point[1])
-    start = projection.segment_index
+    # A waypoint less than ``lookahead`` further along the path is nearer than
+    # ``lookahead`` in a straight line too, since a chord is never longer than
+    # its arc; so the scan may start at the last of them.
+    target = projection.arc_length + lookahead - path._slack
+    start = bisect_left(path._cum, target, projection.segment_index + 1) - 1
     previous = math.hypot(xs[start] - rx, ys[start] - ry)
     for index in range(start + 1, len(xs)):
         distance = math.hypot(xs[index] - rx, ys[index] - ry)

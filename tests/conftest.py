@@ -30,6 +30,21 @@ def corner_path(angle_deg: float, segment_length: float = 3.0, spacing: float = 
     )
 
 
+def u_turn_path(gap: float = 0.3, leg: float = 2.0, spacing: float = 0.05) -> ReferencePath:
+    """Out along +x, across by ``gap`` and back along -x: two legs ``gap`` apart."""
+    out = np.linspace(0.0, leg, round(leg / spacing) + 1)
+    across = np.linspace(0.0, gap, round(gap / spacing) + 1)[1:]
+    return ReferencePath(
+        np.vstack(
+            (
+                np.column_stack((out, np.zeros_like(out))),
+                np.column_stack((np.full_like(across, leg), across)),
+                np.column_stack((out[::-1][1:], np.full(len(out) - 1, gap))),
+            )
+        )
+    )
+
+
 @pytest.fixture
 def bench_limits() -> KinodynamicLimits:
     return KinodynamicLimits()

@@ -69,13 +69,11 @@ positive = st.floats(0.0, 10.0, exclude_min=True)
 @st.composite
 def any_limits(draw):
     """Any valid envelope, a negative v_min (reversing) included."""
-    v_max = draw(st.floats(0.0, 2.0))
-    omega_min, omega_max = draw(bounds(-2.0, 2.0))
     return KinodynamicLimits(
-        v_max=v_max,
-        v_min=draw(st.floats(-2.0, v_max)),
-        omega_min=omega_min,
-        omega_max=omega_max,
+        v_max=draw(st.floats(0.0, 2.0)),
+        v_min=draw(st.floats(-2.0, 0.0)),
+        omega_min=draw(st.floats(-2.0, 0.0)),
+        omega_max=draw(st.floats(0.0, 2.0)),
         accel_max=draw(positive),
         decel_max=draw(positive),
         ang_accel_max=draw(positive),

@@ -201,6 +201,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{message} must be non-negative$"):
             load_config(file)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("limits: {v_min: 0.1}\n", "limits: v_min must not be positive"),
+            ("limits: {omega_min: 0.1}\n", "limits: omega_min must not be positive"),
+            ("limits: {omega_max: -0.1}\n", "limits: omega_max must not be negative"),
+        ],
+        ids=["v_min", "omega_min", "omega_max"],
+    )
+    def test_limits_excluding_rest_rejected(self, tmp_path, text, message):
+        # Every run starts at v = omega = 0; from outside its static limits
+        # dwpp's first command could not be reached in one step.
+        file = tmp_path / "bad.yaml"
+        file.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{message} \\(runs start at rest\\)$"):
+            load_config(file)
+
     def test_sweep_config_reads_its_file_once(self, monkeypatch):
         reads = []
         read = harness._read_config_text

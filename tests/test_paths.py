@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pursuitbench import (
     RobotState,
     generate_corner_path,
 )
+from pursuitbench import paths
 from pursuitbench.paths import (
     compute_curvature,
     lookahead_from_projection,
@@ -173,6 +175,75 @@ polylines = st.one_of(
 _U_TURN = [(0.0, 0.0), (2.0, 0.0), (2.0, 0.3), (0.0, 0.3)]
 
 
+def _walk(steps) -> list[tuple[float, float]]:
+    """Waypoints from the origin along (heading, length) steps."""
+    points = [(0.0, 0.0)]
+    for heading, length in steps:
+        x, y = points[-1]
+        points.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+    return points
+
+
+def _steps(lengths):
+    return st.lists(st.tuples(st.floats(-math.pi, math.pi), lengths), min_size=1, max_size=60)
+
+
+_fine = st.floats(1e-4, 0.01)
+_shift = st.one_of(st.just(0.0), st.sampled_from([-1e6, 1e6]), st.floats(-1e6, 1e6))
+# The polylines above, plus fine (at most 1 cm) and mixed segment lengths,
+# all shifted by up to 1e6 m.
+shifted_polylines = st.builds(
+    lambda points, dx, dy: [(x + dx, y + dy) for x, y in points],
+    st.one_of(
+        polylines,
+        _steps(_fine).map(_walk),
+        _steps(st.one_of(_fine, st.floats(0.01, 2.0))).map(_walk),
+    ),
+    _shift,
+    _shift,
+).filter(lambda points: all(math.dist(a, b) >= 1e-6 for a, b in zip(points, points[1:])))
+
+
+def cell_edge(origin: float, scale: float, k: int) -> float:
+    """The least float whose cell quotient ``(v - origin) * scale`` reaches ``k``."""
+    below, edge = origin + (k - 1) / scale, origin + (k + 1) / scale
+    while math.nextafter(below, math.inf) < edge:  # bisect down to adjacent floats
+        middle = (below + edge) / 2.0
+        if (middle - origin) * scale < k:
+            below = middle
+        else:
+            edge = middle
+    return edge
+
+
+def draw_query(data, path) -> tuple[float, float]:
+    """A point within one cell of the path, its coordinates possibly on cell edges."""
+    grid = path._grid
+    index = data.draw(st.integers(0, len(path) - 2), label="segment")
+    a, b = path.waypoints[index], path.waypoints[index + 1]
+    u = data.draw(st.floats(0.0, 1.0), label="fraction")
+    radius = data.draw(st.floats(0.0, 1.0), label="radius in cells") / grid.scale
+    angle = data.draw(st.floats(-math.pi, math.pi), label="angle")
+    query = [
+        float(a[0] + u * (b[0] - a[0]) + radius * math.cos(angle)),
+        float(a[1] + u * (b[1] - a[1]) + radius * math.sin(angle)),
+    ]
+    for axis, origin in enumerate((grid.x0, grid.y0)):
+        edge = data.draw(st.sampled_from(["inside", "on edge", "below edge"]), label=f"axis {axis}")
+        if edge != "inside":
+            query[axis] = cell_edge(origin, grid.scale, round((query[axis] - origin) * grid.scale))
+            if edge == "below edge":
+                query[axis] = math.nextafter(query[axis], -math.inf)
+    return query[0], query[1]
+
+
+def project_counting_scans(path, x, y):
+    """``nearest_point_on_path`` and whether it fell back to the full scan."""
+    with mock.patch.object(paths, "_nearest_by_scan", wraps=paths._nearest_by_scan) as scan:
+        projection = nearest_point_on_path(path, Pose2D(x, y, 0.0))
+    return projection, scan.called
+
+
 def assert_same_projection(actual, expected):
     assert actual.segment_index == expected.segment_index
     assert actual.distance == expected.distance
@@ -185,6 +256,7 @@ class TestKernelsMatchOracles:
     @given(points=polylines, x=_coordinate, y=_coordinate)
     @example(points=_U_TURN, x=1.0, y=0.15)  # equidistant from both legs of a U-turn
     @example(points=[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], x=1.5, y=-0.5)  # at a shared vertex
+    @example(points=[(-0.0, 0.0), (-1.0, -1.0)], x=-0.0, y=0.0)  # a fraction of -0.0
     def test_nearest_point_is_the_batch_oracle(self, points, x, y):
         path = ReferencePath(points)
         projection = nearest_point_on_path(path, Pose2D(x, y, 0.0))
@@ -206,6 +278,52 @@ class TestKernelsMatchOracles:
         projection = nearest_point_on_path(path, Pose2D(x, y, 0.0))
         target = lookahead_from_projection(path, projection, lookahead)
         assert target.tobytes() == lookahead_oracle(path, projection, lookahead).tobytes()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(points=shifted_polylines, data=st.data())
+    def test_shifted_fine_and_mixed_paths_project_exactly(self, points, data):
+        path = ReferencePath(points)
+        x, y = draw_query(data, path)
+        projection, scanned = project_counting_scans(path, x, y)
+        assert_same_projection(projection, nearest_point_oracle(path, x, y))
+        # The grid certifies exactly the projections nearer than its limit.
+        assert scanned == (projection.distance >= path._grid.limit)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(points=shifted_polylines, data=st.data())
+    def test_shifted_fine_and_mixed_paths_find_the_lookahead_exactly(self, points, data):
+        path = ReferencePath(points)
+        projection = nearest_point_on_path(path, Pose2D(*draw_query(data, path), 0.0))
+        # Also lookaheads beyond the path's end and ones that end exactly at a
+        # waypoint's arc length, where the skip stops.
+        remaining = path.length - projection.arc_length
+        ahead = path.cumulative_arclength[projection.segment_index + 1 :] - projection.arc_length
+        at_waypoint = st.sampled_from(ahead.tolist()).filter(lambda value: value > 0.0)
+        lookahead = data.draw(
+            st.one_of(
+                st.floats(1e-3, 10.0),
+                st.floats(0.0, 5.0).map(lambda extra: remaining + extra).filter(lambda value: value > 0.0),
+                at_waypoint,
+                at_waypoint.map(lambda value: math.nextafter(value, 0.0)),
+            ),
+            label="lookahead",
+        )
+        target = lookahead_from_projection(path, projection, lookahead)
+        assert target.tobytes() == lookahead_oracle(path, projection, lookahead).tobytes()
+
+    def test_long_diagonal_segment_widens_the_cells(self):
+        # 2,000 one-centimetre segments, then one 1.4 km diagonal: at four
+        # mean segment lengths per cell the diagonal alone would be listed in
+        # about 120,000 cells.
+        fine = np.column_stack((np.linspace(0.0, 20.0, 2001), np.zeros(2001)))
+        path = ReferencePath(np.vstack((fine, [[1020.0, 1000.0]])))
+        grid = path._grid
+        listed = sum(sum(runs[1::2]) - sum(runs[::2]) for runs in grid.cells.values())
+        assert listed <= 32 * (len(path) - 1)
+        for x, y in [(3.004, 0.01), (19.999, -0.02), (520.0, 500.3), (1020.0, 1000.0)]:
+            projection, scanned = project_counting_scans(path, x, y)
+            assert_same_projection(projection, nearest_point_oracle(path, x, y))
+            assert not scanned
 
 
 def find_lookahead_point(path, pose, lookahead):

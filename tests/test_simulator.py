@@ -1,18 +1,21 @@
 import csv
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pursuitbench.paths as paths
 import pursuitbench.simulator as simulator
 from conftest import (
     corner_path,
     nearest_point_oracle,
     polyline_distances,
     straight_path,
+    u_turn_path,
     write_log_rowwise,
 )
 from pursuitbench import (
@@ -267,6 +270,22 @@ class TestRunScenario:
         log = run(corner_path(90.0), ControllerKind.REGULATED).log
         assert len(calls) == len(log)
         assert [(pose.x, pose.y) for pose in calls] == list(zip(log.x, log.y))
+
+    def test_cell_grid_answers_most_projections(self):
+        # Every projection is exact either way; this shows the grid is used.
+        with mock.patch.object(paths, "_nearest_by_scan", wraps=paths._nearest_by_scan) as scan:
+            log = run(corner_path(90.0), ControllerKind.REGULATED).log
+        assert scan.call_count < 0.1 * len(log)
+
+    @pytest.mark.parametrize("kind", list(ControllerKind), ids=lambda kind: kind.value)
+    def test_u_turn_logs_the_global_projection(self, kind):
+        # Legs 0.3 m apart: the projection may jump between them, and the
+        # log must still hold the global nearest point at every step.
+        path = u_turn_path()
+        log = run(path, kind).log
+        oracle = [nearest_point_oracle(path, x, y) for x, y in zip(log.x, log.y)]
+        assert log.cte.tolist() == [projection.distance for projection in oracle]
+        assert log.arc_length.tolist() == [projection.arc_length for projection in oracle]
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
