@@ -15,13 +15,11 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
-from .paths import (
-    PathProjection,
-    ReferencePath,
-    RobotState,
-    compute_curvature,
-    lookahead_from_projection,
-)
+from .paths import PathProjection, ReferencePath, RobotState, arc_curvature, lookahead_point
+
+# Not called here (the law runs on their float kernels); bench/tracer.py times
+# them at these names.
+from .paths import compute_curvature, lookahead_from_projection  # noqa: F401
 
 FIXED_LOOKAHEAD = "fixed"
 VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
@@ -109,8 +107,13 @@ class VelocityCommand:
     omega: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.v) and math.isfinite(self.omega)):
-            raise ParameterError("command velocities must be finite")
+        require_finite_command(self.v, self.omega)
+
+
+def require_finite_command(v: float, omega: float) -> None:
+    """Raise :class:`ParameterError` unless both command velocities are finite."""
+    if not (math.isfinite(v) and math.isfinite(omega)):
+        raise ParameterError("command velocities must be finite")
 
 
 @dataclass(frozen=True)
@@ -295,17 +298,33 @@ def compute_dynamic_window(state: RobotState, limits: KinodynamicLimits) -> Dyna
     A state outside the static limits cannot re-enter them in one step; its
     window collapses to the nearest static bound.
     """
+    return DynamicWindow(*window_bounds(reachable_velocities(state.v, state.omega, limits), limits))
+
+
+def reachable_velocities(
+    v: float, omega: float, limits: KinodynamicLimits
+) -> tuple[float, float, float, float]:
+    """``(v_lo, v_hi, omega_lo, omega_hi)`` that one control period of acceleration reaches.
+
+    The ranges start from (v, omega) and ignore the static limits; see
+    :func:`window_bounds`.
+    """
     dt = limits.dt
-    v_lo, v_hi = _clamp_range(
-        state.v - limits.decel_max * dt, state.v + limits.accel_max * dt, limits.v_min, limits.v_max
+    return (
+        v - limits.decel_max * dt,
+        v + limits.accel_max * dt,
+        omega - limits.ang_decel_max * dt,
+        omega + limits.ang_accel_max * dt,
     )
-    omega_lo, omega_hi = _clamp_range(
-        state.omega - limits.ang_decel_max * dt,
-        state.omega + limits.ang_accel_max * dt,
-        limits.omega_min,
-        limits.omega_max,
+
+
+def window_bounds(reachable: tuple, limits: KinodynamicLimits) -> tuple[float, float, float, float]:
+    """The bounds of :func:`compute_dynamic_window` from ``reachable_velocities(...)``."""
+    v_lo, v_hi, omega_lo, omega_hi = reachable
+    return (
+        *_clamp_range(v_lo, v_hi, limits.v_min, limits.v_max),
+        *_clamp_range(omega_lo, omega_hi, limits.omega_min, limits.omega_max),
     )
-    return DynamicWindow(v_lo, v_hi, omega_lo, omega_hi)
 
 
 def apply_regulation_to_window(window: DynamicWindow, v_reg: float) -> DynamicWindow:
@@ -316,10 +335,15 @@ def apply_regulation_to_window(window: DynamicWindow, v_reg: float) -> DynamicWi
     faster than it can stop), the linear range collapses to the window bound
     nearest to them: the robot brakes as hard as the window allows.
     """
+    v_lo, v_hi = regulated_range(window.v_lo, window.v_hi, v_reg)
+    return DynamicWindow(v_lo, v_hi, window.omega_lo, window.omega_hi)
+
+
+def regulated_range(v_lo: float, v_hi: float, v_reg: float) -> tuple[float, float]:
+    """The linear range of :func:`apply_regulation_to_window` for the window's [v_lo, v_hi]."""
     if v_reg < 0.0:
         raise ParameterError("regulated velocity must be non-negative")
-    v_lo, v_hi = _clamp_range(0.0, v_reg, window.v_lo, window.v_hi)
-    return DynamicWindow(v_lo, v_hi, window.omega_lo, window.omega_hi)
+    return _clamp_range(0.0, v_reg, v_lo, v_hi)
 
 
 def optimal_velocity_in_window(window: DynamicWindow, curvature: float) -> VelocityCommand:
@@ -331,14 +355,23 @@ def optimal_velocity_in_window(window: DynamicWindow, curvature: float) -> Veloc
     and omega is the line at that v, clamped into [omega_lo, omega_hi]. Zero
     curvature takes v_hi and the feasible omega nearest zero.
     """
+    return VelocityCommand(
+        *select_velocity(window.v_lo, window.v_hi, window.omega_lo, window.omega_hi, curvature)
+    )
+
+
+def select_velocity(
+    v_lo: float, v_hi: float, omega_lo: float, omega_hi: float, curvature: float
+) -> tuple[float, float]:
+    """:func:`optimal_velocity_in_window` for the window's bounds, as ``(v, omega)``."""
     if curvature == 0.0:
-        return VelocityCommand(window.v_hi, min(max(0.0, window.omega_lo), window.omega_hi))
-    bound = window.omega_hi if curvature > 0.0 else window.omega_lo
+        return v_hi, min(max(0.0, omega_lo), omega_hi)
+    bound = omega_hi if curvature > 0.0 else omega_lo
     v = bound / curvature  # where the line leaves through the omega bound
-    if window.v_lo <= v < window.v_hi:
-        return VelocityCommand(v, bound)  # on the line; curvature * v could round past bound
-    v = min(max(v, window.v_lo), window.v_hi)
-    return VelocityCommand(v, min(max(curvature * v, window.omega_lo), window.omega_hi))
+    if v_lo <= v < v_hi:
+        return v, bound  # on the line; curvature * v could round past bound
+    v = min(max(v, v_lo), v_hi)
+    return v, min(max(curvature * v, omega_lo), omega_hi)
 
 
 def min_stable_lookahead(v: float, cfg: StabilityConfig) -> float:
@@ -364,17 +397,52 @@ def compute_command(
     variant guarantees its output is reachable within one control period; the
     other laws may command velocities the execution layer has to clip.
     """
-    lookahead = operative_lookahead(kind, lookahead_cfg, state.v)
-    target = lookahead_from_projection(path, projection, lookahead)
-    curvature = compute_curvature(state.pose, target)
-    v_des = limits.v_max
-    if kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE):
-        return VelocityCommand(v_des, curvature * v_des)
+    pose = state.pose
+    px, py = float(projection.point[0]), float(projection.point[1])
+    return VelocityCommand(
+        *command_velocities(
+            kind, pose.x, pose.y, pose.theta, state.v,
+            path, (px, py, projection.segment_index, projection.distance, projection.arc_length),
+            window_bounds(reachable_velocities(state.v, state.omega, limits), limits),
+            limits, lookahead_cfg, regulation_cfg, obstacle_distance,
+        )
+    )
 
-    goal_distance = max(0.0, path.length - projection.arc_length)
+
+def command_velocities(
+    kind: ControllerKind,
+    x: float,
+    y: float,
+    theta: float,
+    v: float,
+    path: ReferencePath,
+    projection: tuple,
+    window: tuple,
+    limits: KinodynamicLimits,
+    lookahead_cfg: LookaheadConfig,
+    regulation_cfg: RegulationConfig,
+    obstacle_distance: float,
+) -> tuple[float, float]:
+    """:func:`compute_command` on plain values, as ``(v, omega)``.
+
+    The robot is at (x, y) with heading ``theta`` and speed ``v``;
+    ``projection`` is ``project_onto_path(path, x, y)`` and ``window`` the
+    robot's ``window_bounds``, which only the dynamic-window law reads. The
+    result is not checked for finiteness.
+    """
+    px, py, segment_index, _, arc_length = projection
+    lookahead = operative_lookahead(kind, lookahead_cfg, v)
+    curvature = arc_curvature(
+        x, y, theta, *lookahead_point(path, px, py, segment_index, arc_length, lookahead)
+    )
+    v_des = limits.v_max
+    if kind is ControllerKind.PURE_PURSUIT or kind is ControllerKind.ADAPTIVE:
+        return v_des, curvature * v_des
+
+    goal_distance = max(0.0, path.length - arc_length)
     v_reg = regulate_linear_velocity(v_des, curvature, obstacle_distance, goal_distance, regulation_cfg)
     if kind is ControllerKind.REGULATED:
-        return VelocityCommand(v_reg, curvature * v_reg)
+        return v_reg, curvature * v_reg
 
-    window = apply_regulation_to_window(compute_dynamic_window(state, limits), v_reg)
-    return optimal_velocity_in_window(window, curvature)
+    v_lo, v_hi, omega_lo, omega_hi = window
+    return select_velocity(*regulated_range(v_lo, v_hi, v_reg), omega_lo, omega_hi, curvature)

@@ -46,9 +46,14 @@ class Pose2D:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
-            raise ParameterError("pose components must be finite")
+        require_finite_pose(self.x, self.y, self.theta)
         object.__setattr__(self, "theta", wrap_angle(self.theta))
+
+
+def require_finite_pose(x: float, y: float, theta: float) -> None:
+    """Raise :class:`ParameterError` unless every pose component is finite."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+        raise ParameterError("pose components must be finite")
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ class ReferencePath:
     @property
     def length(self) -> float:
         """Total arc length of the polyline."""
-        return float(self._cumlen[-1])
+        return self._cum[-1]
 
     @property
     def goal(self) -> np.ndarray:
@@ -131,11 +136,7 @@ class ReferencePath:
 
     def to_csv(self, file: str | Path) -> None:
         """Write the waypoints as a two-column CSV with header ``x,y``."""
-        with open(file, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x", "y"])
-            for x, y in self._waypoints:
-                writer.writerow([repr(float(x)), repr(float(y))])
+        write_csv_columns(file, ("x", "y"), self._waypoints.T)
 
     @classmethod
     def from_csv(cls, file: str | Path) -> "ReferencePath":
@@ -286,12 +287,21 @@ def nearest_point_on_path(path: ReferencePath, pose: Pose2D) -> PathProjection:
     """Closest point on the path polyline, segment interiors included.
 
     Ties between equidistant segments resolve to the lowest segment index so
-    repeated queries are reproducible. The path's cell grid answers when it
-    certifies its result (see ``_CellGrid``); otherwise every segment is
-    scanned. Both evaluate a segment with the same floating-point operations,
-    so the result does not depend on which one answered.
+    repeated queries are reproducible. See :func:`project_onto_path`.
     """
-    x, y = pose.x, pose.y
+    px, py, index, distance, arc = project_onto_path(path, pose.x, pose.y)
+    return PathProjection(np.array((px, py)), index, distance, arc)
+
+
+def project_onto_path(path: ReferencePath, x: float, y: float) -> tuple[float, float, int, float, float]:
+    """:func:`nearest_point_on_path` of the point (x, y), as plain values.
+
+    Returns ``(px, py, segment_index, distance, arc_length)``. The path's cell
+    grid answers when it certifies its result (see ``_CellGrid``); otherwise
+    every segment is scanned. Both evaluate a segment with the same
+    floating-point operations, so the result does not depend on which one
+    answered.
+    """
     grid = path._grid
     if grid is not None:
         column, row = (x - grid.x0) * grid.scale, (y - grid.y0) * grid.scale
@@ -312,12 +322,11 @@ def nearest_point_on_path(path: ReferencePath, pose: Pose2D) -> PathProjection:
                         best, nearest, fraction, point = dist_sq, index, t, (px, py)
             distance = math.sqrt(best)
             if distance < grid.limit:
-                arc = path._cum[nearest] + fraction * grid.lengths[nearest]
-                return PathProjection(np.array(point), nearest, distance, arc)
+                return (*point, nearest, distance, path._cum[nearest] + fraction * grid.lengths[nearest])
     return _nearest_by_scan(path, x, y)
 
 
-def _nearest_by_scan(path: ReferencePath, x: float, y: float) -> PathProjection:
+def _nearest_by_scan(path: ReferencePath, x: float, y: float) -> tuple[float, float, int, float, float]:
     """The projection from every segment at once, in numpy."""
     sx, sy, dx, dy = path._sx, path._sy, path._dx, path._dy
     t = np.clip(((x - sx) * dx + (y - sy) * dy) / path._seg_len_sq, 0.0, 1.0)
@@ -326,9 +335,9 @@ def _nearest_by_scan(path: ReferencePath, x: float, y: float) -> PathProjection:
     dist_sq = ox * ox + oy * oy
     index = int(dist_sq.argmin())
     fraction = t[index]
-    point = path._waypoints[index] + fraction * path._segments[index]
+    px, py = (path._waypoints[index] + fraction * path._segments[index]).tolist()
     arc = float(path._cumlen[index] + fraction * path._seg_lengths[index])
-    return PathProjection(point, index, math.sqrt(float(dist_sq[index])), arc)
+    return px, py, index, math.sqrt(float(dist_sq[index])), arc
 
 
 def lookahead_from_projection(
@@ -340,22 +349,31 @@ def lookahead_from_projection(
     from the projected point reaches ``lookahead`` (which must be positive)
     while the waypoint before it is nearer, or the goal if none does.
     """
+    px, py = float(projection.point[0]), float(projection.point[1])
+    return np.array(
+        lookahead_point(path, px, py, projection.segment_index, projection.arc_length, lookahead)
+    )
+
+
+def lookahead_point(
+    path: ReferencePath, px: float, py: float, segment_index: int, arc_length: float, lookahead: float
+) -> tuple[float, float]:
+    """:func:`lookahead_from_projection` from the projection's plain values, as ``(x, y)``."""
     if not lookahead > 0.0:
         raise ParameterError("lookahead must be positive")
     xs, ys = path._xs, path._ys
-    rx, ry = float(projection.point[0]), float(projection.point[1])
     # A waypoint less than ``lookahead`` further along the path is nearer than
     # ``lookahead`` in a straight line too, since a chord is never longer than
     # its arc; so the scan may start at the last of them.
-    target = projection.arc_length + lookahead - path._slack
-    start = bisect_left(path._cum, target, projection.segment_index + 1) - 1
-    previous = math.hypot(xs[start] - rx, ys[start] - ry)
+    target = arc_length + lookahead - path._slack
+    start = bisect_left(path._cum, target, segment_index + 1) - 1
+    previous = math.hypot(xs[start] - px, ys[start] - py)
     for index in range(start + 1, len(xs)):
-        distance = math.hypot(xs[index] - rx, ys[index] - ry)
+        distance = math.hypot(xs[index] - px, ys[index] - py)
         if previous < lookahead <= distance:
-            return path._waypoints[index].copy()
+            return xs[index], ys[index]
         previous = distance
-    return path._waypoints[-1].copy()
+    return xs[-1], ys[-1]
 
 
 def compute_curvature(pose: Pose2D, target) -> float:
@@ -365,10 +383,32 @@ def compute_curvature(pose: Pose2D, target) -> float:
     Raises :class:`DegenerateGeometryError` when the target coincides with
     the robot position.
     """
-    dx = float(target[0]) - pose.x
-    dy = float(target[1]) - pose.y
+    return arc_curvature(pose.x, pose.y, pose.theta, float(target[0]), float(target[1]))
+
+
+def arc_curvature(x: float, y: float, theta: float, tx: float, ty: float) -> float:
+    """:func:`compute_curvature` from the pose (x, y, theta) to the target (tx, ty)."""
+    dx = tx - x
+    dy = ty - y
     distance = math.hypot(dx, dy)
     if distance == 0.0:
         raise DegenerateGeometryError("lookahead target coincides with the robot position")
-    heading_to_target = math.atan2(dy, dx) - pose.theta
+    heading_to_target = math.atan2(dy, dx) - theta
     return 2.0 * math.sin(heading_to_target) / distance
+
+
+def write_csv_columns(file: str | Path, header, columns) -> None:
+    """Write equal-length numeric columns under ``header`` as CSV.
+
+    Floats are written as ``repr`` and bool columns as 0/1, with ``\\r\\n``
+    line ends: the bytes ``csv.writer`` writes for the same cells, which
+    never need quoting. Rows stream through the file's buffer, so no
+    whole-file string is built.
+    """
+    cells = [
+        map(repr, column.view(np.uint8).tolist() if column.dtype == bool else column.tolist())
+        for column in columns
+    ]
+    with open(file, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(",".join(row) + "\r\n" for row in zip(*cells))

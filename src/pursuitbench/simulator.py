@@ -8,7 +8,6 @@ unchanged.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -21,11 +20,24 @@ from .controllers import (
     LookaheadConfig,
     RegulationConfig,
     VelocityCommand,
-    compute_command,
+    command_velocities,
     compute_dynamic_window,
+    reachable_velocities,
+    require_finite_command,
+    window_bounds,
 )
+# Not called here (the loop runs on its float kernel); bench/tracer.py times the law at this name.
+from .controllers import compute_command  # noqa: F401
 from .errors import ParameterError, SimulationDivergedError
-from .paths import Pose2D, ReferencePath, RobotState, nearest_point_on_path
+from .paths import (
+    Pose2D,
+    ReferencePath,
+    RobotState,
+    project_onto_path,
+    require_finite_pose,
+    wrap_angle,
+    write_csv_columns,
+)
 
 # Commands are flagged as violations only beyond this absolute slack.
 _VIOLATION_TOL = 1e-9
@@ -103,13 +115,7 @@ class TrajectoryLog:
         return self.viol_v | self.viol_w | self.viol_a | self.viol_alpha
 
     def to_csv(self, file: str | Path) -> None:
-        with open(file, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self._COLUMNS)
-            columns = [getattr(self, name) for name in self._COLUMNS]
-            writer.writerows(
-                zip(*(map(int if c.dtype == bool else repr, c.tolist()) for c in columns))
-            )
+        write_csv_columns(file, self._COLUMNS, [getattr(self, name) for name in self._COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -129,26 +135,36 @@ def clip_to_feasible(
     A command already inside the window comes back bit for bit.
     """
     window = compute_dynamic_window(state, limits)
-    return VelocityCommand(
-        min(max(command.v, window.v_lo), window.v_hi),
-        min(max(command.omega, window.omega_lo), window.omega_hi),
-    )
+    bounds = (window.v_lo, window.v_hi, window.omega_lo, window.omega_hi)
+    return VelocityCommand(*clip_to_window(command.v, command.omega, bounds))
+
+
+def clip_to_window(v: float, omega: float, window: tuple) -> tuple[float, float]:
+    """:func:`clip_to_feasible` of (v, omega) for the window's ``window_bounds``."""
+    v_lo, v_hi, omega_lo, omega_hi = window
+    return min(max(v, v_lo), v_hi), min(max(omega, omega_lo), omega_hi)
 
 
 def step_unicycle(state: RobotState, executed: VelocityCommand, dt: float) -> RobotState:
     """Advance the pose along the exact constant-velocity arc for ``dt`` seconds."""
     if dt <= 0.0:
         raise ParameterError("dt must be positive")
-    v, omega = executed.v, executed.omega
-    theta = state.pose.theta
+    pose, v, omega = state.pose, executed.v, executed.omega
+    return RobotState(Pose2D(*arc_step(pose.x, pose.y, pose.theta, v, omega, dt)), v, omega)
+
+
+def arc_step(
+    x: float, y: float, theta: float, v: float, omega: float, dt: float
+) -> tuple[float, float, float]:
+    """:func:`step_unicycle` of the pose (x, y, theta); the heading comes back unwrapped."""
     if abs(omega) > 1e-9:
         radius = v / omega
-        x = state.pose.x + radius * (math.sin(theta + omega * dt) - math.sin(theta))
-        y = state.pose.y - radius * (math.cos(theta + omega * dt) - math.cos(theta))
-    else:
-        x = state.pose.x + v * math.cos(theta) * dt
-        y = state.pose.y + v * math.sin(theta) * dt
-    return RobotState(Pose2D(x, y, theta + omega * dt), v, omega)
+        return (
+            x + radius * (math.sin(theta + omega * dt) - math.sin(theta)),
+            y - radius * (math.cos(theta + omega * dt) - math.cos(theta)),
+            theta + omega * dt,
+        )
+    return x + v * math.cos(theta) * dt, y + v * math.sin(theta) * dt, theta + omega * dt
 
 
 def _outside(value: float, lo: float, hi: float) -> bool:
@@ -156,18 +172,15 @@ def _outside(value: float, lo: float, hi: float) -> bool:
 
 
 def _violation_flags(
-    command: VelocityCommand, state: RobotState, limits: KinodynamicLimits
+    v_cmd: float, omega_cmd: float, reachable: tuple, limits: KinodynamicLimits
 ) -> tuple[bool, bool, bool, bool]:
-    dt = limits.dt
+    """The raw command against the static limits and the ``reachable_velocities`` ranges."""
+    v_lo, v_hi, omega_lo, omega_hi = reachable
     return (
-        _outside(command.v, limits.v_min, limits.v_max),
-        _outside(command.omega, limits.omega_min, limits.omega_max),
-        _outside(command.v, state.v - limits.decel_max * dt, state.v + limits.accel_max * dt),
-        _outside(
-            command.omega,
-            state.omega - limits.ang_decel_max * dt,
-            state.omega + limits.ang_accel_max * dt,
-        ),
+        _outside(v_cmd, limits.v_min, limits.v_max),
+        _outside(omega_cmd, limits.omega_min, limits.omega_max),
+        _outside(v_cmd, v_lo, v_hi),
+        _outside(omega_cmd, omega_lo, omega_hi),
     )
 
 
@@ -216,42 +229,49 @@ def run_scenario(
     if noise is None:
         noise = NoiseModel()
     rng = np.random.default_rng(noise.seed)
-    state = _initial_state(path, noise, rng)
-    velocity_noise = noise.sigma_v > 0.0 or noise.sigma_omega > 0.0
-
+    initial = _initial_state(path, noise, rng)
+    x, y, theta = initial.pose.x, initial.pose.y, initial.pose.theta
+    v = omega = 0.0
+    sigma_v, sigma_omega = noise.sigma_v, noise.sigma_omega
+    velocity_noise = sigma_v > 0.0 or sigma_omega > 0.0
     goal_x, goal_y = float(path.goal[0]), float(path.goal[1])
 
-    def at_goal(pose: Pose2D) -> bool:
-        return math.hypot(pose.x - goal_x, pose.y - goal_y) <= goal_tolerance
+    def at_goal(x: float, y: float) -> bool:
+        return math.hypot(x - goal_x, y - goal_y) <= goal_tolerance
 
+    # The state is plain floats: each step makes inline the VelocityCommand
+    # and Pose2D checks a run can fail. RobotState's check cannot fail: the
+    # state velocities are a clip of a finite command into a finite window.
     dt = limits.dt
     rows: list[tuple] = []
     for step in range(int(round(max_time / dt))):
-        if at_goal(state.pose):
+        if at_goal(x, y):
             break
         try:
-            projection = nearest_point_on_path(path, state.pose)
-            command = compute_command(
-                kind, state, path, projection, limits, lookahead, regulation, obstacle_distance
+            projection = project_onto_path(path, x, y)
+            reachable = reachable_velocities(v, omega, limits)
+            window = window_bounds(reachable, limits)
+            v_cmd, omega_cmd = command_velocities(
+                kind, x, y, theta, v, path, projection, window,
+                limits, lookahead, regulation, obstacle_distance,
             )
-            flags = _violation_flags(command, state, limits)
-            executed = clip_to_feasible(command, state, limits)
+            require_finite_command(v_cmd, omega_cmd)
+            flags = _violation_flags(v_cmd, omega_cmd, reachable, limits)
+            v_exec, omega_exec = clip_to_window(v_cmd, omega_cmd, window)
             if velocity_noise:
-                executed = VelocityCommand(
-                    executed.v + (rng.normal(0.0, noise.sigma_v) if noise.sigma_v > 0.0 else 0.0),
-                    executed.omega
-                    + (rng.normal(0.0, noise.sigma_omega) if noise.sigma_omega > 0.0 else 0.0),
-                )
-                executed = clip_to_feasible(executed, state, limits)
+                v_exec += rng.normal(0.0, sigma_v) if sigma_v > 0.0 else 0.0
+                omega_exec += rng.normal(0.0, sigma_omega) if sigma_omega > 0.0 else 0.0
+                require_finite_command(v_exec, omega_exec)
+                v_exec, omega_exec = clip_to_window(v_exec, omega_exec, window)
             rows.append(
                 (
-                    step * dt,
-                    state.pose.x, state.pose.y, state.pose.theta, state.v, state.omega,
-                    command.v, command.omega, executed.v, executed.omega, *flags,
-                    projection.distance, projection.arc_length,
+                    step * dt, x, y, theta, v, omega, v_cmd, omega_cmd, v_exec, omega_exec, *flags,
+                    projection[3], projection[4],  # the projection's distance and arc length
                 )
             )
-            state = step_unicycle(state, executed, dt)
+            x, y, theta = arc_step(x, y, theta, v_exec, omega_exec, dt)
+            require_finite_pose(x, y, theta)
+            theta, v, omega = wrap_angle(theta), v_exec, omega_exec
         except ParameterError as exc:
             raise SimulationDivergedError(f"step {step}: {exc}") from exc
 
@@ -263,4 +283,4 @@ def run_scenario(
             for name, column in zip(names, columns)
         }
     )
-    return ScenarioResult(log, at_goal(state.pose), len(log) * dt)
+    return ScenarioResult(log, at_goal(x, y), len(log) * dt)

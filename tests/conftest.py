@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,13 +10,21 @@ from pursuitbench import (
     DynamicWindow,
     KinodynamicLimits,
     LookaheadConfig,
+    NoiseModel,
     ParameterError,
+    Pose2D,
     ReferencePath,
     RegulationConfig,
     RobotState,
+    ScenarioResult,
+    SimulationDivergedError,
+    TrajectoryLog,
+    VelocityCommand,
+    compute_command,
     generate_corner_path,
 )
-from pursuitbench.paths import PathProjection
+from pursuitbench.paths import PathProjection, nearest_point_on_path
+from pursuitbench.simulator import clip_to_feasible, step_unicycle
 
 
 def straight_path(length: float = 6.0, spacing: float = 0.05) -> ReferencePath:
@@ -154,3 +163,90 @@ def regulated_window_oracle(window: DynamicWindow, v_reg: float) -> DynamicWindo
 def window_bits(window: DynamicWindow) -> tuple[str, ...]:
     """The window's four bounds as exact hex strings, so -0.0 differs from 0.0."""
     return tuple(map(float.hex, (window.v_lo, window.v_hi, window.omega_lo, window.omega_hi)))
+
+
+# Simulation oracle: the step loop as the package ran it on the object-level
+# per-step functions (PathProjection, RobotState, VelocityCommand and
+# DynamicWindow per step), before the loop moved to plain floats. The package's
+# run_scenario must reproduce its logs and outcomes bit for bit.
+
+
+def _violation_flags_oracle(command, state, limits) -> tuple[bool, bool, bool, bool]:
+    def outside(value, lo, hi):
+        return value > hi + 1e-9 or value < lo - 1e-9
+
+    dt = limits.dt
+    return (
+        outside(command.v, limits.v_min, limits.v_max),
+        outside(command.omega, limits.omega_min, limits.omega_max),
+        outside(command.v, state.v - limits.decel_max * dt, state.v + limits.accel_max * dt),
+        outside(
+            command.omega,
+            state.omega - limits.ang_decel_max * dt,
+            state.omega + limits.ang_accel_max * dt,
+        ),
+    )
+
+
+def run_scenario_oracle(
+    path, kind, limits, lookahead, regulation, noise=None, *,
+    obstacle_distance=math.inf, max_time, goal_tolerance,
+) -> ScenarioResult:
+    if noise is None:
+        noise = NoiseModel()
+    rng = np.random.default_rng(noise.seed)
+    first, second = path.waypoints[0], path.waypoints[1]
+    x, y = float(first[0]), float(first[1])
+    theta = math.atan2(float(second[1] - first[1]), float(second[0] - first[0]))
+    if noise.sigma_pose_init > 0.0:
+        sigma = noise.sigma_pose_init
+        x += rng.normal(0.0, sigma)
+        y += rng.normal(0.0, sigma)
+        theta += rng.normal(0.0, sigma)
+    state = RobotState(Pose2D(x, y, theta), 0.0, 0.0)
+    velocity_noise = noise.sigma_v > 0.0 or noise.sigma_omega > 0.0
+    goal_x, goal_y = float(path.goal[0]), float(path.goal[1])
+
+    def at_goal(pose):
+        return math.hypot(pose.x - goal_x, pose.y - goal_y) <= goal_tolerance
+
+    dt = limits.dt
+    rows = []
+    for step in range(int(round(max_time / dt))):
+        if at_goal(state.pose):
+            break
+        try:
+            projection = nearest_point_on_path(path, state.pose)
+            command = compute_command(
+                kind, state, path, projection, limits, lookahead, regulation, obstacle_distance
+            )
+            flags = _violation_flags_oracle(command, state, limits)
+            executed = clip_to_feasible(command, state, limits)
+            if velocity_noise:
+                executed = VelocityCommand(
+                    executed.v + (rng.normal(0.0, noise.sigma_v) if noise.sigma_v > 0.0 else 0.0),
+                    executed.omega
+                    + (rng.normal(0.0, noise.sigma_omega) if noise.sigma_omega > 0.0 else 0.0),
+                )
+                executed = clip_to_feasible(executed, state, limits)
+            rows.append(
+                (
+                    step * dt,
+                    state.pose.x, state.pose.y, state.pose.theta, state.v, state.omega,
+                    command.v, command.omega, executed.v, executed.omega, *flags,
+                    projection.distance, projection.arc_length,
+                )
+            )
+            state = step_unicycle(state, executed, dt)
+        except ParameterError as exc:
+            raise SimulationDivergedError(f"step {step}: {exc}") from exc
+
+    names = [field.name for field in fields(TrajectoryLog)]
+    columns = list(zip(*rows)) if rows else [[] for _ in names]
+    log = TrajectoryLog(
+        **{
+            name: np.array(column, dtype=bool if name.startswith("viol_") else float)
+            for name, column in zip(names, columns)
+        }
+    )
+    return ScenarioResult(log, at_goal(state.pose), len(log) * dt)

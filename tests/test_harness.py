@@ -23,6 +23,7 @@ from pursuitbench import harness
 from pursuitbench.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+GOLDEN_TRAJECTORIES = Path(__file__).resolve().parent / "golden_trajectories.json"
 
 SMALL_CONFIG = """
 paths:
@@ -390,8 +391,24 @@ class TestCli:
         assert "trials" in capsys.readouterr().err
 
 
+def trajectory_digest(out: Path) -> tuple[int, str]:
+    """The count of trajectory and path CSVs in ``out`` and one SHA-256 over their names and bytes.
+
+    Files are taken in sorted name order; each contributes its name, its size
+    and its bytes.
+    """
+    files = sorted(file for file in out.iterdir() if file.name.startswith(("traj_", "path_")))
+    digest = hashlib.sha256()
+    for file in files:
+        data = file.read_bytes()
+        digest.update(f"{file.name}\n{len(data)}\n".encode())
+        digest.update(data)
+    return len(files), digest.hexdigest()
+
+
 def test_shipped_profiles_match_golden_digests(tmp_path):
-    """``compare`` and ``sweep`` on the shipped profiles write the bytes pinned in bench/golden.json."""
+    """``compare`` and ``sweep`` on the shipped profiles write the bytes pinned in bench/golden.json,
+    and ``compare``'s trajectory and path CSVs the bytes pinned in golden_trajectories.json."""
     golden = json.loads(GOLDEN.read_text())
     assert main(["compare", "--config", "experiment_table1", "--out", str(tmp_path / "table1")]) == 0
     assert main(["sweep", "--config", "simulation_table6", "--out", str(tmp_path / "sweep6")]) == 0
@@ -399,3 +416,5 @@ def test_shipped_profiles_match_golden_digests(tmp_path):
         for file, digest in golden[workload].items():
             written = hashlib.sha256((tmp_path / workload / file).read_bytes()).hexdigest()
             assert written == digest, f"{workload}/{file}"
+    pinned = json.loads(GOLDEN_TRAJECTORIES.read_text())["table1"]
+    assert trajectory_digest(tmp_path / "table1") == (pinned["files"], pinned["sha256"])

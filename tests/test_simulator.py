@@ -14,6 +14,7 @@ from conftest import (
     corner_path,
     nearest_point_oracle,
     polyline_distances,
+    run_scenario_oracle,
     straight_path,
     u_turn_path,
     write_log_rowwise,
@@ -25,6 +26,7 @@ from pursuitbench import (
     NoiseModel,
     ParameterError,
     Pose2D,
+    PursuitBenchError,
     RegulationConfig,
     RobotState,
     SimulationDivergedError,
@@ -32,7 +34,13 @@ from pursuitbench import (
     VelocityCommand,
     run_scenario,
 )
-from pursuitbench.paths import nearest_point_on_path
+from pursuitbench.controllers import (
+    COMBINE_HARD_CAP,
+    COMBINE_LOWER_BOUND,
+    FIXED_LOOKAHEAD,
+    VELOCITY_SCALED_LOOKAHEAD,
+)
+from pursuitbench.paths import nearest_point_on_path, project_onto_path
 from pursuitbench.simulator import clip_to_feasible, step_unicycle
 
 
@@ -47,7 +55,7 @@ def euler_reference(state, command, dt, substeps=1000):
     return x, y
 
 
-def run(path, kind, **overrides):
+def run(path, kind, simulate=run_scenario, **overrides):
     defaults = dict(
         limits=KinodynamicLimits(),
         lookahead=LookaheadConfig(),
@@ -56,7 +64,21 @@ def run(path, kind, **overrides):
         goal_tolerance=0.15,
     )
     defaults.update(overrides)
-    return run_scenario(path, kind, **defaults)
+    return simulate(path, kind, **defaults)
+
+
+def outcome(simulate, *args, **kwargs):
+    """The exact bits of a run: every log column, the goal flag and travel time, or the error."""
+    try:
+        result = simulate(*args, **kwargs)
+    except PursuitBenchError as exc:
+        return type(exc), str(exc)
+    columns = {}
+    for field in fields(TrajectoryLog):
+        column = getattr(result.log, field.name)
+        values = column.tolist() if column.dtype == bool else list(map(float.hex, column.tolist()))
+        columns[field.name] = (column.dtype.str, values)
+    return columns, result.reached_goal, float.hex(result.travel_time)
 
 
 class TestExecutionAndNoiseModels:
@@ -252,6 +274,30 @@ class TestRunScenario:
         with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError, match=message):
             run(straight_path(), ControllerKind.DYNAMIC_WINDOW, limits=limits)
 
+    def test_command_overflow_diverges_at_its_step(self):
+        # Once the lookahead turns the corner, curvature * v_max overflows.
+        limits = KinodynamicLimits(v_max=1.7e308)
+        message = "step 94: command velocities must be finite"
+        for simulate in (run_scenario, run_scenario_oracle):
+            with pytest.raises(SimulationDivergedError) as error:
+                run(corner_path(90.0), ControllerKind.PURE_PURSUIT, simulate, limits=limits)
+            assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            (NoiseModel(sigma_v=1.7e308, seed=3), "step 0: command velocities must be finite"),
+            (NoiseModel(sigma_omega=1.7e308, seed=1), "step 3: command velocities must be finite"),
+        ],
+        ids=["sigma_v", "sigma_omega"],
+    )
+    def test_actuation_noise_overflow_diverges_at_its_step(self, noise, message):
+        # dwpp's own commands are finite; the noise added to them overflows.
+        for simulate in (run_scenario, run_scenario_oracle):
+            with pytest.raises(SimulationDivergedError) as error:
+                run(straight_path(), ControllerKind.DYNAMIC_WINDOW, simulate, noise=noise)
+            assert str(error.value) == message
+
     def test_goal_reached_on_the_final_step_counts(self):
         path = straight_path()
         steps = len(run(path, ControllerKind.DYNAMIC_WINDOW).log)
@@ -262,14 +308,14 @@ class TestRunScenario:
     def test_projects_once_per_step(self, monkeypatch):
         calls = []
 
-        def counting(path, pose):
-            calls.append(pose)
-            return nearest_point_on_path(path, pose)
+        def counting(path, x, y):
+            calls.append((x, y))
+            return project_onto_path(path, x, y)
 
-        monkeypatch.setattr(simulator, "nearest_point_on_path", counting)
+        monkeypatch.setattr(simulator, "project_onto_path", counting)
         log = run(corner_path(90.0), ControllerKind.REGULATED).log
         assert len(calls) == len(log)
-        assert [(pose.x, pose.y) for pose in calls] == list(zip(log.x, log.y))
+        assert calls == list(zip(log.x, log.y))
 
     def test_cell_grid_answers_most_projections(self):
         # Every projection is exact either way; this shows the grid is used.
@@ -334,6 +380,51 @@ class TestRunScenario:
     def test_rejects_non_finite_or_too_short_run(self, overrides, message):
         with pytest.raises(ParameterError, match=message):
             run(straight_path(), ControllerKind.PURE_PURSUIT, **overrides)
+
+
+_U_TURN = u_turn_path()
+
+
+class TestFloatLoopIsTheObjectLoop:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(ControllerKind),
+        path=st.one_of(
+            st.floats(10.0, 170.0).map(lambda angle: corner_path(angle, segment_length=1.5)),
+            st.just(_U_TURN),
+        ),
+        lookahead=st.builds(
+            LookaheadConfig,
+            mode=st.sampled_from([FIXED_LOOKAHEAD, VELOCITY_SCALED_LOOKAHEAD]),
+            fixed_distance=st.floats(0.2, 1.0),
+        ),
+        regulation=st.builds(
+            RegulationConfig,
+            enable_curvature=st.booleans(),
+            enable_proximity=st.booleans(),
+            enable_goal=st.booleans(),
+            combination_mode=st.sampled_from([COMBINE_LOWER_BOUND, COMBINE_HARD_CAP]),
+        ),
+        obstacle_distance=st.floats(0.0, 2.0),
+        v_min=st.floats(-0.5, 0.0),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05])] * 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_column_matches_the_oracle(
+        self, kind, path, lookahead, regulation, obstacle_distance, v_min, sigmas, seed
+    ):
+        sigma_v, sigma_omega, sigma_pose_init = sigmas
+        arguments = dict(
+            limits=KinodynamicLimits(v_min=v_min),
+            lookahead=lookahead,
+            regulation=regulation,
+            noise=NoiseModel(sigma_v, sigma_omega, sigma_pose_init, seed),
+            obstacle_distance=obstacle_distance,
+            max_time=12.0,
+            goal_tolerance=0.15,
+        )
+        expected = outcome(run_scenario_oracle, path, kind, **arguments)
+        assert outcome(run_scenario, path, kind, **arguments) == expected
 
 
 class TestTrajectoryLogIO:
