@@ -6,16 +6,11 @@ in their modules."""
 
 from .controllers import (
     ControllerKind,
-    DynamicWindow,
     KinodynamicLimits,
     LookaheadConfig,
     RegulationConfig,
     StabilityConfig,
-    VelocityCommand,
-    compute_command,
-    compute_dynamic_window,
     operative_lookahead,
-    optimal_velocity_in_window,
 )
 from .errors import (
     ConfigError,
@@ -34,7 +29,7 @@ from .harness import (
     run_lookahead_sweep,
 )
 from .metrics import ScenarioMetrics, scenario_metrics
-from .paths import CornerPathSpec, Pose2D, ReferencePath, RobotState, generate_corner_path
+from .paths import CornerPathSpec, ReferencePath, generate_corner_path
 from .simulator import NoiseModel, ScenarioResult, TrajectoryLog, run_scenario
 
 __version__ = "0.1.0"

@@ -15,11 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
-from .paths import PathProjection, ReferencePath, RobotState, arc_curvature, lookahead_point
-
-# Not called here (the law runs on their float kernels); bench/tracer.py times
-# them at these names.
-from .paths import compute_curvature, lookahead_from_projection  # noqa: F401
+from .paths import ReferencePath, arc_curvature, lookahead_point
 
 FIXED_LOOKAHEAD = "fixed"
 VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
@@ -83,31 +79,6 @@ class KinodynamicLimits:
                 raise ParameterError(f"{name} must be positive")
         if self.dt <= 0.0:
             raise ParameterError("dt must be positive")
-
-
-@dataclass(frozen=True)
-class DynamicWindow:
-    """Axis-aligned rectangle of feasible (v, omega) pairs for the next step."""
-
-    v_lo: float
-    v_hi: float
-    omega_lo: float
-    omega_hi: float
-
-    def __post_init__(self) -> None:
-        if self.v_lo > self.v_hi or self.omega_lo > self.omega_hi:
-            raise ParameterError("window bounds must be ordered")
-
-
-@dataclass(frozen=True)
-class VelocityCommand:
-    """A (linear, angular) velocity pair."""
-
-    v: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        require_finite_command(self.v, self.omega)
 
 
 def require_finite_command(v: float, omega: float) -> None:
@@ -292,22 +263,13 @@ def _clamp_range(lo: float, hi: float, lo_bound: float, hi_bound: float) -> tupl
     return min(max(lo_bound, lo), hi_bound), max(min(hi_bound, hi), lo_bound)
 
 
-def compute_dynamic_window(state: RobotState, limits: KinodynamicLimits) -> DynamicWindow:
-    """Velocities reachable within one control period, clamped into the static limits.
-
-    A state outside the static limits cannot re-enter them in one step; its
-    window collapses to the nearest static bound.
-    """
-    return DynamicWindow(*window_bounds(reachable_velocities(state.v, state.omega, limits), limits))
-
-
 def reachable_velocities(
     v: float, omega: float, limits: KinodynamicLimits
 ) -> tuple[float, float, float, float]:
     """``(v_lo, v_hi, omega_lo, omega_hi)`` that one control period of acceleration reaches.
 
-    The ranges start from (v, omega) and ignore the static limits; see
-    :func:`window_bounds`.
+    The ranges start from (v, omega) and ignore the static limits;
+    :func:`window_bounds` clamps them into those limits.
     """
     dt = limits.dt
     return (
@@ -319,7 +281,13 @@ def reachable_velocities(
 
 
 def window_bounds(reachable: tuple, limits: KinodynamicLimits) -> tuple[float, float, float, float]:
-    """The bounds of :func:`compute_dynamic_window` from ``reachable_velocities(...)``."""
+    """The dynamic window ``(v_lo, v_hi, omega_lo, omega_hi)`` from ``reachable_velocities(...)``.
+
+    These are the velocities reachable within one control period, clamped
+    into the static limits. A state outside the static limits cannot
+    re-enter them in one step; its window collapses to the nearest static
+    bound.
+    """
     v_lo, v_hi, omega_lo, omega_hi = reachable
     return (
         *_clamp_range(v_lo, v_hi, limits.v_min, limits.v_max),
@@ -327,43 +295,33 @@ def window_bounds(reachable: tuple, limits: KinodynamicLimits) -> tuple[float, f
     )
 
 
-def apply_regulation_to_window(window: DynamicWindow, v_reg: float) -> DynamicWindow:
-    """Clamp the admissible linear range [0, v_reg] into the window.
+def regulated_range(v_lo: float, v_hi: float, v_reg: float) -> tuple[float, float]:
+    """Clamp the admissible linear range [0, v_reg] into the window's [v_lo, v_hi].
 
     The result never leaves the window. When the two ranges do not overlap
     (the regulated ceiling is unreachable this step, or the robot is reversing
     faster than it can stop), the linear range collapses to the window bound
     nearest to them: the robot brakes as hard as the window allows.
     """
-    v_lo, v_hi = regulated_range(window.v_lo, window.v_hi, v_reg)
-    return DynamicWindow(v_lo, v_hi, window.omega_lo, window.omega_hi)
-
-
-def regulated_range(v_lo: float, v_hi: float, v_reg: float) -> tuple[float, float]:
-    """The linear range of :func:`apply_regulation_to_window` for the window's [v_lo, v_hi]."""
     if v_reg < 0.0:
         raise ParameterError("regulated velocity must be non-negative")
     return _clamp_range(0.0, v_reg, v_lo, v_hi)
 
 
-def optimal_velocity_in_window(window: DynamicWindow, curvature: float) -> VelocityCommand:
-    """Feasible velocity closest to the tracking line omega = curvature * v.
+def select_velocity(
+    v_lo: float, v_hi: float, omega_lo: float, omega_hi: float, curvature: float
+) -> tuple[float, float]:
+    """The dynamic-window law's command: the point of the window closest to omega = curvature * v.
 
-    Ties go to the larger v. With omega clamped into the window the distance
-    is piecewise linear in v, so the optimum is one clamp: v is where the line
+    This is DWPP's rule: in the (v, omega) plane, select the command as the
+    point within the dynamic window [v_lo, v_hi] x [omega_lo, omega_hi] that
+    is closest to the tracking line omega = curvature * v. Ties go to the
+    larger v. With omega clamped into the window the distance is
+    piecewise linear in v, so the optimum is one clamp: v is where the line
     leaves through the omega bound it heads for, clamped into [v_lo, v_hi],
     and omega is the line at that v, clamped into [omega_lo, omega_hi]. Zero
     curvature takes v_hi and the feasible omega nearest zero.
     """
-    return VelocityCommand(
-        *select_velocity(window.v_lo, window.v_hi, window.omega_lo, window.omega_hi, curvature)
-    )
-
-
-def select_velocity(
-    v_lo: float, v_hi: float, omega_lo: float, omega_hi: float, curvature: float
-) -> tuple[float, float]:
-    """:func:`optimal_velocity_in_window` for the window's bounds, as ``(v, omega)``."""
     if curvature == 0.0:
         return v_hi, min(max(0.0, omega_lo), omega_hi)
     bound = omega_hi if curvature > 0.0 else omega_lo
@@ -377,36 +335,6 @@ def select_velocity(
 def min_stable_lookahead(v: float, cfg: StabilityConfig) -> float:
     """Smallest lookahead distance the stability advisory accepts at speed ``v``."""
     return v * cfg.steering_time_constant * cfg.min_dimensionless_lookahead
-
-
-def compute_command(
-    kind: ControllerKind,
-    state: RobotState,
-    path: ReferencePath,
-    projection: PathProjection,
-    limits: KinodynamicLimits,
-    lookahead_cfg: LookaheadConfig,
-    regulation_cfg: RegulationConfig,
-    obstacle_distance: float = math.inf,
-) -> VelocityCommand:
-    """One control step of the selected tracking law.
-
-    ``projection`` is ``nearest_point_on_path(path, state.pose)``. The
-    lookahead distance comes from :func:`operative_lookahead` and the
-    nominal linear command is ``limits.v_max``. Only the dynamic-window
-    variant guarantees its output is reachable within one control period; the
-    other laws may command velocities the execution layer has to clip.
-    """
-    pose = state.pose
-    px, py = float(projection.point[0]), float(projection.point[1])
-    return VelocityCommand(
-        *command_velocities(
-            kind, pose.x, pose.y, pose.theta, state.v,
-            path, (px, py, projection.segment_index, projection.distance, projection.arc_length),
-            window_bounds(reachable_velocities(state.v, state.omega, limits), limits),
-            limits, lookahead_cfg, regulation_cfg, obstacle_distance,
-        )
-    )
 
 
 def command_velocities(
@@ -423,11 +351,15 @@ def command_velocities(
     regulation_cfg: RegulationConfig,
     obstacle_distance: float,
 ) -> tuple[float, float]:
-    """:func:`compute_command` on plain values, as ``(v, omega)``.
+    """One control step of the selected tracking law, as ``(v, omega)``.
 
     The robot is at (x, y) with heading ``theta`` and speed ``v``;
     ``projection`` is ``project_onto_path(path, x, y)`` and ``window`` the
     robot's ``window_bounds``, which only the dynamic-window law reads. The
+    lookahead distance comes from :func:`operative_lookahead` and the
+    nominal linear command is ``limits.v_max``. Only the dynamic-window
+    variant guarantees its output is reachable within one control period; the
+    other laws may command velocities the execution layer has to clip. The
     result is not checked for finiteness.
     """
     px, py, segment_index, _, arc_length = projection

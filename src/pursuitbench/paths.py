@@ -37,36 +37,10 @@ def wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
-@dataclass(frozen=True)
-class Pose2D:
-    """Planar pose; the heading is stored wrapped to (-pi, pi]."""
-
-    x: float
-    y: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        require_finite_pose(self.x, self.y, self.theta)
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-
 def require_finite_pose(x: float, y: float, theta: float) -> None:
     """Raise :class:`ParameterError` unless every pose component is finite."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
         raise ParameterError("pose components must be finite")
-
-
-@dataclass(frozen=True)
-class RobotState:
-    """Pose plus the linear and angular velocity currently being executed."""
-
-    pose: Pose2D
-    v: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.v) and math.isfinite(self.omega)):
-            raise ParameterError("state velocities must be finite")
 
 
 class ReferencePath:
@@ -119,10 +93,6 @@ class ReferencePath:
     @property
     def waypoints(self) -> np.ndarray:
         return self._waypoints
-
-    @property
-    def cumulative_arclength(self) -> np.ndarray:
-        return self._cumlen
 
     @property
     def length(self) -> float:
@@ -189,27 +159,6 @@ def generate_corner_path(spec: CornerPathSpec) -> ReferencePath:
     direction = np.array([math.cos(spec.corner_angle), math.sin(spec.corner_angle)])
     leg_2 = leg_1[-1] + np.outer(offsets[1:], direction)
     return ReferencePath(np.vstack((leg_1, leg_2)))
-
-
-class PathProjection(NamedTuple):
-    """Result of projecting a position onto the path polyline.
-
-    Attributes
-    ----------
-    point : np.ndarray
-        Closest point on the polyline.
-    segment_index : int
-        Index of the segment containing the closest point.
-    distance : float
-        Unsigned distance from the queried position to ``point``.
-    arc_length : float
-        Arc length from the path start to ``point``.
-    """
-
-    point: np.ndarray
-    segment_index: int
-    distance: float
-    arc_length: float
 
 
 class _CellGrid(NamedTuple):
@@ -283,22 +232,16 @@ class _CellGrid(NamedTuple):
         )
 
 
-def nearest_point_on_path(path: ReferencePath, pose: Pose2D) -> PathProjection:
-    """Closest point on the path polyline, segment interiors included.
-
-    Ties between equidistant segments resolve to the lowest segment index so
-    repeated queries are reproducible. See :func:`project_onto_path`.
-    """
-    px, py, index, distance, arc = project_onto_path(path, pose.x, pose.y)
-    return PathProjection(np.array((px, py)), index, distance, arc)
-
-
 def project_onto_path(path: ReferencePath, x: float, y: float) -> tuple[float, float, int, float, float]:
-    """:func:`nearest_point_on_path` of the point (x, y), as plain values.
+    """Closest point on the path polyline to (x, y), segment interiors included.
 
-    Returns ``(px, py, segment_index, distance, arc_length)``. The path's cell
-    grid answers when it certifies its result (see ``_CellGrid``); otherwise
-    every segment is scanned. Both evaluate a segment with the same
+    Returns ``(px, py, segment_index, distance, arc_length)``: the closest
+    point, the index of the segment containing it, the unsigned distance
+    from (x, y) to it and the arc length from the path start to it. Ties
+    between equidistant segments resolve to the lowest segment index so
+    repeated queries are reproducible. The path's cell grid answers when it
+    certifies its result (see ``_CellGrid``); otherwise every segment is
+    scanned. Both evaluate a segment with the same
     floating-point operations, so the result does not depend on which one
     answered.
     """
@@ -340,25 +283,17 @@ def _nearest_by_scan(path: ReferencePath, x: float, y: float) -> tuple[float, fl
     return px, py, index, math.sqrt(float(dist_sq[index])), arc
 
 
-def lookahead_from_projection(
-    path: ReferencePath, projection: PathProjection, lookahead: float
-) -> np.ndarray:
-    """Lookahead search from ``projection = nearest_point_on_path(path, pose)``.
-
-    Returns the first waypoint after the projection's segment whose distance
-    from the projected point reaches ``lookahead`` (which must be positive)
-    while the waypoint before it is nearer, or the goal if none does.
-    """
-    px, py = float(projection.point[0]), float(projection.point[1])
-    return np.array(
-        lookahead_point(path, px, py, projection.segment_index, projection.arc_length, lookahead)
-    )
-
-
 def lookahead_point(
     path: ReferencePath, px: float, py: float, segment_index: int, arc_length: float, lookahead: float
 ) -> tuple[float, float]:
-    """:func:`lookahead_from_projection` from the projection's plain values, as ``(x, y)``."""
+    """Lookahead target from the projection ``project_onto_path(path, x, y)``.
+
+    ``(px, py)``, ``segment_index`` and ``arc_length`` are that projection's
+    point, segment and arc length. Returns, as ``(x, y)``, the first waypoint
+    after the projection's segment whose distance from the projected point
+    reaches ``lookahead`` (which must be positive) while the waypoint before
+    it is nearer, or the goal if none does.
+    """
     if not lookahead > 0.0:
         raise ParameterError("lookahead must be positive")
     xs, ys = path._xs, path._ys
@@ -376,18 +311,13 @@ def lookahead_point(
     return xs[-1], ys[-1]
 
 
-def compute_curvature(pose: Pose2D, target) -> float:
-    """Signed curvature of the circular arc from ``pose`` to ``target``.
+def arc_curvature(x: float, y: float, theta: float, tx: float, ty: float) -> float:
+    """Signed curvature of the circular arc from the pose (x, y, theta) to the target (tx, ty).
 
     Positive curvature turns counter-clockwise (target on the robot's left).
     Raises :class:`DegenerateGeometryError` when the target coincides with
     the robot position.
     """
-    return arc_curvature(pose.x, pose.y, pose.theta, float(target[0]), float(target[1]))
-
-
-def arc_curvature(x: float, y: float, theta: float, tx: float, ty: float) -> float:
-    """:func:`compute_curvature` from the pose (x, y, theta) to the target (tx, ty)."""
     dx = tx - x
     dy = ty - y
     distance = math.hypot(dx, dy)

@@ -19,20 +19,14 @@ from .controllers import (
     KinodynamicLimits,
     LookaheadConfig,
     RegulationConfig,
-    VelocityCommand,
     command_velocities,
-    compute_dynamic_window,
     reachable_velocities,
     require_finite_command,
     window_bounds,
 )
-# Not called here (the loop runs on its float kernel); bench/tracer.py times the law at this name.
-from .controllers import compute_command  # noqa: F401
 from .errors import ParameterError, SimulationDivergedError
 from .paths import (
-    Pose2D,
     ReferencePath,
-    RobotState,
     project_onto_path,
     require_finite_pose,
     wrap_angle,
@@ -127,36 +121,22 @@ class ScenarioResult:
     travel_time: float
 
 
-def clip_to_feasible(
-    command: VelocityCommand, state: RobotState, limits: KinodynamicLimits
-) -> VelocityCommand:
-    """Project a command onto the current dynamic window, one axis at a time.
+def clip_to_window(v: float, omega: float, window: tuple) -> tuple[float, float]:
+    """Project (v, omega) onto the dynamic window ``window_bounds(...)``, one axis at a time.
 
     A command already inside the window comes back bit for bit.
     """
-    window = compute_dynamic_window(state, limits)
-    bounds = (window.v_lo, window.v_hi, window.omega_lo, window.omega_hi)
-    return VelocityCommand(*clip_to_window(command.v, command.omega, bounds))
-
-
-def clip_to_window(v: float, omega: float, window: tuple) -> tuple[float, float]:
-    """:func:`clip_to_feasible` of (v, omega) for the window's ``window_bounds``."""
     v_lo, v_hi, omega_lo, omega_hi = window
     return min(max(v, v_lo), v_hi), min(max(omega, omega_lo), omega_hi)
-
-
-def step_unicycle(state: RobotState, executed: VelocityCommand, dt: float) -> RobotState:
-    """Advance the pose along the exact constant-velocity arc for ``dt`` seconds."""
-    if dt <= 0.0:
-        raise ParameterError("dt must be positive")
-    pose, v, omega = state.pose, executed.v, executed.omega
-    return RobotState(Pose2D(*arc_step(pose.x, pose.y, pose.theta, v, omega, dt)), v, omega)
 
 
 def arc_step(
     x: float, y: float, theta: float, v: float, omega: float, dt: float
 ) -> tuple[float, float, float]:
-    """:func:`step_unicycle` of the pose (x, y, theta); the heading comes back unwrapped."""
+    """Advance the pose (x, y, theta) along the exact constant-velocity arc for ``dt`` seconds.
+
+    The heading comes back unwrapped.
+    """
     if abs(omega) > 1e-9:
         radius = v / omega
         return (
@@ -184,8 +164,13 @@ def _violation_flags(
     )
 
 
-def _initial_state(path: ReferencePath, noise: NoiseModel, rng: np.random.Generator) -> RobotState:
-    """Rest state at the first waypoint, heading along the first segment, perturbed by ``noise``."""
+def _initial_pose(
+    path: ReferencePath, noise: NoiseModel, rng: np.random.Generator
+) -> tuple[float, float, float]:
+    """``(x, y, theta)`` at the first waypoint, heading along the first segment, perturbed by ``noise``.
+
+    The heading is wrapped to (-pi, pi].
+    """
     first, second = path.waypoints[0], path.waypoints[1]
     x, y = float(first[0]), float(first[1])
     theta = math.atan2(float(second[1] - first[1]), float(second[0] - first[0]))
@@ -194,7 +179,8 @@ def _initial_state(path: ReferencePath, noise: NoiseModel, rng: np.random.Genera
         x += rng.normal(0.0, sigma)
         y += rng.normal(0.0, sigma)
         theta += rng.normal(0.0, sigma)
-    return RobotState(Pose2D(x, y, theta), 0.0, 0.0)
+    require_finite_pose(x, y, theta)
+    return x, y, wrap_angle(theta)
 
 
 def run_scenario(
@@ -217,8 +203,9 @@ def run_scenario(
     inside it and comes back unchanged), add the actuation noise and clip
     again, then integrate. The run ends as soon as the robot is within
     ``goal_tolerance`` of the final waypoint, tested before each step and
-    after the last one. Identical inputs (including the noise seed) reproduce
-    the log bit for bit.
+    after the last one; a start (after the pose noise) already within
+    ``goal_tolerance`` raises :class:`ParameterError`. Identical inputs
+    (including the noise seed) reproduce the log bit for bit.
     """
     if not limits.dt <= max_time < math.inf:
         raise ParameterError("max_time must be finite and at least limits.dt")
@@ -229,8 +216,7 @@ def run_scenario(
     if noise is None:
         noise = NoiseModel()
     rng = np.random.default_rng(noise.seed)
-    initial = _initial_state(path, noise, rng)
-    x, y, theta = initial.pose.x, initial.pose.y, initial.pose.theta
+    x, y, theta = _initial_pose(path, noise, rng)
     v = omega = 0.0
     sigma_v, sigma_omega = noise.sigma_v, noise.sigma_omega
     velocity_noise = sigma_v > 0.0 or sigma_omega > 0.0
@@ -239,9 +225,15 @@ def run_scenario(
     def at_goal(x: float, y: float) -> bool:
         return math.hypot(x - goal_x, y - goal_y) <= goal_tolerance
 
-    # The state is plain floats: each step makes inline the VelocityCommand
-    # and Pose2D checks a run can fail. RobotState's check cannot fail: the
-    # state velocities are a clip of a finite command into a finite window.
+    if at_goal(x, y):
+        raise ParameterError(
+            f"the start lies {math.hypot(x - goal_x, y - goal_y):.6g} m from the goal,"
+            f" within goal_tolerance {goal_tolerance:g} m"
+        )
+    # The state is plain floats. Each step checks that the command (before
+    # and after the actuation noise) and the new pose are finite; the state
+    # velocities are then finite too, a clip of a finite command into a
+    # finite window.
     dt = limits.dt
     rows: list[tuple] = []
     for step in range(int(round(max_time / dt))):

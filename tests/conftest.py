@@ -6,25 +6,28 @@ import numpy as np
 import pytest
 
 from pursuitbench import (
+    ControllerKind,
     CornerPathSpec,
-    DynamicWindow,
     KinodynamicLimits,
     LookaheadConfig,
     NoiseModel,
     ParameterError,
-    Pose2D,
     ReferencePath,
     RegulationConfig,
-    RobotState,
     ScenarioResult,
     SimulationDivergedError,
     TrajectoryLog,
-    VelocityCommand,
-    compute_command,
     generate_corner_path,
+    operative_lookahead,
 )
-from pursuitbench.paths import PathProjection, nearest_point_on_path
-from pursuitbench.simulator import clip_to_feasible, step_unicycle
+from pursuitbench.controllers import (
+    regulate_linear_velocity,
+    regulated_range,
+    require_finite_command,
+    select_velocity,
+)
+from pursuitbench.paths import arc_curvature, require_finite_pose, wrap_angle
+from pursuitbench.simulator import arc_step
 
 
 def straight_path(length: float = 6.0, spacing: float = 0.05) -> ReferencePath:
@@ -74,9 +77,22 @@ def distance_point_to_line(v: float, omega: float, curvature: float) -> float:
     return abs(curvature * v - omega) / math.sqrt(curvature * curvature + 1.0)
 
 
+def bits(values) -> tuple[str, ...]:
+    """The values as exact hex strings, so -0.0 differs from 0.0."""
+    return tuple(map(float.hex, values))
+
+
 # Exactness oracles: the batch projection, the numpy lookahead scan and the
 # row-wise trajectory CSV writer that the package used before its per-step
-# kernels were rewritten. The package must reproduce them bit for bit.
+# kernels were rewritten. The package must reproduce them bit for bit. A
+# projection is ``(px, py, segment_index, distance, arc_length)``, as
+# ``paths.project_onto_path`` returns it.
+
+
+def waypoint_arc_lengths(path: ReferencePath) -> np.ndarray:
+    """Arc length from the path start to each waypoint, from the waypoints alone."""
+    segments = np.diff(path.waypoints, axis=0)
+    return np.concatenate(([0.0], np.cumsum(np.hypot(segments[:, 0], segments[:, 1]))))
 
 
 def project_all(path: ReferencePath, points) -> tuple[np.ndarray, np.ndarray]:
@@ -98,26 +114,28 @@ def polyline_distances(path: ReferencePath, points) -> np.ndarray:
     return np.sqrt(dist_sq.min(axis=1))
 
 
-def nearest_point_oracle(path: ReferencePath, x: float, y: float) -> PathProjection:
+def nearest_point_oracle(path: ReferencePath, x: float, y: float) -> tuple:
     t, dist_sq = project_all(path, [[x, y]])
     index = int(np.argmin(dist_sq[0]))
     fraction = t[0, index]
     segment = path.waypoints[index + 1] - path.waypoints[index]
-    point = path.waypoints[index] + fraction * segment
-    arc = float(path.cumulative_arclength[index] + fraction * np.hypot(*segment))
-    return PathProjection(point, index, math.sqrt(float(dist_sq[0, index])), arc)
+    px, py = (path.waypoints[index] + fraction * segment).tolist()
+    arc = float(waypoint_arc_lengths(path)[index] + fraction * np.hypot(*segment))
+    return px, py, index, math.sqrt(float(dist_sq[0, index])), arc
 
 
-def lookahead_oracle(path: ReferencePath, projection: PathProjection, lookahead: float) -> np.ndarray:
+def lookahead_oracle(path: ReferencePath, projection: tuple, lookahead: float) -> tuple[float, float]:
+    """The lookahead target of ``projection = nearest_point_oracle(...)``, as ``(x, y)``."""
     points = path.waypoints
-    reference = projection.point
-    previous = math.hypot(*(points[projection.segment_index] - reference))
-    for index in range(projection.segment_index + 1, len(points)):
+    reference = np.array(projection[:2])
+    segment_index = projection[2]
+    previous = math.hypot(*(points[segment_index] - reference))
+    for index in range(segment_index + 1, len(points)):
         distance = math.hypot(*(points[index] - reference))
         if previous < lookahead <= distance:
-            return points[index].copy()
+            return tuple(points[index].tolist())
         previous = distance
-    return points[-1].copy()
+    return tuple(points[-1].tolist())
 
 
 def write_log_rowwise(log, file) -> None:
@@ -131,61 +149,78 @@ def write_log_rowwise(log, file) -> None:
 
 
 # Window oracles: the dynamic window and regulated window as the package
-# computed them before both became one clamp rule. The old regulated window
-# left the reachable one when its whole linear range was negative; everywhere
-# else the package must reproduce them bit for bit.
+# computed them before both became one clamp rule, as
+# ``(v_lo, v_hi, omega_lo, omega_hi)``. The old regulated window left the
+# reachable one when its whole linear range was negative; everywhere else the
+# package must reproduce them bit for bit.
 
 
-def dynamic_window_oracle(state: RobotState, limits: KinodynamicLimits) -> DynamicWindow:
-    v_hi = min(limits.v_max, state.v + limits.accel_max * limits.dt)
-    v_lo = max(limits.v_min, state.v - limits.decel_max * limits.dt)
-    omega_hi = min(limits.omega_max, state.omega + limits.ang_accel_max * limits.dt)
-    omega_lo = max(limits.omega_min, state.omega - limits.ang_decel_max * limits.dt)
+def dynamic_window_oracle(v: float, omega: float, limits: KinodynamicLimits) -> tuple:
+    v_hi = min(limits.v_max, v + limits.accel_max * limits.dt)
+    v_lo = max(limits.v_min, v - limits.decel_max * limits.dt)
+    omega_hi = min(limits.omega_max, omega + limits.ang_accel_max * limits.dt)
+    omega_lo = max(limits.omega_min, omega - limits.ang_decel_max * limits.dt)
     if v_lo > v_hi:
-        v_lo = v_hi = limits.v_max if state.v > limits.v_max else limits.v_min
+        v_lo = v_hi = limits.v_max if v > limits.v_max else limits.v_min
     if omega_lo > omega_hi:
-        omega_lo = omega_hi = (
-            limits.omega_max if state.omega > limits.omega_max else limits.omega_min
-        )
-    return DynamicWindow(v_lo, v_hi, omega_lo, omega_hi)
+        omega_lo = omega_hi = limits.omega_max if omega > limits.omega_max else limits.omega_min
+    return v_lo, v_hi, omega_lo, omega_hi
 
 
-def regulated_window_oracle(window: DynamicWindow, v_reg: float) -> DynamicWindow:
+def regulated_window_oracle(window: tuple, v_reg: float) -> tuple:
     if v_reg < 0.0:
         raise ParameterError("regulated velocity must be non-negative")
-    v_lo = max(window.v_lo, 0.0)
-    v_hi = min(window.v_hi, v_reg)
+    window_v_lo, window_v_hi, omega_lo, omega_hi = window
+    v_lo = max(window_v_lo, 0.0)
+    v_hi = min(window_v_hi, v_reg)
     if v_hi < v_lo:
         v_hi = v_lo
-    return DynamicWindow(v_lo, v_hi, window.omega_lo, window.omega_hi)
-
-
-def window_bits(window: DynamicWindow) -> tuple[str, ...]:
-    """The window's four bounds as exact hex strings, so -0.0 differs from 0.0."""
-    return tuple(map(float.hex, (window.v_lo, window.v_hi, window.omega_lo, window.omega_hi)))
+    return v_lo, v_hi, omega_lo, omega_hi
 
 
 # Simulation oracle: the step loop as the package ran it on the object-level
-# per-step functions (PathProjection, RobotState, VelocityCommand and
-# DynamicWindow per step), before the loop moved to plain floats. The package's
-# run_scenario must reproduce its logs and outcomes bit for bit.
+# per-step functions, before the loop moved to the package's float kernels.
+# It projects, finds the lookahead target, computes the dynamic window and
+# clips with the oracles above; the curvature, the regulation, the dwpp
+# selection and the arc step come from the package. The package's
+# run_scenario must reproduce its logs, outcomes and error messages bit for
+# bit.
 
 
-def _violation_flags_oracle(command, state, limits) -> tuple[bool, bool, bool, bool]:
+def _violation_flags_oracle(command, velocity, limits) -> tuple[bool, bool, bool, bool]:
     def outside(value, lo, hi):
         return value > hi + 1e-9 or value < lo - 1e-9
 
-    dt = limits.dt
+    (v_cmd, omega_cmd), (v, omega), dt = command, velocity, limits.dt
     return (
-        outside(command.v, limits.v_min, limits.v_max),
-        outside(command.omega, limits.omega_min, limits.omega_max),
-        outside(command.v, state.v - limits.decel_max * dt, state.v + limits.accel_max * dt),
-        outside(
-            command.omega,
-            state.omega - limits.ang_decel_max * dt,
-            state.omega + limits.ang_accel_max * dt,
-        ),
+        outside(v_cmd, limits.v_min, limits.v_max),
+        outside(omega_cmd, limits.omega_min, limits.omega_max),
+        outside(v_cmd, v - limits.decel_max * dt, v + limits.accel_max * dt),
+        outside(omega_cmd, omega - limits.ang_decel_max * dt, omega + limits.ang_accel_max * dt),
     )
+
+
+def _command_oracle(kind, pose, velocity, path, projection, limits, lookahead, regulation, obstacle_distance):
+    target = lookahead_oracle(path, projection, operative_lookahead(kind, lookahead, velocity[0]))
+    curvature = arc_curvature(*pose, *target)
+    v_des = limits.v_max
+    if kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE):
+        command = v_des, curvature * v_des
+    else:
+        goal_distance = max(0.0, path.length - projection[4])
+        v_reg = regulate_linear_velocity(v_des, curvature, obstacle_distance, goal_distance, regulation)
+        if kind is ControllerKind.REGULATED:
+            command = v_reg, curvature * v_reg
+        else:
+            v_lo, v_hi, omega_lo, omega_hi = dynamic_window_oracle(*velocity, limits)
+            command = select_velocity(*regulated_range(v_lo, v_hi, v_reg), omega_lo, omega_hi, curvature)
+    require_finite_command(*command)
+    return command
+
+
+def _clip_oracle(command, velocity, limits) -> tuple[float, float]:
+    v_lo, v_hi, omega_lo, omega_hi = dynamic_window_oracle(*velocity, limits)
+    return min(max(command[0], v_lo), v_hi), min(max(command[1], omega_lo), omega_hi)
 
 
 def run_scenario_oracle(
@@ -203,41 +238,48 @@ def run_scenario_oracle(
         x += rng.normal(0.0, sigma)
         y += rng.normal(0.0, sigma)
         theta += rng.normal(0.0, sigma)
-    state = RobotState(Pose2D(x, y, theta), 0.0, 0.0)
+    require_finite_pose(x, y, theta)
+    pose, velocity = (x, y, wrap_angle(theta)), (0.0, 0.0)
     velocity_noise = noise.sigma_v > 0.0 or noise.sigma_omega > 0.0
     goal_x, goal_y = float(path.goal[0]), float(path.goal[1])
 
-    def at_goal(pose):
-        return math.hypot(pose.x - goal_x, pose.y - goal_y) <= goal_tolerance
+    def goal_distance(pose):
+        return math.hypot(pose[0] - goal_x, pose[1] - goal_y)
 
+    def at_goal(pose):
+        return goal_distance(pose) <= goal_tolerance
+
+    if at_goal(pose):
+        raise ParameterError(
+            f"the start lies {goal_distance(pose):.6g} m from the goal,"
+            f" within goal_tolerance {goal_tolerance:g} m"
+        )
     dt = limits.dt
     rows = []
     for step in range(int(round(max_time / dt))):
-        if at_goal(state.pose):
+        if at_goal(pose):
             break
         try:
-            projection = nearest_point_on_path(path, state.pose)
-            command = compute_command(
-                kind, state, path, projection, limits, lookahead, regulation, obstacle_distance
+            projection = nearest_point_oracle(path, pose[0], pose[1])
+            command = _command_oracle(
+                kind, pose, velocity, path, projection, limits, lookahead, regulation, obstacle_distance
             )
-            flags = _violation_flags_oracle(command, state, limits)
-            executed = clip_to_feasible(command, state, limits)
+            flags = _violation_flags_oracle(command, velocity, limits)
+            executed = _clip_oracle(command, velocity, limits)
             if velocity_noise:
-                executed = VelocityCommand(
-                    executed.v + (rng.normal(0.0, noise.sigma_v) if noise.sigma_v > 0.0 else 0.0),
-                    executed.omega
+                executed = (
+                    executed[0] + (rng.normal(0.0, noise.sigma_v) if noise.sigma_v > 0.0 else 0.0),
+                    executed[1]
                     + (rng.normal(0.0, noise.sigma_omega) if noise.sigma_omega > 0.0 else 0.0),
                 )
-                executed = clip_to_feasible(executed, state, limits)
+                require_finite_command(*executed)
+                executed = _clip_oracle(executed, velocity, limits)
             rows.append(
-                (
-                    step * dt,
-                    state.pose.x, state.pose.y, state.pose.theta, state.v, state.omega,
-                    command.v, command.omega, executed.v, executed.omega, *flags,
-                    projection.distance, projection.arc_length,
-                )
+                (step * dt, *pose, *velocity, *command, *executed, *flags, projection[3], projection[4])
             )
-            state = step_unicycle(state, executed, dt)
+            x, y, theta = arc_step(*pose, *executed, dt)
+            require_finite_pose(x, y, theta)
+            pose, velocity = (x, y, wrap_angle(theta)), executed
         except ParameterError as exc:
             raise SimulationDivergedError(f"step {step}: {exc}") from exc
 
@@ -249,4 +291,4 @@ def run_scenario_oracle(
             for name, column in zip(names, columns)
         }
     )
-    return ScenarioResult(log, at_goal(state.pose), len(log) * dt)
+    return ScenarioResult(log, at_goal(pose), len(log) * dt)

@@ -14,22 +14,19 @@ from scipy.stats import spearmanr
 from conftest import distance_point_to_line, straight_path
 from pursuitbench import (
     ControllerKind,
-    DynamicWindow,
     NoiseModel,
-    Pose2D,
-    RobotState,
-    VelocityCommand,
     generate_corner_path,
     load_config,
     load_sweep_config,
-    optimal_velocity_in_window,
     run_lookahead_sweep,
     run_scenario,
     scenario_metrics,
 )
 from pursuitbench.cli import main
+from pursuitbench.controllers import select_velocity
 from pursuitbench.metrics import violation_ratio
-from pursuitbench.simulator import step_unicycle
+from pursuitbench.paths import wrap_angle
+from pursuitbench.simulator import arc_step
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -66,7 +63,7 @@ def comparison_runs(bench_profile):
 def sample_window(rng):
     v_lo, v_hi = sorted(rng.uniform(0.0, 0.5, size=2))
     w_lo, w_hi = sorted(rng.uniform(-1.0, 1.0, size=2))
-    return DynamicWindow(v_lo, v_hi, w_lo, w_hi)
+    return v_lo, v_hi, w_lo, w_hi
 
 
 def test_criterion_1_dynamic_window_zero_violations(bench_profile):
@@ -134,20 +131,20 @@ def test_criterion_4_closed_form_matches_grid_oracle():
     worst_distance_gap = 0.0
     worst_speed_gap = 0.0
     for _ in range(10_000):
-        window = sample_window(rng)
+        v_lo, v_hi, omega_lo, omega_hi = sample_window(rng)
         kappa = rng.uniform(-20.0, 20.0)
-        command = optimal_velocity_in_window(window, kappa)
-        analytic = distance_point_to_line(command.v, command.omega, kappa)
-        vs = np.linspace(window.v_lo, window.v_hi, 201)
-        ws = np.linspace(window.omega_lo, window.omega_hi, 201)
+        v, omega = select_velocity(v_lo, v_hi, omega_lo, omega_hi, kappa)
+        analytic = distance_point_to_line(v, omega, kappa)
+        vs = np.linspace(v_lo, v_hi, 201)
+        ws = np.linspace(omega_lo, omega_hi, 201)
         dists = np.abs(kappa * vs[:, None] - ws[None, :]) / math.sqrt(kappa * kappa + 1.0)
         worst_distance_gap = max(worst_distance_gap, analytic - float(dists.min()))
         # Tie-break check: no grid point at least as close to the line may be
         # faster than the analytic choice by more than one grid step.
         tied_rows = (dists <= analytic + 1e-9).any(axis=1)
         if tied_rows.any():
-            v_cell = (window.v_hi - window.v_lo) / 200.0
-            worst_speed_gap = max(worst_speed_gap, float(vs[tied_rows].max()) - command.v - v_cell)
+            v_cell = (v_hi - v_lo) / 200.0
+            worst_speed_gap = max(worst_speed_gap, float(vs[tied_rows].max()) - v - v_cell)
     elapsed = time.monotonic() - start
     ok = worst_distance_gap <= 1e-9 and worst_speed_gap <= 1e-9 and elapsed < 30.0
     report(
@@ -162,14 +159,14 @@ def test_criterion_5_on_line_whenever_line_crosses_window():
     crossing = 0
     on_line = 0
     for _ in range(10_000):
-        window = sample_window(rng)
+        v_lo, v_hi, omega_lo, omega_hi = sample_window(rng)
         kappa = rng.uniform(-20.0, 20.0)
-        lo, hi = sorted((kappa * window.v_lo, kappa * window.v_hi))
-        if not (lo <= window.omega_hi and hi >= window.omega_lo):
+        lo, hi = sorted((kappa * v_lo, kappa * v_hi))
+        if not (lo <= omega_hi and hi >= omega_lo):
             continue
         crossing += 1
-        command = optimal_velocity_in_window(window, kappa)
-        if abs(kappa * command.v - command.omega) <= 1e-9:
+        v, omega = select_velocity(v_lo, v_hi, omega_lo, omega_hi, kappa)
+        if abs(kappa * v - omega) <= 1e-9:
             on_line += 1
     ok = crossing > 1000 and on_line == crossing
     report(
@@ -256,9 +253,8 @@ def test_criterion_9_arc_integration_matches_fine_euler():
 
     worst = 0.0
     for i in range(n):
-        state = RobotState(Pose2D(xs[i], ys[i], thetas[i]), 0.0, 0.0)
-        stepped = step_unicycle(state, VelocityCommand(vs[i], ws[i]), dts[i])
-        worst = max(worst, math.hypot(stepped.pose.x - ex[i], stepped.pose.y - ey[i]))
+        x, y, _ = arc_step(xs[i], ys[i], wrap_angle(thetas[i]), vs[i], ws[i], dts[i])
+        worst = max(worst, math.hypot(x - ex[i], y - ey[i]))
     ok = worst < 1e-6
     report(
         "criterion 9: exact-arc step within 1e-6 m of 1000-substep Euler",

@@ -7,54 +7,56 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bits,
     corner_path,
     distance_point_to_line,
     dynamic_window_oracle,
     regulated_window_oracle,
     straight_path,
-    window_bits,
 )
 from pursuitbench import (
     ControllerKind,
-    DynamicWindow,
     KinodynamicLimits,
     LookaheadConfig,
     ParameterError,
-    Pose2D,
     RegulationConfig,
-    RobotState,
     StabilityConfig,
-    VelocityCommand,
-    compute_command,
-    compute_dynamic_window,
     operative_lookahead,
-    optimal_velocity_in_window,
 )
 from pursuitbench.controllers import (
     COMBINE_HARD_CAP,
     FIXED_LOOKAHEAD,
-    apply_regulation_to_window,
+    command_velocities,
     curvature_heuristic,
     goal_heuristic,
     min_stable_lookahead,
     proximity_heuristic,
+    reachable_velocities,
     regulate_linear_velocity,
+    regulated_range,
+    require_finite_command,
+    select_velocity,
+    window_bounds,
 )
-from pursuitbench.paths import compute_curvature, lookahead_from_projection, nearest_point_on_path
+from pursuitbench.paths import arc_curvature, lookahead_point, project_onto_path, wrap_angle
+
+# A window is ``(v_lo, v_hi, omega_lo, omega_hi)``, as ``window_bounds`` returns it.
 
 
 def grid_distances(window, kappa, n=201):
     """Brute-force sampling of the line distance over the window."""
-    vs = np.linspace(window.v_lo, window.v_hi, n)
-    ws = np.linspace(window.omega_lo, window.omega_hi, n)
+    v_lo, v_hi, omega_lo, omega_hi = window
+    vs = np.linspace(v_lo, v_hi, n)
+    ws = np.linspace(omega_lo, omega_hi, n)
     dists = np.abs(kappa * vs[:, None] - ws[None, :]) / math.sqrt(kappa * kappa + 1.0)
     return vs, ws, dists
 
 
 def line_crosses_window(window, kappa):
     """The line omega = kappa * v meets the window (exact interval test)."""
-    lo, hi = sorted((kappa * window.v_lo, kappa * window.v_hi))
-    return lo <= window.omega_hi and hi >= window.omega_lo
+    v_lo, v_hi, omega_lo, omega_hi = window
+    lo, hi = sorted((kappa * v_lo, kappa * v_hi))
+    return lo <= omega_hi and hi >= omega_lo
 
 
 def bounds(lo, hi):
@@ -82,12 +84,8 @@ def any_limits(draw):
     )
 
 
-# Any state, also one outside the static limits.
-any_state = st.builds(
-    lambda v, omega: RobotState(Pose2D(0.0, 0.0, 0.0), v, omega),
-    st.floats(-3.0, 3.0),
-    st.floats(-3.0, 3.0),
-)
+# The (v, omega) of any state, also one outside the static limits.
+any_state = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 
 
 # Every float field of the lookahead, regulation and stability sections.
@@ -102,7 +100,7 @@ SECTION_FLOATS = [
 def random_window(rng, v_range=(0.0, 0.5), w_range=(-1.0, 1.0)):
     v_lo, v_hi = sorted(rng.uniform(*v_range, size=2))
     w_lo, w_hi = sorted(rng.uniform(*w_range, size=2))
-    return DynamicWindow(v_lo, v_hi, w_lo, w_hi)
+    return v_lo, v_hi, w_lo, w_hi
 
 
 class TestTypeValidation:
@@ -118,13 +116,9 @@ class TestTypeValidation:
         with pytest.raises(ParameterError):
             KinodynamicLimits(dt=0.0)
 
-    def test_window_bounds_must_be_ordered(self):
-        with pytest.raises(ParameterError):
-            DynamicWindow(0.2, 0.1, -1.0, 1.0)
-
     def test_command_must_be_finite(self):
         with pytest.raises(ParameterError):
-            VelocityCommand(math.inf, 0.0)
+            require_finite_command(math.inf, 0.0)
 
     def test_lookahead_config_rejects_unknown_mode(self):
         with pytest.raises(ParameterError):
@@ -192,19 +186,21 @@ class TestNominalCommand:
         path = corner_path(90.0)
         regulated_speeds, curvatures = [], []
         for x, y, theta, v in [(2.8, 0.05, 0.3, 0.5), (3.2, 0.5, 2.0, 0.2), (2.0, -0.2, -0.4, 0.0)]:
-            state = RobotState(Pose2D(x, y, theta), v, 0.0)
+            theta = wrap_angle(theta)
+            window = window_bounds(reachable_velocities(v, 0.0, bench_limits), bench_limits)
             for kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE, ControllerKind.REGULATED):
-                projection = nearest_point_on_path(path, state.pose)
-                distance = operative_lookahead(kind, bench_lookahead, state.v)
-                target = lookahead_from_projection(path, projection, distance)
-                kappa = compute_curvature(state.pose, target)
-                command = compute_command(
-                    kind, state, path, projection, bench_limits, bench_lookahead, bench_regulation
+                projection = project_onto_path(path, x, y)
+                distance = operative_lookahead(kind, bench_lookahead, v)
+                target = lookahead_point(path, *projection[:3], projection[4], distance)
+                kappa = arc_curvature(x, y, theta, *target)
+                v_cmd, omega_cmd = command_velocities(
+                    kind, x, y, theta, v, path, projection, window,
+                    bench_limits, bench_lookahead, bench_regulation, math.inf,
                 )
-                assert command.omega == kappa * command.v
+                assert omega_cmd == kappa * v_cmd
                 curvatures.append(kappa)
                 if kind is ControllerKind.REGULATED:
-                    regulated_speeds.append(command.v)
+                    regulated_speeds.append(v_cmd)
         assert min(curvatures) < 0.0 < max(curvatures)
         assert min(regulated_speeds) < bench_limits.v_max  # the regulated speed is on the line too
 
@@ -303,64 +299,60 @@ class TestRegulateLinearVelocity:
             assert v_reg <= v_cmd + 1e-15
 
 
-class TestDynamicWindow:
+class TestWindowBounds:
     def test_window_from_cruise_state(self):
         limits = KinodynamicLimits()
-        window = compute_dynamic_window(RobotState(Pose2D(0, 0, 0), 0.4, 0.0), limits)
-        assert window.v_lo == pytest.approx(0.3835, abs=1e-12)
-        assert window.v_hi == pytest.approx(0.4165, abs=1e-12)
-        assert window.omega_lo == pytest.approx(-0.033, abs=1e-12)
-        assert window.omega_hi == pytest.approx(0.033, abs=1e-12)
+        v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(0.4, 0.0, limits), limits)
+        assert v_lo == pytest.approx(0.3835, abs=1e-12)
+        assert v_hi == pytest.approx(0.4165, abs=1e-12)
+        assert omega_lo == pytest.approx(-0.033, abs=1e-12)
+        assert omega_hi == pytest.approx(0.033, abs=1e-12)
 
     def test_saturates_at_v_max(self):
         limits = KinodynamicLimits()
-        window = compute_dynamic_window(RobotState(Pose2D(0, 0, 0), 0.5, 0.0), limits)
-        assert window.v_hi == 0.5
+        _, v_hi, _, _ = window_bounds(reachable_velocities(0.5, 0.0, limits), limits)
+        assert v_hi == 0.5
 
     def test_lower_clamp_at_rest(self):
         limits = KinodynamicLimits()
-        window = compute_dynamic_window(RobotState(Pose2D(0, 0, 0), 0.0, 0.0), limits)
-        assert window.v_lo == 0.0
+        v_lo, _, _, _ = window_bounds(reachable_velocities(0.0, 0.0, limits), limits)
+        assert v_lo == 0.0
 
     def test_state_beyond_limits_collapses_to_bound(self):
         limits = KinodynamicLimits()
-        window = compute_dynamic_window(RobotState(Pose2D(0, 0, 0), 0.7, 0.0), limits)
-        assert window.v_lo == window.v_hi == 0.5
+        v_lo, v_hi, _, _ = window_bounds(reachable_velocities(0.7, 0.0, limits), limits)
+        assert v_lo == v_hi == 0.5
 
     def test_nested_in_static_limits(self):
         limits = KinodynamicLimits()
         rng = np.random.default_rng(2)
         for _ in range(300):
-            state = RobotState(Pose2D(0, 0, 0), rng.uniform(0, 0.5), rng.uniform(-1, 1))
-            window = compute_dynamic_window(state, limits)
-            assert limits.v_min <= window.v_lo <= window.v_hi <= limits.v_max
-            assert limits.omega_min <= window.omega_lo <= window.omega_hi <= limits.omega_max
+            v, omega = rng.uniform(0, 0.5), rng.uniform(-1, 1)
+            v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(v, omega, limits), limits)
+            assert limits.v_min <= v_lo <= v_hi <= limits.v_max
+            assert limits.omega_min <= omega_lo <= omega_hi <= limits.omega_max
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(limits=any_limits(), state=any_state)
     def test_matches_the_old_rule_bit_for_bit(self, limits, state):
-        window = compute_dynamic_window(state, limits)
-        assert window_bits(window) == window_bits(dynamic_window_oracle(state, limits))
+        window = window_bounds(reachable_velocities(*state, limits), limits)
+        assert bits(window) == bits(dynamic_window_oracle(*state, limits))
 
 
 class TestApplyRegulation:
     def test_caps_upper_bound(self):
-        window = apply_regulation_to_window(DynamicWindow(0.38, 0.42, -1, 1), 0.40)
-        assert (window.v_lo, window.v_hi) == (0.38, 0.40)
+        assert regulated_range(0.38, 0.42, 0.40) == (0.38, 0.40)
 
     def test_no_op_when_regulation_above_window(self):
-        original = DynamicWindow(0.38, 0.42, -1, 1)
-        assert apply_regulation_to_window(original, 0.5) == original
+        assert regulated_range(0.38, 0.42, 0.5) == (0.38, 0.42)
 
     def test_empty_intersection_collapses_to_lower_bound(self):
-        window = apply_regulation_to_window(DynamicWindow(0.38, 0.42, -1, 1), 0.10)
-        assert (window.v_lo, window.v_hi) == (0.38, 0.38)
+        assert regulated_range(0.38, 0.42, 0.10) == (0.38, 0.38)
 
     def test_reversing_window_brakes_instead_of_leaving_it(self):
         # Reversing at -0.03 m/s with v_min = -0.5: the reachable range lies
         # below zero, so [0, v_reg] collapses to its nearest end, not to 0.
-        window = apply_regulation_to_window(DynamicWindow(-0.0465, -0.0135, -1, 1), 0.5)
-        assert (window.v_lo, window.v_hi) == (-0.0135, -0.0135)
+        assert regulated_range(-0.0465, -0.0135, 0.5) == (-0.0135, -0.0135)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
@@ -372,28 +364,28 @@ class TestApplyRegulation:
     @example(v_bounds=(-1.0, -0.0), omega_bounds=(0.0, 0.0), v_reg=-0.0)
     @example(v_bounds=(-0.0, 0.0), omega_bounds=(0.0, 0.0), v_reg=0.0)
     def test_matches_the_old_rule_unless_the_window_is_all_reverse(self, v_bounds, omega_bounds, v_reg):
-        window = DynamicWindow(*v_bounds, *omega_bounds)
-        regulated = apply_regulation_to_window(window, v_reg)
-        if window.v_hi >= 0.0:
-            assert window_bits(regulated) == window_bits(regulated_window_oracle(window, v_reg))
+        window = (*v_bounds, *omega_bounds)
+        regulated = (*regulated_range(*v_bounds, v_reg), *omega_bounds)
+        if v_bounds[1] >= 0.0:
+            assert bits(regulated) == bits(regulated_window_oracle(window, v_reg))
         else:
             # The old rule returned v = 0 here, outside the window.
-            assert regulated.v_lo == regulated.v_hi == window.v_hi
+            assert regulated[0] == regulated[1] == v_bounds[1]
 
     def test_rejects_negative_regulation(self):
         with pytest.raises(ParameterError):
-            apply_regulation_to_window(DynamicWindow(0, 1, -1, 1), -0.1)
+            regulated_range(0, 1, -0.1)
 
     def test_idempotent_and_monotone(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            window = random_window(rng)
+            v_lo, v_hi, _, _ = random_window(rng)
             small, large = sorted(rng.uniform(0.0, 0.6, size=2))
-            once = apply_regulation_to_window(window, small)
-            assert apply_regulation_to_window(once, small) == once
-            wider = apply_regulation_to_window(window, large)
-            assert wider.v_lo <= once.v_lo or wider.v_hi >= once.v_hi
-            assert once.v_hi - once.v_lo <= wider.v_hi - wider.v_lo + 1e-15
+            once = regulated_range(v_lo, v_hi, small)
+            assert regulated_range(*once, small) == once
+            wider = regulated_range(v_lo, v_hi, large)
+            assert wider[0] <= once[0] or wider[1] >= once[1]
+            assert once[1] - once[0] <= wider[1] - wider[0] + 1e-15
 
 
 class TestDistancePointToLine:
@@ -411,47 +403,43 @@ class TestDistancePointToLine:
 
 class TestOptimalVelocity:
     def test_line_through_window_picks_fastest_crossing(self):
-        command = optimal_velocity_in_window(DynamicWindow(0.0, 0.5, -1.0, 1.0), 1.0)
-        assert command == VelocityCommand(0.5, 0.5)
+        assert select_velocity(0.0, 0.5, -1.0, 1.0, 1.0) == (0.5, 0.5)
 
     def test_steep_line_misses_window_picks_nearest_vertex(self):
-        command = optimal_velocity_in_window(DynamicWindow(0.2, 0.5, -1.0, 1.0), 10.0)
-        assert command == VelocityCommand(0.2, 1.0)
+        assert select_velocity(0.2, 0.5, -1.0, 1.0, 10.0) == (0.2, 1.0)
 
     def test_zero_curvature_outside_band(self):
-        command = optimal_velocity_in_window(DynamicWindow(0.3, 0.4, 0.2, 0.6), 0.0)
-        assert command == VelocityCommand(0.4, 0.2)
+        assert select_velocity(0.3, 0.4, 0.2, 0.6, 0.0) == (0.4, 0.2)
 
     def test_zero_curvature_inside_band(self):
-        command = optimal_velocity_in_window(DynamicWindow(0.3, 0.4, -0.2, 0.2), 0.0)
-        assert command == VelocityCommand(0.4, 0.0)
+        assert select_velocity(0.3, 0.4, -0.2, 0.2, 0.0) == (0.4, 0.0)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(500):
             window = random_window(rng)
             kappa = rng.uniform(-20, 20)
-            command = optimal_velocity_in_window(window, kappa)
-            analytic = distance_point_to_line(command.v, command.omega, kappa)
+            v, omega = select_velocity(*window, kappa)
+            analytic = distance_point_to_line(v, omega, kappa)
             vs, ws, dists = grid_distances(window, kappa)
             assert analytic <= dists.min() + 1e-9
             # Among grid points at least as close to the line, none may be
             # faster than the analytic choice by more than one grid step.
             tied = dists <= analytic + 1e-9
             if tied.any():
-                v_cell = (window.v_hi - window.v_lo) / 200.0
-                assert vs[tied.any(axis=1)].max() <= command.v + v_cell + 1e-9
+                v_cell = (window[1] - window[0]) / 200.0
+                assert vs[tied.any(axis=1)].max() <= v + v_cell + 1e-9
 
     def test_stays_inside_window(self):
         rng = np.random.default_rng(5)
         limits = KinodynamicLimits()
         for _ in range(500):
-            state = RobotState(Pose2D(0, 0, 0), rng.uniform(0, 0.5), rng.uniform(-1, 1))
-            window = compute_dynamic_window(state, limits)
-            regulated = apply_regulation_to_window(window, rng.uniform(0.0, 0.6))
-            command = optimal_velocity_in_window(regulated, rng.uniform(-20, 20))
-            assert regulated.v_lo <= command.v <= regulated.v_hi
-            assert regulated.omega_lo <= command.omega <= regulated.omega_hi
+            v, omega = rng.uniform(0, 0.5), rng.uniform(-1, 1)
+            v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(v, omega, limits), limits)
+            v_lo, v_hi = regulated_range(v_lo, v_hi, rng.uniform(0.0, 0.6))
+            v_cmd, omega_cmd = select_velocity(v_lo, v_hi, omega_lo, omega_hi, rng.uniform(-20, 20))
+            assert v_lo <= v_cmd <= v_hi
+            assert omega_lo <= omega_cmd <= omega_hi
 
     def test_exact_line_membership_when_crossing(self):
         rng = np.random.default_rng(6)
@@ -461,34 +449,29 @@ class TestOptimalVelocity:
             kappa = rng.uniform(-20, 20)
             if not line_crosses_window(window, kappa):
                 continue
-            command = optimal_velocity_in_window(window, kappa)
-            assert abs(kappa * command.v - command.omega) <= 1e-9
+            v, omega = select_velocity(*window, kappa)
+            assert abs(kappa * v - omega) <= 1e-9
             checked += 1
         assert checked > 50
 
     def test_mirror_symmetry_in_curvature(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            window = random_window(rng)
+            v_lo, v_hi, omega_lo, omega_hi = random_window(rng)
             kappa = rng.uniform(-20, 20)
-            command = optimal_velocity_in_window(window, kappa)
-            mirrored_window = DynamicWindow(
-                window.v_lo, window.v_hi, -window.omega_hi, -window.omega_lo
-            )
-            mirrored = optimal_velocity_in_window(mirrored_window, -kappa)
-            assert mirrored.v == pytest.approx(command.v, abs=1e-12)
-            assert mirrored.omega == pytest.approx(-command.omega, abs=1e-12)
+            v, omega = select_velocity(v_lo, v_hi, omega_lo, omega_hi, kappa)
+            mirrored_v, mirrored_omega = select_velocity(v_lo, v_hi, -omega_hi, -omega_lo, -kappa)
+            assert mirrored_v == pytest.approx(v, abs=1e-12)
+            assert mirrored_omega == pytest.approx(-omega, abs=1e-12)
 
     def test_degenerate_window_single_point(self):
-        command = optimal_velocity_in_window(DynamicWindow(0.3, 0.3, 0.1, 0.1), -5.0)
-        assert command == VelocityCommand(0.3, 0.1)
+        assert select_velocity(0.3, 0.3, 0.1, 0.1, -5.0) == (0.3, 0.1)
 
     def test_crossing_next_to_v_hi_stays_on_the_line(self):
         # The omega_hi crossing lies 5e-10 below v_hi: the command must be
         # that crossing, not the nearby vertex (0.4, 0.5) off the line.
         kappa = 0.5 / (0.4 - 5e-10)
-        command = optimal_velocity_in_window(DynamicWindow(0.1, 0.4, -0.5, 0.5), kappa)
-        assert command == VelocityCommand(0.5 / kappa, 0.5)
+        assert select_velocity(0.1, 0.4, -0.5, 0.5, kappa) == (0.5 / kappa, 0.5)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
@@ -498,10 +481,10 @@ class TestOptimalVelocity:
         kappa=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
     )
     def test_dwpp_selection_is_reachable(self, limits, state, v_reg, kappa):
-        window = compute_dynamic_window(state, limits)
-        command = optimal_velocity_in_window(apply_regulation_to_window(window, v_reg), kappa)
-        assert window.v_lo <= command.v <= window.v_hi
-        assert window.omega_lo <= command.omega <= window.omega_hi
+        v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(*state, limits), limits)
+        v, omega = select_velocity(*regulated_range(v_lo, v_hi, v_reg), omega_lo, omega_hi, kappa)
+        assert v_lo <= v <= v_hi
+        assert omega_lo <= omega <= omega_hi
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
@@ -512,24 +495,24 @@ class TestOptimalVelocity:
     @example(v_bounds=(0.3, 0.3), omega_bounds=(0.1, 0.1), kappa=-5.0)
     @example(v_bounds=(0.3, 0.4), omega_bounds=(0.2, 0.6), kappa=0.0)
     def test_selection_is_feasible_and_optimal(self, v_bounds, omega_bounds, kappa):
-        window = DynamicWindow(*v_bounds, *omega_bounds)
-        command = optimal_velocity_in_window(window, kappa)
-        assert window.v_lo <= command.v <= window.v_hi
-        assert window.omega_lo <= command.omega <= window.omega_hi
-        distance = distance_point_to_line(command.v, command.omega, kappa)
+        (v_lo, v_hi), (omega_lo, omega_hi) = v_bounds, omega_bounds
+        v_cmd, omega_cmd = select_velocity(v_lo, v_hi, omega_lo, omega_hi, kappa)
+        assert v_lo <= v_cmd <= v_hi
+        assert omega_lo <= omega_cmd <= omega_hi
+        distance = distance_point_to_line(v_cmd, omega_cmd, kappa)
         for v in v_bounds:
             for omega in omega_bounds:
                 assert distance <= distance_point_to_line(v, omega, kappa) + 1e-12
-        if line_crosses_window(window, kappa):
-            assert abs(kappa * command.v - command.omega) <= 1e-12
+        if line_crosses_window((*v_bounds, *omega_bounds), kappa):
+            assert abs(kappa * v_cmd - omega_cmd) <= 1e-12
             # The feasible stretch of the line ends where it leaves through
             # the omega bound it heads for, or at v_hi.
             if kappa == 0.0:
-                fastest = window.v_hi
+                fastest = v_hi
             else:
-                exit_omega = window.omega_hi if kappa > 0.0 else window.omega_lo
-                fastest = min(window.v_hi, exit_omega / kappa)
-            assert command.v >= fastest
+                exit_omega = omega_hi if kappa > 0.0 else omega_lo
+                fastest = min(v_hi, exit_omega / kappa)
+            assert v_cmd >= fastest
 
 
 class TestMinStableLookahead:
@@ -552,88 +535,90 @@ class TestComputeCommand:
 
     def test_straight_cruise_all_controllers(self):
         path = straight_path()
-        state = RobotState(Pose2D(1.0, 0.0, 0.0), 0.5, 0.0)
+        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
         for kind in ControllerKind:
-            command = compute_command(
-                kind, state, path, nearest_point_on_path(path, state.pose),
-                self.limits, self.lookahead, self.regulation
+            v, omega = command_velocities(
+                kind, 1.0, 0.0, 0.0, 0.5, path, project_onto_path(path, 1.0, 0.0), window,
+                self.limits, self.lookahead, self.regulation, math.inf,
             )
-            assert command.v == pytest.approx(0.5)
-            assert command.omega == pytest.approx(0.0, abs=1e-12)
+            assert v == pytest.approx(0.5)
+            assert omega == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_pursuit_corner_command_exceeds_window(self):
         path = corner_path(135.0)
-        state = RobotState(Pose2D(2.9, 0.0, 0.0), 0.5, 0.0)
-        command = compute_command(
-            ControllerKind.PURE_PURSUIT, state, path, nearest_point_on_path(path, state.pose),
-            self.limits, self.lookahead, self.regulation
+        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
+        v, omega = command_velocities(
+            ControllerKind.PURE_PURSUIT, 2.9, 0.0, 0.0, 0.5,
+            path, project_onto_path(path, 2.9, 0.0), window,
+            self.limits, self.lookahead, self.regulation, math.inf,
         )
-        reachable = state.omega + self.limits.ang_accel_max * self.limits.dt
-        assert command.v == 0.5
-        assert abs(command.omega) > reachable
+        reachable = 0.0 + self.limits.ang_accel_max * self.limits.dt
+        assert v == 0.5
+        assert abs(omega) > reachable
 
     def test_dynamic_window_corner_command_stays_feasible(self):
         path = corner_path(135.0)
-        state = RobotState(Pose2D(2.9, 0.0, 0.0), 0.5, 0.0)
-        command = compute_command(
-            ControllerKind.DYNAMIC_WINDOW, state, path, nearest_point_on_path(path, state.pose),
-            self.limits, self.lookahead, self.regulation
+        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
+        v, omega = command_velocities(
+            ControllerKind.DYNAMIC_WINDOW, 2.9, 0.0, 0.0, 0.5,
+            path, project_onto_path(path, 2.9, 0.0), window,
+            self.limits, self.lookahead, self.regulation, math.inf,
         )
-        window = compute_dynamic_window(state, self.limits)
-        assert window.v_lo <= command.v <= window.v_hi
-        assert window.omega_lo <= command.omega <= window.omega_hi
+        v_lo, v_hi, omega_lo, omega_hi = window
+        assert v_lo <= v <= v_hi
+        assert omega_lo <= omega <= omega_hi
 
     def test_regulated_slows_down_and_recomputes_omega(self):
         path = corner_path(135.0)
-        state = RobotState(Pose2D(2.9, 0.0, 0.0), 0.5, 0.0)
-        command = compute_command(
-            ControllerKind.REGULATED, state, path, nearest_point_on_path(path, state.pose),
-            self.limits, self.lookahead, self.regulation
+        projection = project_onto_path(path, 2.9, 0.0)
+        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
+        v, omega = command_velocities(
+            ControllerKind.REGULATED, 2.9, 0.0, 0.0, 0.5, path, projection, window,
+            self.limits, self.lookahead, self.regulation, math.inf,
         )
-        assert command.v < 0.5
-        lookahead = operative_lookahead(ControllerKind.REGULATED, self.lookahead, state.v)
-        target = lookahead_from_projection(path, nearest_point_on_path(path, state.pose), lookahead)
-        kappa = compute_curvature(state.pose, target)
-        assert command.omega == pytest.approx(kappa * command.v, abs=1e-12)
+        assert v < 0.5
+        lookahead = operative_lookahead(ControllerKind.REGULATED, self.lookahead, 0.5)
+        target = lookahead_point(path, *projection[:3], projection[4], lookahead)
+        kappa = arc_curvature(2.9, 0.0, 0.0, *target)
+        assert omega == pytest.approx(kappa * v, abs=1e-12)
 
     def test_pure_pursuit_ignores_scaled_mode(self):
         path = straight_path()
-        state = RobotState(Pose2D(0.0, 0.0, 0.0), 0.0, 0.0)
+        window = window_bounds(reachable_velocities(0.0, 0.0, self.limits), self.limits)
         fixed_cfg = replace(self.lookahead, mode=FIXED_LOOKAHEAD)
         for cfg in (self.lookahead, fixed_cfg):
-            command = compute_command(
-                ControllerKind.PURE_PURSUIT, state, path, nearest_point_on_path(path, state.pose),
-                self.limits, cfg, self.regulation
+            command = command_velocities(
+                ControllerKind.PURE_PURSUIT, 0.0, 0.0, 0.0, 0.0,
+                path, project_onto_path(path, 0.0, 0.0), window,
+                self.limits, cfg, self.regulation, math.inf,
             )
-            assert command == VelocityCommand(0.5, 0.0)
+            assert command == (0.5, 0.0)
 
     def test_adaptive_uses_short_lookahead_at_rest(self):
         # At rest the adaptive law aims 0.3 m ahead while plain pure pursuit
         # aims 0.6 m ahead; on a curved approach the curvatures differ.
         path = corner_path(90.0)
-        state = RobotState(Pose2D(2.75, 0.0, 0.0), 0.0, 0.0)
-        adaptive = compute_command(
-            ControllerKind.ADAPTIVE, state, path, nearest_point_on_path(path, state.pose),
-            self.limits, self.lookahead, self.regulation
+        projection = project_onto_path(path, 2.75, 0.0)
+        window = window_bounds(reachable_velocities(0.0, 0.0, self.limits), self.limits)
+        adaptive, plain = (
+            command_velocities(
+                kind, 2.75, 0.0, 0.0, 0.0, path, projection, window,
+                self.limits, self.lookahead, self.regulation, math.inf,
+            )
+            for kind in (ControllerKind.ADAPTIVE, ControllerKind.PURE_PURSUIT)
         )
-        plain = compute_command(
-            ControllerKind.PURE_PURSUIT, state, path, nearest_point_on_path(path, state.pose),
-            self.limits, self.lookahead, self.regulation
-        )
-        assert adaptive.omega != plain.omega
+        assert adaptive[1] != plain[1]
 
     def test_proximity_injection_reduces_speed(self):
         path = straight_path()
-        state = RobotState(Pose2D(1.0, 0.0, 0.0), 0.5, 0.0)
+        projection = project_onto_path(path, 1.0, 0.0)
+        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
         regulation = replace(self.regulation, enable_proximity=True)
-        near = compute_command(
-            ControllerKind.REGULATED, state, path, nearest_point_on_path(path, state.pose),
-            self.limits, self.lookahead, regulation,
-            obstacle_distance=0.4,
+        near, far = (
+            command_velocities(
+                ControllerKind.REGULATED, 1.0, 0.0, 0.0, 0.5, path, projection, window,
+                self.limits, self.lookahead, regulation, obstacle_distance,
+            )
+            for obstacle_distance in (0.4, math.inf)
         )
-        far = compute_command(
-            ControllerKind.REGULATED, state, path, nearest_point_on_path(path, state.pose),
-            self.limits, self.lookahead, regulation,
-            obstacle_distance=math.inf,
-        )
-        assert near.v < far.v
+        assert near[0] < far[0]

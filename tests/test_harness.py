@@ -3,10 +3,12 @@ import json
 import math
 import re
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 
+import pursuitbench
 from pursuitbench import (
     ConfigError,
     ControllerKind,
@@ -389,6 +391,40 @@ class TestCli:
         config.write_text("trials: 0\n")
         assert main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 1
         assert "trials" in capsys.readouterr().err
+
+    def test_compare_rejects_a_path_that_starts_inside_the_goal(self, tmp_path, capsys):
+        # The 178-degree corner with 3 m legs ends 0.105 m from its start.
+        config = tmp_path / "fold.yaml"
+        config.write_text(
+            "paths:\n"
+            "  - {name: F, corner_angle_deg: 178.0, segment_length: 3.0, waypoint_spacing: 0.05}\n"
+            "controllers: [dwpp]\n"
+            "trials: 1\n"
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: path F, controller dwpp, trial 0: the start lies 0.104714 m from the goal,"
+            " within goal_tolerance 0.15 m\n"
+        )
+        assert not list(out.glob("traj_*.csv"))
+
+
+def test_package_root_exports_exactly_the_library_api():
+    exported = {
+        name
+        for name, value in vars(pursuitbench).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == {
+        "ConfigError", "ControllerKind", "CornerPathSpec", "DegenerateGeometryError",
+        "ExperimentConfig", "KinodynamicLimits", "LookaheadConfig", "NoiseModel",
+        "ParameterError", "PursuitBenchError", "ReferencePath", "RegulationConfig",
+        "ScenarioMetrics", "ScenarioResult", "SimulationDivergedError", "StabilityConfig",
+        "SweepConfig", "TrajectoryLog", "emit_report", "generate_corner_path", "load_config",
+        "load_sweep_config", "operative_lookahead", "run_comparison", "run_lookahead_sweep",
+        "run_scenario", "scenario_metrics",
+    }
 
 
 def trajectory_digest(out: Path) -> tuple[int, str]:

@@ -8,27 +8,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bits,
     corner_path,
     lookahead_oracle,
     nearest_point_oracle,
     polyline_distances,
     project_all,
     straight_path,
+    waypoint_arc_lengths,
 )
 from pursuitbench import (
     CornerPathSpec,
     DegenerateGeometryError,
     ParameterError,
-    Pose2D,
     ReferencePath,
-    RobotState,
     generate_corner_path,
 )
 from pursuitbench import paths
 from pursuitbench.paths import (
-    compute_curvature,
-    lookahead_from_projection,
-    nearest_point_on_path,
+    arc_curvature,
+    lookahead_point,
+    project_onto_path,
+    require_finite_pose,
     wrap_angle,
 )
 
@@ -64,15 +65,11 @@ class TestWrapAngle:
 
 class TestTypes:
     def test_pose_wraps_heading(self):
-        assert Pose2D(0.0, 0.0, 2 * math.pi + 0.25).theta == pytest.approx(0.25)
+        assert wrap_angle(2 * math.pi + 0.25) == pytest.approx(0.25)
 
     def test_pose_rejects_non_finite(self):
         with pytest.raises(ParameterError):
-            Pose2D(math.nan, 0.0, 0.0)
-
-    def test_state_rejects_non_finite_velocity(self):
-        with pytest.raises(ParameterError):
-            RobotState(Pose2D(0, 0, 0), math.inf, 0.0)
+            require_finite_pose(math.nan, 0.0, 0.0)
 
     def test_path_needs_two_waypoints(self):
         with pytest.raises(ParameterError):
@@ -84,7 +81,7 @@ class TestTypes:
 
     def test_arclength_starts_at_zero_and_increases(self):
         path = corner_path(90.0)
-        arc = path.cumulative_arclength
+        arc = [project_onto_path(path, x, y)[4] for x, y in path.waypoints.tolist()]
         assert arc[0] == 0.0
         assert np.all(np.diff(arc) > 0)
 
@@ -125,43 +122,43 @@ class TestCornerPathGeneration:
 
 class TestNearestPoint:
     def test_perpendicular_foot(self):
-        proj = nearest_point_on_path(straight_path(), Pose2D(1.0, 0.1, 0.0))
-        np.testing.assert_allclose(proj.point, [1.0, 0.0], atol=1e-12)
-        assert proj.distance == pytest.approx(0.1)
+        px, py, _, distance, _ = project_onto_path(straight_path(), 1.0, 0.1)
+        np.testing.assert_allclose((px, py), [1.0, 0.0], atol=1e-12)
+        assert distance == pytest.approx(0.1)
 
     def test_on_waypoint_identity(self):
         path = straight_path(spacing=0.1)
-        proj = nearest_point_on_path(path, Pose2D(0.5, 0.0, 0.0))
-        np.testing.assert_allclose(proj.point, [0.5, 0.0], atol=1e-12)
-        assert proj.distance == 0.0
+        px, py, _, distance, _ = project_onto_path(path, 0.5, 0.0)
+        np.testing.assert_allclose((px, py), [0.5, 0.0], atol=1e-12)
+        assert distance == 0.0
 
     def test_corner_tie_picks_lower_segment_index(self):
         # (2.5, 0.5) is exactly 0.5 from both legs of the right-angle corner.
         path = corner_path(90.0, spacing=0.1)
-        proj = nearest_point_on_path(path, Pose2D(2.5, 0.5, 0.0))
+        px, py, index, distance, _ = project_onto_path(path, 2.5, 0.5)
         expected_distance, expected_index = brute_nearest(path, 2.5, 0.5)
-        assert proj.segment_index == expected_index
-        assert proj.distance == pytest.approx(expected_distance)
-        np.testing.assert_allclose(proj.point, [2.5, 0.0], atol=1e-12)
+        assert index == expected_index
+        assert distance == pytest.approx(expected_distance)
+        np.testing.assert_allclose((px, py), [2.5, 0.0], atol=1e-12)
 
     def test_matches_exhaustive_scan(self):
         path = corner_path(135.0)
         rng = np.random.default_rng(3)
         for _ in range(200):
             x, y = rng.uniform(-1.0, 4.0, size=2)
-            proj = nearest_point_on_path(path, Pose2D(x, y, 0.0))
+            _, _, index, distance, _ = project_onto_path(path, x, y)
             expected_distance, expected_index = brute_nearest(path, x, y)
-            assert proj.segment_index == expected_index
-            assert proj.distance == pytest.approx(expected_distance, abs=1e-12)
+            assert index == expected_index
+            assert distance == pytest.approx(expected_distance, abs=1e-12)
 
     def test_distance_dominates_waypoint_distances(self):
         path = corner_path(45.0)
         rng = np.random.default_rng(4)
         for _ in range(100):
             x, y = rng.uniform(-2.0, 6.0, size=2)
-            proj = nearest_point_on_path(path, Pose2D(x, y, 0.0))
+            distance = project_onto_path(path, x, y)[3]
             waypoint_distances = np.hypot(path.waypoints[:, 0] - x, path.waypoints[:, 1] - y)
-            assert proj.distance <= waypoint_distances.min() + 1e-12
+            assert distance <= waypoint_distances.min() + 1e-12
 
 
 # Half-metre grid coordinates make exact ties and U-turns common; free floats
@@ -238,17 +235,18 @@ def draw_query(data, path) -> tuple[float, float]:
 
 
 def project_counting_scans(path, x, y):
-    """``nearest_point_on_path`` and whether it fell back to the full scan."""
+    """``project_onto_path`` and whether it fell back to the full scan."""
     with mock.patch.object(paths, "_nearest_by_scan", wraps=paths._nearest_by_scan) as scan:
-        projection = nearest_point_on_path(path, Pose2D(x, y, 0.0))
+        projection = project_onto_path(path, x, y)
     return projection, scan.called
 
 
 def assert_same_projection(actual, expected):
-    assert actual.segment_index == expected.segment_index
-    assert actual.distance == expected.distance
-    assert actual.arc_length == expected.arc_length
-    assert actual.point.tobytes() == expected.point.tobytes()
+    (px, py, index, distance, arc_length), (ex, ey, e_index, e_distance, e_arc_length) = actual, expected
+    assert index == e_index
+    assert distance == e_distance
+    assert arc_length == e_arc_length
+    assert bits((px, py)) == bits((ex, ey))
 
 
 class TestKernelsMatchOracles:
@@ -259,10 +257,11 @@ class TestKernelsMatchOracles:
     @example(points=[(-0.0, 0.0), (-1.0, -1.0)], x=-0.0, y=0.0)  # a fraction of -0.0
     def test_nearest_point_is_the_batch_oracle(self, points, x, y):
         path = ReferencePath(points)
-        projection = nearest_point_on_path(path, Pose2D(x, y, 0.0))
+        projection = project_onto_path(path, x, y)
         assert_same_projection(projection, nearest_point_oracle(path, x, y))
         _, dist_sq = project_all(path, [[x, y]])
-        assert np.all(dist_sq[0, : projection.segment_index] > dist_sq[0, projection.segment_index])
+        index = projection[2]
+        assert np.all(dist_sq[0, :index] > dist_sq[0, index])
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
@@ -275,9 +274,9 @@ class TestKernelsMatchOracles:
     @example(points=[(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], x=0.0, y=0.0, lookahead=0.5)
     def test_lookahead_is_the_numpy_scan(self, points, x, y, lookahead):
         path = ReferencePath(points)
-        projection = nearest_point_on_path(path, Pose2D(x, y, 0.0))
-        target = lookahead_from_projection(path, projection, lookahead)
-        assert target.tobytes() == lookahead_oracle(path, projection, lookahead).tobytes()
+        projection = project_onto_path(path, x, y)
+        target = lookahead_point(path, *projection[:3], projection[4], lookahead)
+        assert bits(target) == bits(lookahead_oracle(path, projection, lookahead))
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(points=shifted_polylines, data=st.data())
@@ -287,17 +286,18 @@ class TestKernelsMatchOracles:
         projection, scanned = project_counting_scans(path, x, y)
         assert_same_projection(projection, nearest_point_oracle(path, x, y))
         # The grid certifies exactly the projections nearer than its limit.
-        assert scanned == (projection.distance >= path._grid.limit)
+        assert scanned == (projection[3] >= path._grid.limit)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(points=shifted_polylines, data=st.data())
     def test_shifted_fine_and_mixed_paths_find_the_lookahead_exactly(self, points, data):
         path = ReferencePath(points)
-        projection = nearest_point_on_path(path, Pose2D(*draw_query(data, path), 0.0))
+        projection = project_onto_path(path, *draw_query(data, path))
+        _, _, segment_index, _, arc_length = projection
         # Also lookaheads beyond the path's end and ones that end exactly at a
         # waypoint's arc length, where the skip stops.
-        remaining = path.length - projection.arc_length
-        ahead = path.cumulative_arclength[projection.segment_index + 1 :] - projection.arc_length
+        remaining = path.length - arc_length
+        ahead = waypoint_arc_lengths(path)[segment_index + 1 :] - arc_length
         at_waypoint = st.sampled_from(ahead.tolist()).filter(lambda value: value > 0.0)
         lookahead = data.draw(
             st.one_of(
@@ -308,8 +308,8 @@ class TestKernelsMatchOracles:
             ),
             label="lookahead",
         )
-        target = lookahead_from_projection(path, projection, lookahead)
-        assert target.tobytes() == lookahead_oracle(path, projection, lookahead).tobytes()
+        target = lookahead_point(path, *projection[:3], projection[4], lookahead)
+        assert bits(target) == bits(lookahead_oracle(path, projection, lookahead))
 
     def test_long_diagonal_segment_widens_the_cells(self):
         # 2,000 one-centimetre segments, then one 1.4 km diagonal: at four
@@ -326,37 +326,34 @@ class TestKernelsMatchOracles:
             assert not scanned
 
 
-def find_lookahead_point(path, pose, lookahead):
-    return lookahead_from_projection(path, nearest_point_on_path(path, pose), lookahead)
+def find_lookahead_point(path, x, y, lookahead):
+    projection = project_onto_path(path, x, y)
+    return lookahead_point(path, *projection[:3], projection[4], lookahead)
 
 
-def remaining_distance(path, pose):
-    return path.length - nearest_point_on_path(path, pose).arc_length
+def remaining_distance(path, x, y):
+    return path.length - project_onto_path(path, x, y)[4]
 
 
 class TestLookaheadPoint:
     def test_straight_path_from_origin(self):
         path = straight_path(spacing=0.1)
-        target = find_lookahead_point(path, Pose2D(0.0, 0.0, 0.0), 0.6)
+        target = find_lookahead_point(path, 0.0, 0.0, 0.6)
         np.testing.assert_allclose(target, [0.6, 0.0], atol=1e-12)
 
     def test_falls_back_to_final_waypoint_near_end(self):
         path = straight_path(length=6.0, spacing=0.1)
-        target = find_lookahead_point(path, Pose2D(5.6, 0.0, 0.0), 0.6)
+        target = find_lookahead_point(path, 5.6, 0.0, 0.6)
         np.testing.assert_allclose(target, [6.0, 0.0], atol=1e-12)
 
     def test_corner_vicinity_target_moves_to_second_leg(self):
         path = corner_path(90.0, spacing=0.1)
-        pose = Pose2D(2.7, 0.0, 0.0)
-        target = find_lookahead_point(path, pose, 0.6)
+        target = find_lookahead_point(path, 2.7, 0.0, 0.6)
         # Independent linear scan: distances from the projected point.
-        reference = nearest_point_on_path(path, pose)
-        distances = np.hypot(
-            path.waypoints[:, 0] - reference.point[0],
-            path.waypoints[:, 1] - reference.point[1],
-        )
+        px, py, segment_index, _, _ = project_onto_path(path, 2.7, 0.0)
+        distances = np.hypot(path.waypoints[:, 0] - px, path.waypoints[:, 1] - py)
         chosen = None
-        for i in range(reference.segment_index + 1, len(path)):
+        for i in range(segment_index + 1, len(path)):
             if distances[i - 1] < 0.6 <= distances[i]:
                 chosen = path.waypoints[i]
                 break
@@ -368,16 +365,13 @@ class TestLookaheadPoint:
         path = corner_path(135.0)
         rng = np.random.default_rng(11)
         for _ in range(200):
-            pose = Pose2D(rng.uniform(-0.5, 3.5), rng.uniform(-0.5, 2.5), 0.0)
+            x, y = rng.uniform(-0.5, 3.5), rng.uniform(-0.5, 2.5)
             lookahead = rng.uniform(0.1, 1.0)
-            reference = nearest_point_on_path(path, pose)
-            target = find_lookahead_point(path, pose, lookahead)
-            distances = np.hypot(
-                path.waypoints[:, 0] - reference.point[0],
-                path.waypoints[:, 1] - reference.point[1],
-            )
+            px, py, segment_index, _, _ = project_onto_path(path, x, y)
+            target = find_lookahead_point(path, x, y, lookahead)
+            distances = np.hypot(path.waypoints[:, 0] - px, path.waypoints[:, 1] - py)
             expected = None
-            for i in range(reference.segment_index + 1, len(path)):
+            for i in range(segment_index + 1, len(path)):
                 if distances[i - 1] < lookahead <= distances[i]:
                     expected = path.waypoints[i]
                     break
@@ -388,83 +382,85 @@ class TestLookaheadPoint:
     @pytest.mark.parametrize("lookahead", [0.0, -1.0])
     def test_rejects_non_positive_lookahead(self, lookahead):
         with pytest.raises(ParameterError, match="lookahead must be positive"):
-            find_lookahead_point(corner_path(90.0), Pose2D(2.7, 0.0, 0.0), lookahead)
+            find_lookahead_point(corner_path(90.0), 2.7, 0.0, lookahead)
 
 
 class TestCurvature:
     def test_diagonal_target_gives_unit_curvature(self):
-        assert compute_curvature(Pose2D(0, 0, 0), (1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert arc_curvature(0.0, 0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_straight_ahead_gives_zero(self):
-        assert compute_curvature(Pose2D(0, 0, 0), (2.0, 0.0)) == 0.0
+        assert arc_curvature(0.0, 0.0, 0.0, 2.0, 0.0) == 0.0
 
     def test_mirror_target_flips_sign(self):
-        assert compute_curvature(Pose2D(0, 0, 0), (1.0, -1.0)) == pytest.approx(-1.0, abs=1e-12)
+        assert arc_curvature(0.0, 0.0, 0.0, 1.0, -1.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_coincident_target_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            compute_curvature(Pose2D(1.0, 2.0, 0.3), (1.0, 2.0))
+            arc_curvature(1.0, 2.0, 0.3, 1.0, 2.0)
 
     def test_reflection_across_heading_axis_negates_curvature(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            pose = Pose2D(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))
+            x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            theta = wrap_angle(rng.uniform(-math.pi, math.pi))
             dx, dy = rng.uniform(-2, 2, size=2)
             if math.hypot(dx, dy) < 1e-6:
                 continue
-            cos_t, sin_t = math.cos(pose.theta), math.sin(pose.theta)
+            cos_t, sin_t = math.cos(theta), math.sin(theta)
             forward = dx * cos_t + dy * sin_t
             lateral = -dx * sin_t + dy * cos_t
-            target = (pose.x + dx, pose.y + dy)
+            target = (x + dx, y + dy)
             mirrored = (
-                pose.x + forward * cos_t + lateral * sin_t,
-                pose.y + forward * sin_t - lateral * cos_t,
+                x + forward * cos_t + lateral * sin_t,
+                y + forward * sin_t - lateral * cos_t,
             )
-            kappa = compute_curvature(pose, target)
-            assert compute_curvature(pose, mirrored) == pytest.approx(-kappa, abs=1e-9)
+            kappa = arc_curvature(x, y, theta, *target)
+            assert arc_curvature(x, y, theta, *mirrored) == pytest.approx(-kappa, abs=1e-9)
 
     def test_magnitude_bounded_by_two_over_distance(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            pose = Pose2D(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))
+            x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            theta = wrap_angle(rng.uniform(-math.pi, math.pi))
             target = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            distance = math.hypot(target[0] - pose.x, target[1] - pose.y)
+            distance = math.hypot(target[0] - x, target[1] - y)
             if distance < 1e-9:
                 continue
-            assert abs(compute_curvature(pose, target)) <= 2.0 / distance + 1e-12
+            assert abs(arc_curvature(x, y, theta, *target)) <= 2.0 / distance + 1e-12
 
 
 class TestCrossTrackAndGoalDistance:
     def test_cross_track_matches_nearest_distance(self):
         path = corner_path(90.0, spacing=0.1)
-        poses = (Pose2D(1.0, 0.1, 0.0), Pose2D(0.5, 0.0, 0.0), Pose2D(2.5, 0.5, 0.0))
-        batch = polyline_distances(path, [[pose.x, pose.y] for pose in poses])
-        for pose, expected, batch_distance in zip(poses, (0.1, 0.0, 0.5), batch):
-            distance = nearest_point_on_path(path, pose).distance
+        points = ((1.0, 0.1), (0.5, 0.0), (2.5, 0.5))
+        batch = polyline_distances(path, points)
+        for (x, y), expected, batch_distance in zip(points, (0.1, 0.0, 0.5), batch):
+            distance = project_onto_path(path, x, y)[3]
             assert distance == pytest.approx(expected, abs=1e-12)
             assert batch_distance == distance
 
     def test_remaining_distance_at_start(self):
         path = corner_path(45.0)
-        assert remaining_distance(path, Pose2D(0.0, 0.0, 0.0)) == pytest.approx(6.0)
+        assert remaining_distance(path, 0.0, 0.0) == pytest.approx(6.0)
 
     def test_remaining_distance_at_goal(self):
         path = corner_path(45.0)
         goal = path.goal
-        assert remaining_distance(path, Pose2D(goal[0], goal[1], 0.0)) == pytest.approx(
+        assert remaining_distance(path, goal[0], goal[1]) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_remaining_distance_mid_first_leg(self):
         path = corner_path(45.0)
-        assert remaining_distance(path, Pose2D(1.3, 0.0, 0.0)) == pytest.approx(
+        assert remaining_distance(path, 1.3, 0.0) == pytest.approx(
             4.7, abs=1e-9
         )
 
     def test_remaining_distance_non_increasing_along_straight_path(self):
         path = straight_path()
         xs = np.linspace(0.0, 6.0, 200)
-        remaining = [remaining_distance(path, Pose2D(x, 0.02, 0.0)) for x in xs]
+        remaining = [remaining_distance(path, x, 0.02) for x in xs]
         assert np.all(np.diff(remaining) <= 1e-12)
 
     def test_polyline_distances_matches_scalar_query(self):
@@ -475,7 +471,7 @@ class TestCrossTrackAndGoalDistance:
             points = rng.uniform(-1.0, high, size=(50, 2))
             batch = polyline_distances(path, points)
             for (x, y), expected in zip(points, batch):
-                assert nearest_point_on_path(path, Pose2D(x, y, 0.0)).distance == expected
+                assert project_onto_path(path, x, y)[3] == expected
 
 
 class TestCsvRoundTrip:

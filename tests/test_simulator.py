@@ -25,13 +25,10 @@ from pursuitbench import (
     LookaheadConfig,
     NoiseModel,
     ParameterError,
-    Pose2D,
     PursuitBenchError,
     RegulationConfig,
-    RobotState,
     SimulationDivergedError,
     TrajectoryLog,
-    VelocityCommand,
     run_scenario,
 )
 from pursuitbench.controllers import (
@@ -39,19 +36,20 @@ from pursuitbench.controllers import (
     COMBINE_LOWER_BOUND,
     FIXED_LOOKAHEAD,
     VELOCITY_SCALED_LOOKAHEAD,
+    reachable_velocities,
+    window_bounds,
 )
-from pursuitbench.paths import nearest_point_on_path, project_onto_path
-from pursuitbench.simulator import clip_to_feasible, step_unicycle
+from pursuitbench.paths import project_onto_path, wrap_angle
+from pursuitbench.simulator import arc_step, clip_to_window
 
 
-def euler_reference(state, command, dt, substeps=1000):
+def euler_reference(x, y, theta, v, omega, dt, substeps=1000):
     """Independent fine-step Euler integration of the unicycle kinematics."""
-    x, y, theta = state.pose.x, state.pose.y, state.pose.theta
     h = dt / substeps
     for _ in range(substeps):
-        x += command.v * math.cos(theta) * h
-        y += command.v * math.sin(theta) * h
-        theta += command.omega * h
+        x += v * math.cos(theta) * h
+        y += v * math.sin(theta) * h
+        theta += omega * h
     return x, y
 
 
@@ -107,63 +105,54 @@ class TestClipToFeasible:
         self.limits = KinodynamicLimits()
 
     def test_command_inside_window_unchanged(self):
-        state = RobotState(Pose2D(0, 0, 0), 0.4, 0.0)
-        command = VelocityCommand(0.41, 0.01)
-        assert clip_to_feasible(command, state, self.limits) == command
+        window = window_bounds(reachable_velocities(0.4, 0.0, self.limits), self.limits)
+        assert clip_to_window(0.41, 0.01, window) == (0.41, 0.01)
 
     def test_linear_velocity_clamped_to_window(self):
-        state = RobotState(Pose2D(0, 0, 0), 0.4, 0.0)
-        executed = clip_to_feasible(VelocityCommand(0.5, 0.0), state, self.limits)
-        assert executed.v == pytest.approx(0.4165, abs=1e-12)
+        window = window_bounds(reachable_velocities(0.4, 0.0, self.limits), self.limits)
+        v, _ = clip_to_window(0.5, 0.0, window)
+        assert v == pytest.approx(0.4165, abs=1e-12)
 
     def test_angular_velocity_clamped_to_window(self):
-        state = RobotState(Pose2D(0, 0, 0), 0.0, 0.0)
-        executed = clip_to_feasible(VelocityCommand(0.0, 1.0), state, self.limits)
-        assert executed.omega == pytest.approx(0.033, abs=1e-12)
+        window = window_bounds(reachable_velocities(0.0, 0.0, self.limits), self.limits)
+        _, omega = clip_to_window(0.0, 1.0, window)
+        assert omega == pytest.approx(0.033, abs=1e-12)
 
 
 class TestStepUnicycle:
     def test_straight_motion(self):
-        state = step_unicycle(RobotState(Pose2D(0, 0, 0), 0, 0), VelocityCommand(1.0, 0.0), 1.0)
-        assert (state.pose.x, state.pose.y, state.pose.theta) == (1.0, 0.0, 0.0)
+        x, y, theta = arc_step(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+        assert (x, y, wrap_angle(theta)) == (1.0, 0.0, 0.0)
 
     def test_spin_in_place(self):
-        state = step_unicycle(
-            RobotState(Pose2D(0.5, -0.5, 0), 0, 0), VelocityCommand(0.0, math.pi), 1.0
-        )
-        assert state.pose.x == 0.5
-        assert state.pose.y == -0.5
-        assert state.pose.theta == pytest.approx(math.pi)
+        x, y, theta = arc_step(0.5, -0.5, 0.0, 0.0, math.pi, 1.0)
+        assert x == 0.5
+        assert y == -0.5
+        assert wrap_angle(theta) == pytest.approx(math.pi)
 
     def test_quarter_circle(self):
-        state = step_unicycle(
-            RobotState(Pose2D(0, 0, 0), 0, 0), VelocityCommand(math.pi / 2, math.pi / 2), 1.0
-        )
-        assert state.pose.x == pytest.approx(1.0, abs=1e-12)
-        assert state.pose.y == pytest.approx(1.0, abs=1e-12)
-        assert state.pose.theta == pytest.approx(math.pi / 2)
+        x, y, theta = arc_step(0.0, 0.0, 0.0, math.pi / 2, math.pi / 2, 1.0)
+        assert x == pytest.approx(1.0, abs=1e-12)
+        assert y == pytest.approx(1.0, abs=1e-12)
+        assert wrap_angle(theta) == pytest.approx(math.pi / 2)
 
     def test_velocities_updated_to_executed(self):
-        state = step_unicycle(RobotState(Pose2D(0, 0, 0), 0, 0), VelocityCommand(0.3, -0.2), 0.1)
-        assert (state.v, state.omega) == (0.3, -0.2)
+        # Each step's state velocities are the previous step's executed ones.
+        log = run(corner_path(90.0), ControllerKind.PURE_PURSUIT).log
+        assert (log.v[0], log.omega[0]) == (0.0, 0.0)
+        np.testing.assert_array_equal(log.v[1:], log.v_exec[:-1])
+        np.testing.assert_array_equal(log.omega[1:], log.omega_exec[:-1])
 
     def test_agrees_with_fine_euler_integration(self):
         rng = np.random.default_rng(9)
         for _ in range(300):
-            start = RobotState(
-                Pose2D(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi)),
-                0.0,
-                0.0,
-            )
-            command = VelocityCommand(rng.uniform(0, 0.5), rng.uniform(-1, 1))
+            x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            theta = wrap_angle(rng.uniform(-math.pi, math.pi))
+            v, omega = rng.uniform(0, 0.5), rng.uniform(-1, 1)
             dt = rng.uniform(0.001, 0.05)
-            stepped = step_unicycle(start, command, dt)
-            ex, ey = euler_reference(start, command, dt)
-            assert math.hypot(stepped.pose.x - ex, stepped.pose.y - ey) < 1e-6
-
-    def test_rejects_non_positive_dt(self):
-        with pytest.raises(ParameterError):
-            step_unicycle(RobotState(Pose2D(0, 0, 0), 0, 0), VelocityCommand(1, 0), 0.0)
+            stepped_x, stepped_y, _ = arc_step(x, y, theta, v, omega, dt)
+            ex, ey = euler_reference(x, y, theta, v, omega, dt)
+            assert math.hypot(stepped_x - ex, stepped_y - ey) < 1e-6
 
 
 class TestRunScenario:
@@ -178,8 +167,8 @@ class TestRunScenario:
         result = run(path, ControllerKind.DYNAMIC_WINDOW)
         log = result.log
         remaining = [
-            path.length - nearest_point_on_path(path, Pose2D(x, y, t)).arc_length
-            for x, y, t in zip(log.x, log.y, log.theta)
+            path.length - project_onto_path(path, x, y)[4]
+            for x, y in zip(log.x, log.y)
         ]
         moving = log.v[:-1] > 0
         deltas = np.diff(remaining)[moving]
@@ -305,6 +294,26 @@ class TestRunScenario:
         assert len(result.log) == steps
         assert result.reached_goal
 
+    @pytest.mark.parametrize("kind", list(ControllerKind), ids=lambda kind: kind.value)
+    def test_start_inside_the_goal_tolerance_is_rejected(self, kind):
+        # The 178-degree corner with 3 m legs ends 0.105 m from its start.
+        message = "the start lies 0.104714 m from the goal, within goal_tolerance 0.15 m"
+        for simulate in (run_scenario, run_scenario_oracle):
+            with pytest.raises(ParameterError) as error:
+                run(corner_path(178.0), kind, simulate)
+            assert str(error.value) == message
+
+    def test_start_is_checked_after_the_pose_noise(self):
+        # Without noise the start is 0.2 m from the goal and the run goes ahead.
+        path = straight_path(length=0.2)
+        assert run(path, ControllerKind.DYNAMIC_WINDOW).reached_goal
+        message = "the start lies 0.133569 m from the goal, within goal_tolerance 0.15 m"
+        noise = NoiseModel(sigma_pose_init=0.05, seed=24)
+        for simulate in (run_scenario, run_scenario_oracle):
+            with pytest.raises(ParameterError) as error:
+                run(path, ControllerKind.DYNAMIC_WINDOW, simulate, noise=noise)
+            assert str(error.value) == message
+
     def test_projects_once_per_step(self, monkeypatch):
         calls = []
 
@@ -330,8 +339,8 @@ class TestRunScenario:
         path = u_turn_path()
         log = run(path, kind).log
         oracle = [nearest_point_oracle(path, x, y) for x, y in zip(log.x, log.y)]
-        assert log.cte.tolist() == [projection.distance for projection in oracle]
-        assert log.arc_length.tolist() == [projection.arc_length for projection in oracle]
+        assert log.cte.tolist() == [projection[3] for projection in oracle]
+        assert log.arc_length.tolist() == [projection[4] for projection in oracle]
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -345,7 +354,7 @@ class TestRunScenario:
         log = run(path, kind, noise=noise).log
         points = np.column_stack((log.x, log.y))
         assert log.cte.tobytes() == polyline_distances(path, points).tobytes()
-        assert log.arc_length.tolist() == [nearest_point_oracle(path, x, y).arc_length for x, y in points]
+        assert log.arc_length.tolist() == [nearest_point_oracle(path, x, y)[4] for x, y in points]
 
     def test_times_out_without_reaching_goal(self):
         result = run(straight_path(), ControllerKind.PURE_PURSUIT, max_time=1.0)
