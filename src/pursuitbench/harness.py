@@ -93,6 +93,9 @@ class ExperimentConfig:
                 raise ParameterError(f"paths[{position}]: name must be non-empty")
             if name in names[:position]:
                 raise ParameterError(f"paths[{position}]: duplicate path name '{name}'")
+        for position, kind in enumerate(self.controllers):
+            if kind in self.controllers[:position]:
+                raise ParameterError(f"controllers[{position}]: duplicate controller '{kind.value}'")
         if type(self.trials) is not int or self.trials < 1:
             raise ParameterError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if type(self.goal_tolerance) is bool or not (0.0 < self.goal_tolerance < math.inf):
@@ -178,7 +181,10 @@ def _check(key: str, value, default):
 def _read_config_text(source: str | Path) -> str:
     path = Path(source)
     if path.exists():
-        return path.read_text()
+        try:
+            return path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{source}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     resource = importlib.resources.files("pursuitbench").joinpath("profiles", f"{source}.yaml")
     if resource.is_file():
         return resource.read_text()

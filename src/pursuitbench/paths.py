@@ -27,6 +27,8 @@ _CELL_SEGMENTS = 4.0
 # The grid lists a segment in at most this many cells on average; a path whose
 # long segments would need more gets wider cells.
 _CELL_BUDGET = 32
+# The grid is built from this many segments at a time.
+_CHUNK_SEGMENTS = 64
 
 
 def wrap_angle(theta: float) -> float:
@@ -110,16 +112,18 @@ class ReferencePath:
 
     @classmethod
     def from_csv(cls, file: str | Path) -> "ReferencePath":
-        """Read a path written by :meth:`to_csv` (header ``x,y`` required)."""
-        with open(file, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["x", "y"]:
-                raise ParameterError(f"{file}: expected CSV header 'x,y'")
-            try:
-                points = [(float(row[0]), float(row[1])) for row in reader if row]
-            except (IndexError, ValueError) as exc:
-                raise ParameterError(f"{file}: malformed waypoint row") from exc
+        """Read a path written by :meth:`to_csv` (header ``x,y`` required, then rows of two numbers)."""
+        try:
+            with open(file, newline="") as handle:
+                rows = list(csv.reader(handle))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise ParameterError(f"{file}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+        if not rows or [h.strip() for h in rows[0]] != ["x", "y"]:
+            raise ParameterError(f"{file}: expected CSV header 'x,y'")
+        try:
+            points = [(float(x), float(y)) for x, y in filter(None, rows[1:])]
+        except ValueError as exc:  # a cell that is no number, or a row of other than two cells
+            raise ParameterError(f"{file}: malformed waypoint row") from exc
         return cls(points)
 
 
@@ -162,39 +166,47 @@ def generate_corner_path(spec: CornerPathSpec) -> ReferencePath:
 
 
 class _CellGrid(NamedTuple):
-    """Square cells over a path, each listing the segments near it.
+    """Square cells over a path, each listing the segments near it, nearest first.
 
     A cell lists every segment whose bounding box touches the 3 x 3 block of
-    cells around it, as ascending index runs ``(first, stop)``. A segment
-    that a cell does not list lies outside that block, so it is at least one
-    cell width away from any point in the cell. A listed segment nearer than
-    ``limit`` (the cell width less the path's rounding slack) is therefore
-    nearer than every unlisted one.
+    cells around it. A segment that a cell does not list lies outside that
+    block, so it is at least one cell width away from any point in the cell.
+    A listed segment nearer than ``limit`` (the cell width less the path's
+    rounding slack) is therefore nearer than every unlisted one.
+
+    ``segments`` holds the listed segment indices cell after cell, each
+    cell's in ascending order of their bound: the distance from the cell's
+    centre to the segment, which ``bounds`` holds at the same positions. The
+    ``k``-th cell of ``cells`` owns positions ``starts[k]`` up to
+    ``starts[k + 1]``. By the triangle inequality a segment is at least its
+    bound, less the query's distance from the centre, away from a query.
+    Each segment has one record, which every cell listing it shares.
     """
 
     x0: float
     y0: float
-    scale: float  # cells per metre: 1 / cell width
+    size: float  # cell width
+    scale: float  # cells per metre: 1 / size
     columns: int
     rows: int
-    cells: dict  # column * rows + row -> (first, stop, first, stop, ...)
+    cells: dict  # column * rows + row -> k
+    # Flat arrays, read through memoryviews, which index to Python ints and floats.
+    starts: memoryview
+    bounds: memoryview
+    segments: memoryview
     limit: float
-    # Per segment, as floats: its direction, squared length and length.
-    dx: list
-    dy: list
-    len_sq: list
-    lengths: list
+    records: list  # per segment, as floats: (sx, sy, dx, dy, len_sq, length)
 
     @staticmethod
     def build(path: ReferencePath) -> "_CellGrid | None":
         """The grid of ``path``; None if the float kernel cannot run on it or no answer could be certified."""
-        len_sq = path._seg_len_sq
+        len_sq, lengths = path._seg_len_sq, path._seg_lengths
         if not np.all((len_sq > 0.0) & (len_sq < math.inf)):
             return None  # a squared length under- or overflowed: the scan answers
         points = path._waypoints
         lo, hi = np.minimum(points[:-1], points[1:]), np.maximum(points[:-1], points[1:])
         # The mean, not the median: np.median imports numpy.ma, which costs memory.
-        size = _CELL_SEGMENTS * float(path._seg_lengths.mean())
+        size = _CELL_SEGMENTS * float(lengths.mean())
         while math.isfinite(size):
             # A margin of two cells keeps every listed index non-negative.
             scale, origin = 1.0 / size, points.min(axis=0) - 2.0 * size
@@ -205,30 +217,50 @@ class _CellGrid(NamedTuple):
             size *= 2.0
         if not math.isfinite(size) or not size > path._slack:
             return None
-        (c0s, r0s), (c1s, r1s) = first.T.astype(np.int64).tolist(), last.T.astype(np.int64).tolist()
-        rows = max(r1s) + 1
-        cells: dict[int, list] = {}  # key -> flat [first, stop, first, stop, ...]
-        for index, (c0, r0, c1, r1) in enumerate(zip(c0s, r0s, c1s, r1s)):
-            for column in range(c0, c1 + 1):
-                for key in range(column * rows + r0, column * rows + r1 + 1):
-                    runs = cells.setdefault(key, [])
-                    if runs and runs[-1] == index:
-                        runs[-1] = index + 1
-                    else:
-                        runs += (index, index + 1)
-        shared: dict[tuple, tuple] = {}  # neighbouring cells often list the same runs
-        for key, runs in cells.items():
-            runs = tuple(runs)
-            cells[key] = shared.setdefault(runs, runs)
+        first, last = first.astype(np.int64), last.astype(np.int64)
+        rows = int(last[:, 1].max()) + 1
+        # One (cell, segment) pair per cell of each segment's block, block
+        # after block and column by column within one, with the distance from
+        # the cell's centre to the segment by the scan's rule. The pairs are
+        # made a chunk of segments at a time, which keeps the temporaries small.
+        heights = last[:, 1] - first[:, 1] + 1
+        counts = (last[:, 0] - first[:, 0] + 1) * heights
+        begins = np.cumsum(counts) - counts
+        total = int(begins[-1] + counts[-1])
+        key, bound, segment = np.empty(total, np.int64), np.empty(total), np.empty(total, np.int32)
+        for chunk in range(0, len(counts), _CHUNK_SEGMENTS):
+            chunk_counts = counts[chunk : chunk + _CHUNK_SEGMENTS]
+            index = np.arange(chunk, chunk + len(chunk_counts)).repeat(chunk_counts)
+            pairs = slice(begins[chunk], begins[chunk] + len(index))
+            offset = np.arange(pairs.start, pairs.stop) - begins[index]
+            column = first[index, 0] + offset // heights[index]
+            row = first[index, 1] + offset % heights[index]
+            cx, cy = origin[0] + (column + 0.5) * size, origin[1] + (row + 0.5) * size
+            sx, sy, dx, dy = path._sx[index], path._sy[index], path._dx[index], path._dy[index]
+            t = np.clip(((cx - sx) * dx + (cy - sy) * dy) / len_sq[index], 0.0, 1.0)
+            bound[pairs] = np.hypot(cx - (sx + t * dx), cy - (sy + t * dy))
+            key[pairs], segment[pairs] = column * rows + row, index
+        # lexsort is stable: equal bounds in a cell keep ascending segment order.
+        order = np.lexsort((bound, key))
+        key = key[order]  # one array at a time: each is freed before the next is made
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        cells = {cell: k for k, cell in enumerate(key[starts].tolist())}
+        del key
+        bound = bound[order]
+        segment = segment[order]
         return _CellGrid(
             float(origin[0]),
             float(origin[1]),
+            size,
             scale,
-            max(c1s) + 1,
+            int(last[:, 0].max()) + 1,
             rows,
             cells,
+            *(memoryview(values).toreadonly() for values in (np.append(starts, total), bound, segment)),
             size - path._slack,
-            *(column.tolist() for column in (path._dx, path._dy, len_sq, path._seg_lengths)),
+            list(
+                zip(path._xs, path._ys, *(values.tolist() for values in (path._dx, path._dy, len_sq, lengths)))
+            ),
         )
 
 
@@ -247,25 +279,38 @@ def project_onto_path(path: ReferencePath, x: float, y: float) -> tuple[float, f
     """
     grid = path._grid
     if grid is not None:
-        column, row = (x - grid.x0) * grid.scale, (y - grid.y0) * grid.scale
-        if 0.0 <= column < grid.columns and 0.0 <= row < grid.rows:
-            best, xs, ys, dxs, dys, len_sq = math.inf, path._xs, path._ys, grid.dx, grid.dy, grid.len_sq
-            runs = iter(grid.cells.get(int(column) * grid.rows + int(row), ()))
-            for first, stop in zip(runs, runs):
-                for index in range(first, stop):
-                    sx, sy, dx, dy = xs[index], ys[index], dxs[index], dys[index]
-                    t = ((x - sx) * dx + (y - sy) * dy) / len_sq[index]
+        x0, y0, size, scale, columns, rows, cells, starts, bounds, segments, limit, records = grid
+        column, row = (x - x0) * scale, (y - y0) * scale
+        if 0.0 <= column < columns and 0.0 <= row < rows:
+            column, row = int(column), int(row)
+            cell = cells.get(column * rows + row)
+            if cell is not None:
+                # The cell's segments come nearest bound first. Once a bound,
+                # less the query's distance from the centre and the rounding
+                # slack, exceeds the best distance, that segment and every
+                # later one are farther than the best.
+                cx, cy = x0 + (column + 0.5) * size, y0 + (row + 0.5) * size
+                reach = math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) + path._slack
+                best = distance = cutoff = math.inf
+                nearest = -1
+                for position in range(starts[cell], starts[cell + 1]):
+                    if bounds[position] > cutoff:
+                        break
+                    index = segments[position]
+                    sx, sy, dx, dy, len_sq, _ = records[index]
+                    t = ((x - sx) * dx + (y - sy) * dy) / len_sq
                     t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # np.clip's rule: -0.0 stays
                     px = sx + t * dx
                     py = sy + t * dy
                     ox = x - px
                     oy = y - py
                     dist_sq = ox * ox + oy * oy
-                    if dist_sq < best:
-                        best, nearest, fraction, point = dist_sq, index, t, (px, py)
-            distance = math.sqrt(best)
-            if distance < grid.limit:
-                return (*point, nearest, distance, path._cum[nearest] + fraction * grid.lengths[nearest])
+                    if dist_sq < best or dist_sq == best and index < nearest:
+                        best, nearest, fraction, best_x, best_y = dist_sq, index, t, px, py
+                        distance = math.sqrt(dist_sq)
+                        cutoff = distance + reach
+                if distance < limit:
+                    return best_x, best_y, nearest, distance, path._cum[nearest] + fraction * records[nearest][5]
     return _nearest_by_scan(path, x, y)
 
 

@@ -1,12 +1,16 @@
 import hashlib
+import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from types import ModuleType
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 
 import pursuitbench
 from pursuitbench import (
@@ -174,6 +178,30 @@ class TestLoadConfig:
             "paths:\n  - {name: A, corner_angle_deg: 45}\n  - {name: A, corner_angle_deg: 90}\n"
         )
         with pytest.raises(ConfigError, match="duplicate"):
+            load_config(file)
+
+    def test_duplicate_controller_rejected(self, tmp_path):
+        file = tmp_path / "bad.yaml"
+        file.write_text("controllers: [dwpp, pp, dwpp]\n")
+        with pytest.raises(ConfigError, match=r"^controllers\[2\]: duplicate controller 'dwpp'$"):
+            load_config(file)
+
+    def test_directory_source_rejected_by_name(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
+            load_config(tmp_path)
+
+    def test_unreadable_source_rejected_by_name(self, tmp_path, monkeypatch):
+        file = tmp_path / "cfg.yaml"
+        file.write_text("trials: 2\n")
+        denied = PermissionError(13, "Permission denied")
+        monkeypatch.setattr(Path, "read_text", mock.Mock(side_effect=denied))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(file))}: cannot read: Permission denied$"):
+            load_config(file)
+
+    def test_undecodable_source_rejected_by_name(self, tmp_path):
+        file = tmp_path / "cfg.yaml"
+        file.write_bytes(b"trials: \xff\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(file))}: cannot read"):
             load_config(file)
 
     def test_non_increasing_sweep_values_rejected(self, tmp_path):
@@ -386,6 +414,16 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == "error: fixed_distance must be finite\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "--config", "{dir}"], ["simulate", "--controller", "pp", "--path", "{dir}"]],
+        ids=["compare --config", "simulate --path"],
+    )
+    def test_directory_argument_fails_with_a_named_error(self, tmp_path, capsys, argv):
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read")
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text("trials: 0\n")
@@ -454,3 +492,18 @@ def test_shipped_profiles_match_golden_digests(tmp_path):
             assert written == digest, f"{workload}/{file}"
     pinned = json.loads(GOLDEN_TRAJECTORIES.read_text())["table1"]
     assert trajectory_digest(tmp_path / "table1") == (pinned["files"], pinned["sha256"])
+
+
+def test_longpath_workload_matches_golden_digests(tmp_path, monkeypatch):
+    """``compare`` on the benchmark's 2,000-segment corner writes the bytes pinned in bench/golden.json."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", GOLDEN.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    config = tmp_path / "longpath.yaml"
+    config.write_text(
+        yaml.safe_dump(workloads.WORKLOADS["longpath"].config(workloads.DEFAULT_SEED), sort_keys=False)
+    )
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    for file, digest in json.loads(GOLDEN.read_text())["longpath"].items():
+        assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest, file

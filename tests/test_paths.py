@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -170,6 +171,16 @@ polylines = st.one_of(
     st.lists(st.tuples(_coordinate, _coordinate), min_size=2, max_size=30),
 ).filter(lambda points: all(math.dist(a, b) >= 1e-6 for a, b in zip(points, points[1:])))
 _U_TURN = [(0.0, 0.0), (2.0, 0.0), (2.0, 0.3), (0.0, 0.3)]
+# Half-metre segments: the grid's cells are 2 m wide, and the cell around
+# (1, 0.25) is centred on (1, 1), nearer the upper leg (segments 7 to 12)
+# than the lower one (0 to 5).
+_HALF_METRE_U_TURN = [(0.5 * k, 0.0) for k in range(7)] + [(3.0 - 0.5 * k, 0.5) for k in range(7)]
+_ROTATED_U_TURN = [
+    (2.1401508436843137, -1.1076922956151585),
+    (2.445729016736739, -1.5593200991015002),
+    (2.7096559536257034, -1.3807431590387487),
+    (2.404077780573278, -0.9291153555524071),
+]
 
 
 def _walk(steps) -> list[tuple[float, float]]:
@@ -255,6 +266,17 @@ class TestKernelsMatchOracles:
     @example(points=_U_TURN, x=1.0, y=0.15)  # equidistant from both legs of a U-turn
     @example(points=[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], x=1.5, y=-0.5)  # at a shared vertex
     @example(points=[(-0.0, 0.0), (-1.0, -1.0)], x=-0.0, y=0.0)  # a fraction of -0.0
+    # Equidistant from segments 2 and 10; segment 10 has the smaller bound,
+    # so it is evaluated first, and segment 2 must still win the tie.
+    @example(points=_HALF_METRE_U_TURN, x=1.25, y=0.25)
+    # Equidistant from segments 1 and 10, on the line from the centre to
+    # segment 1: its bound less the query's distance from the centre is
+    # exactly the best distance, so the stop rule must not skip it.
+    @example(points=_HALF_METRE_U_TURN, x=1.0, y=0.25)
+    # The same on a rotated U-turn, where segment 0's bound less the query's
+    # distance from the centre rounds to above the best distance: the stop
+    # rule skips segment 0 unless it allows for the rounding slack.
+    @example(points=_ROTATED_U_TURN, x=2.3407162564957655, y=-1.1197937420816186)
     def test_nearest_point_is_the_batch_oracle(self, points, x, y):
         path = ReferencePath(points)
         projection = project_onto_path(path, x, y)
@@ -318,7 +340,7 @@ class TestKernelsMatchOracles:
         fine = np.column_stack((np.linspace(0.0, 20.0, 2001), np.zeros(2001)))
         path = ReferencePath(np.vstack((fine, [[1020.0, 1000.0]])))
         grid = path._grid
-        listed = sum(sum(runs[1::2]) - sum(runs[::2]) for runs in grid.cells.values())
+        listed = len(grid.segments)
         assert listed <= 32 * (len(path) - 1)
         for x, y in [(3.004, 0.01), (19.999, -0.02), (520.0, 500.3), (1020.0, 1000.0)]:
             projection, scanned = project_counting_scans(path, x, y)
@@ -486,4 +508,29 @@ class TestCsvRoundTrip:
         file = tmp_path / "bad.csv"
         file.write_text("0.0,0.0\n1.0,0.0\n")
         with pytest.raises(ParameterError):
+            ReferencePath.from_csv(file)
+
+    @pytest.mark.parametrize("row", ["0,0,5", "1", "1,y"])
+    def test_row_of_other_than_two_numbers_rejected(self, tmp_path, row):
+        file = tmp_path / "bad.csv"
+        file.write_text(f"x,y\n{row}\n2,0\n")
+        with pytest.raises(ParameterError, match="malformed waypoint row"):
+            ReferencePath.from_csv(file)
+
+    def test_directory_rejected_by_name(self, tmp_path):
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
+            ReferencePath.from_csv(tmp_path)
+
+    def test_unreadable_file_rejected_by_name(self, tmp_path):
+        file = tmp_path / "path.csv"
+        file.write_text("x,y\n0,0\n1,0\n")
+        denied = PermissionError(13, "Permission denied")
+        with mock.patch.object(paths, "open", side_effect=denied, create=True):
+            with pytest.raises(ParameterError, match=f"^{re.escape(str(file))}: cannot read: Permission denied$"):
+                ReferencePath.from_csv(file)
+
+    def test_undecodable_file_rejected_by_name(self, tmp_path):
+        file = tmp_path / "path.csv"
+        file.write_bytes(b"x,y\n\xff,0\n")
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(file))}: cannot read"):
             ReferencePath.from_csv(file)
