@@ -3,7 +3,7 @@
 Four variants share the same geometric core (lookahead point and arc
 curvature): plain pure pursuit with a fixed lookahead, the adaptive variant
 that scales the lookahead with speed, the regulated variant that additionally
-caps the linear velocity with curvature/proximity/goal heuristics, and the
+caps the linear velocity with curvature and goal heuristics, and the
 dynamic-window variant that selects the command inside the set of velocities
 actually reachable in one control period.
 """
@@ -125,6 +125,11 @@ class RegulationConfig:
     ``min_approach_speed`` as floors under the scaled velocities, while
     ``hard_cap`` folds them directly into the min() combinations so they act
     as ceilings whenever the corresponding stage is enabled.
+
+    The benchmark has no obstacles, so the proximity stage never scales the
+    speed: ``enable_proximity`` only switches on the ``hard_cap`` ceiling,
+    and ``proximity_threshold`` and ``proximity_gain`` are checked but have
+    no effect.
     """
 
     enable_curvature: bool = True
@@ -193,13 +198,6 @@ def curvature_heuristic(v: float, turn_radius: float, min_radius: float) -> floa
     return v * turn_radius / min_radius
 
 
-def proximity_heuristic(v: float, obstacle_distance: float, threshold: float, gain: float) -> float:
-    """Scale the speed down when the nearest obstacle is within ``threshold``."""
-    if obstacle_distance > threshold:
-        return v
-    return v * gain * obstacle_distance / threshold
-
-
 def goal_heuristic(v: float, goal_distance: float, slowdown_distance: float) -> float:
     """Scale the speed down linearly over the final ``slowdown_distance``."""
     if goal_distance > slowdown_distance:
@@ -208,16 +206,12 @@ def goal_heuristic(v: float, goal_distance: float, slowdown_distance: float) -> 
 
 
 def regulate_linear_velocity(
-    v_cmd: float,
-    curvature: float,
-    obstacle_distance: float,
-    goal_distance: float,
-    cfg: RegulationConfig,
+    v_cmd: float, curvature: float, goal_distance: float, cfg: RegulationConfig
 ) -> float:
     """Apply the enabled speed heuristics to a nominal linear command.
 
-    Curvature and proximity scaling act first, then goal slowdown; disabled
-    heuristics impose no cap. The result never exceeds ``v_cmd``.
+    Curvature scaling acts first, then goal slowdown; disabled heuristics
+    impose no cap. The result never exceeds ``v_cmd``.
     """
     turn_radius = math.inf if curvature == 0.0 else 1.0 / abs(curvature)
     v_curv = (
@@ -225,14 +219,12 @@ def regulate_linear_velocity(
         if cfg.enable_curvature
         else math.inf
     )
-    v_prox = (
-        proximity_heuristic(v_cmd, obstacle_distance, cfg.proximity_threshold, cfg.proximity_gain)
-        if cfg.enable_proximity
-        else math.inf
-    )
 
     if cfg.combination_mode == COMBINE_HARD_CAP:
         if cfg.enable_curvature or cfg.enable_proximity:
+            # There are no obstacles, so the proximity stage passes v_cmd
+            # through; enabling it only brings in the min_regulated_speed cap.
+            v_prox = v_cmd if cfg.enable_proximity else math.inf
             v_turn = min(v_curv, v_prox, cfg.min_regulated_speed)
         else:
             v_turn = v_cmd
@@ -244,7 +236,7 @@ def regulate_linear_velocity(
         else:
             v_reg = v_turn
     else:
-        v_turn = min(v_cmd, max(min(v_curv, v_prox), cfg.min_regulated_speed))
+        v_turn = min(v_cmd, max(v_curv, cfg.min_regulated_speed))
         if cfg.enable_goal:
             scaled = goal_heuristic(v_turn, goal_distance, cfg.goal_slowdown_distance)
             v_reg = min(v_turn, max(scaled, cfg.min_approach_speed))
@@ -349,7 +341,6 @@ def command_velocities(
     limits: KinodynamicLimits,
     lookahead_cfg: LookaheadConfig,
     regulation_cfg: RegulationConfig,
-    obstacle_distance: float,
 ) -> tuple[float, float]:
     """One control step of the selected tracking law, as ``(v, omega)``.
 
@@ -372,7 +363,7 @@ def command_velocities(
         return v_des, curvature * v_des
 
     goal_distance = max(0.0, path.length - arc_length)
-    v_reg = regulate_linear_velocity(v_des, curvature, obstacle_distance, goal_distance, regulation_cfg)
+    v_reg = regulate_linear_velocity(v_des, curvature, goal_distance, regulation_cfg)
     if kind is ControllerKind.REGULATED:
         return v_reg, curvature * v_reg
 

@@ -114,7 +114,8 @@ class ReferencePath:
     def from_csv(cls, file: str | Path) -> "ReferencePath":
         """Read a path written by :meth:`to_csv` (header ``x,y`` required, then rows of two numbers)."""
         try:
-            with open(file, newline="") as handle:
+            # utf-8-sig also reads the byte-order mark spreadsheet programs write.
+            with open(file, newline="", encoding="utf-8-sig") as handle:
                 rows = list(csv.reader(handle))
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ParameterError(f"{file}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
@@ -288,10 +289,13 @@ def project_onto_path(path: ReferencePath, x: float, y: float) -> tuple[float, f
                 # The cell's segments come nearest bound first. Once a bound,
                 # less the query's distance from the centre and the rounding
                 # slack, exceeds the best distance, that segment and every
-                # later one are farther than the best.
+                # later one are farther than the best. Before a best under
+                # ``limit`` is found, ``limit`` stands in for it: a segment
+                # past that is too far to be certified.
                 cx, cy = x0 + (column + 0.5) * size, y0 + (row + 0.5) * size
                 reach = math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) + path._slack
-                best = distance = cutoff = math.inf
+                best = distance = math.inf
+                cutoff = limit + reach
                 nearest = -1
                 for position in range(starts[cell], starts[cell + 1]):
                     if bounds[position] > cutoff:
@@ -308,7 +312,8 @@ def project_onto_path(path: ReferencePath, x: float, y: float) -> tuple[float, f
                     if dist_sq < best or dist_sq == best and index < nearest:
                         best, nearest, fraction, best_x, best_y = dist_sq, index, t, px, py
                         distance = math.sqrt(dist_sq)
-                        cutoff = distance + reach
+                        if distance < limit:
+                            cutoff = distance + reach
                 if distance < limit:
                     return best_x, best_y, nearest, distance, path._cum[nearest] + fraction * records[nearest][5]
     return _nearest_by_scan(path, x, y)

@@ -191,7 +191,6 @@ def run_scenario(
     regulation: RegulationConfig,
     noise: NoiseModel | None = None,
     *,
-    obstacle_distance: float = math.inf,
     max_time: float,
     goal_tolerance: float,
 ) -> ScenarioResult:
@@ -211,8 +210,6 @@ def run_scenario(
         raise ParameterError("max_time must be finite and at least limits.dt")
     if not 0.0 < goal_tolerance < math.inf:
         raise ParameterError("goal_tolerance must be positive and finite")
-    if not obstacle_distance >= 0.0:
-        raise ParameterError("obstacle_distance must be non-negative")
     if noise is None:
         noise = NoiseModel()
     rng = np.random.default_rng(noise.seed)
@@ -245,7 +242,7 @@ def run_scenario(
             window = window_bounds(reachable, limits)
             v_cmd, omega_cmd = command_velocities(
                 kind, x, y, theta, v, path, projection, window,
-                limits, lookahead, regulation, obstacle_distance,
+                limits, lookahead, regulation,
             )
             require_finite_command(v_cmd, omega_cmd)
             flags = _violation_flags(v_cmd, omega_cmd, reachable, limits)

@@ -200,7 +200,7 @@ def _violation_flags_oracle(command, velocity, limits) -> tuple[bool, bool, bool
     )
 
 
-def _command_oracle(kind, pose, velocity, path, projection, limits, lookahead, regulation, obstacle_distance):
+def _command_oracle(kind, pose, velocity, path, projection, limits, lookahead, regulation):
     target = lookahead_oracle(path, projection, operative_lookahead(kind, lookahead, velocity[0]))
     curvature = arc_curvature(*pose, *target)
     v_des = limits.v_max
@@ -208,7 +208,7 @@ def _command_oracle(kind, pose, velocity, path, projection, limits, lookahead, r
         command = v_des, curvature * v_des
     else:
         goal_distance = max(0.0, path.length - projection[4])
-        v_reg = regulate_linear_velocity(v_des, curvature, obstacle_distance, goal_distance, regulation)
+        v_reg = regulate_linear_velocity(v_des, curvature, goal_distance, regulation)
         if kind is ControllerKind.REGULATED:
             command = v_reg, curvature * v_reg
         else:
@@ -224,8 +224,7 @@ def _clip_oracle(command, velocity, limits) -> tuple[float, float]:
 
 
 def run_scenario_oracle(
-    path, kind, limits, lookahead, regulation, noise=None, *,
-    obstacle_distance=math.inf, max_time, goal_tolerance,
+    path, kind, limits, lookahead, regulation, noise=None, *, max_time, goal_tolerance,
 ) -> ScenarioResult:
     if noise is None:
         noise = NoiseModel()
@@ -261,9 +260,7 @@ def run_scenario_oracle(
             break
         try:
             projection = nearest_point_oracle(path, pose[0], pose[1])
-            command = _command_oracle(
-                kind, pose, velocity, path, projection, limits, lookahead, regulation, obstacle_distance
-            )
+            command = _command_oracle(kind, pose, velocity, path, projection, limits, lookahead, regulation)
             flags = _violation_flags_oracle(command, velocity, limits)
             executed = _clip_oracle(command, velocity, limits)
             if velocity_noise:

@@ -25,12 +25,12 @@ from pursuitbench import (
 )
 from pursuitbench.controllers import (
     COMBINE_HARD_CAP,
+    COMBINE_LOWER_BOUND,
     FIXED_LOOKAHEAD,
     command_velocities,
     curvature_heuristic,
     goal_heuristic,
     min_stable_lookahead,
-    proximity_heuristic,
     reachable_velocities,
     regulate_linear_velocity,
     regulated_range,
@@ -136,6 +136,12 @@ class TestTypeValidation:
         with pytest.raises(ParameterError):
             RegulationConfig(proximity_gain=0.0)
 
+    def test_regulation_config_still_checks_the_inert_proximity_keys(self):
+        with pytest.raises(ParameterError, match="proximity_gain"):
+            RegulationConfig(proximity_gain=1.5)
+        with pytest.raises(ParameterError, match="proximity_threshold"):
+            RegulationConfig(proximity_threshold=0.0)
+
     def test_regulation_config_rejects_unknown_mode(self):
         with pytest.raises(ParameterError):
             RegulationConfig(combination_mode="strict")
@@ -195,7 +201,7 @@ class TestNominalCommand:
                 kappa = arc_curvature(x, y, theta, *target)
                 v_cmd, omega_cmd = command_velocities(
                     kind, x, y, theta, v, path, projection, window,
-                    bench_limits, bench_lookahead, bench_regulation, math.inf,
+                    bench_limits, bench_lookahead, bench_regulation,
                 )
                 assert omega_cmd == kappa * v_cmd
                 curvatures.append(kappa)
@@ -215,15 +221,6 @@ class TestHeuristics:
     def test_curvature_continuous_at_threshold(self):
         assert curvature_heuristic(0.5, 0.9, 0.9) == pytest.approx(0.5)
 
-    def test_proximity_obstacle_free(self):
-        assert proximity_heuristic(0.5, math.inf, 1.0, 0.5) == 0.5
-
-    def test_proximity_scales_near_obstacle(self):
-        assert proximity_heuristic(0.5, 0.5, 1.0, 0.5) == pytest.approx(0.125)
-
-    def test_proximity_contact_stops(self):
-        assert proximity_heuristic(0.5, 0.0, 1.0, 0.5) == 0.0
-
     def test_goal_far_passes_through(self):
         assert goal_heuristic(0.5, 5.0, 1.0) == 0.5
 
@@ -237,21 +234,21 @@ class TestHeuristics:
 class TestRegulateLinearVelocity:
     def test_all_disabled_is_identity(self):
         cfg = RegulationConfig(enable_curvature=False, enable_proximity=False, enable_goal=False)
-        assert regulate_linear_velocity(0.5, 5.0, 0.2, 0.1, cfg) == 0.5
+        assert regulate_linear_velocity(0.5, 5.0, 0.1, cfg) == 0.5
         cfg_cap = replace(cfg, combination_mode=COMBINE_HARD_CAP)
-        assert regulate_linear_velocity(0.5, 5.0, 0.2, 0.1, cfg_cap) == 0.5
+        assert regulate_linear_velocity(0.5, 5.0, 0.1, cfg_cap) == 0.5
 
     def test_lower_bound_floors_curvature_scaling(self):
         cfg = RegulationConfig(enable_proximity=False, enable_goal=False)
         kappa = 1.0 / 0.45
-        assert regulate_linear_velocity(0.5, kappa, math.inf, 10.0, cfg) == 0.25
+        assert regulate_linear_velocity(0.5, kappa, 10.0, cfg) == 0.25
 
     def test_hard_cap_same_inputs(self):
         cfg = RegulationConfig(
             enable_proximity=False, enable_goal=False, combination_mode=COMBINE_HARD_CAP
         )
         kappa = 1.0 / 0.45
-        assert regulate_linear_velocity(0.5, kappa, math.inf, 10.0, cfg) == pytest.approx(
+        assert regulate_linear_velocity(0.5, kappa, 10.0, cfg) == pytest.approx(
             0.25, abs=1e-12
         )
 
@@ -261,17 +258,33 @@ class TestRegulateLinearVelocity:
         cfg = RegulationConfig(
             enable_proximity=False, enable_goal=False, combination_mode=COMBINE_HARD_CAP
         )
-        assert regulate_linear_velocity(0.5, 0.01, math.inf, 10.0, cfg) == 0.25
+        assert regulate_linear_velocity(0.5, 0.01, 10.0, cfg) == 0.25
 
     def test_lower_bound_keeps_gentle_turns_unscaled(self):
         cfg = RegulationConfig(enable_proximity=False, enable_goal=False)
-        assert regulate_linear_velocity(0.5, 0.01, math.inf, 10.0, cfg) == 0.5
+        assert regulate_linear_velocity(0.5, 0.01, 10.0, cfg) == 0.5
+
+    def test_hard_cap_proximity_switch_brings_in_the_speed_ceiling(self):
+        cfg = RegulationConfig(
+            enable_curvature=False, enable_goal=False, combination_mode=COMBINE_HARD_CAP
+        )
+        assert regulate_linear_velocity(0.5, 0.0, 10.0, cfg) == 0.5
+        on = replace(cfg, enable_proximity=True)
+        assert regulate_linear_velocity(0.5, 0.0, 10.0, on) == 0.25
+        assert regulate_linear_velocity(0.1, 0.0, 10.0, on) == 0.1
+
+    def test_lower_bound_proximity_switch_changes_nothing(self):
+        cfg = RegulationConfig(enable_curvature=False, enable_goal=False)
+        on = replace(cfg, enable_proximity=True)
+        for v_cmd in (0.1, 0.5):
+            assert regulate_linear_velocity(v_cmd, 0.0, 10.0, on) == v_cmd
+            assert regulate_linear_velocity(v_cmd, 0.0, 10.0, cfg) == v_cmd
 
     def test_goal_stage_lower_bound(self):
         cfg = RegulationConfig(enable_curvature=False, enable_proximity=False)
-        assert regulate_linear_velocity(0.5, 0.0, math.inf, 0.5, cfg) == pytest.approx(0.25)
+        assert regulate_linear_velocity(0.5, 0.0, 0.5, cfg) == pytest.approx(0.25)
         # The approach floor engages once scaling would go below it.
-        assert regulate_linear_velocity(0.5, 0.0, math.inf, 0.01, cfg) == pytest.approx(0.05)
+        assert regulate_linear_velocity(0.5, 0.0, 0.01, cfg) == pytest.approx(0.05)
 
     def test_never_exceeds_nominal_command(self):
         rng = np.random.default_rng(1)
@@ -289,14 +302,41 @@ class TestRegulateLinearVelocity:
                 combination_mode=COMBINE_HARD_CAP if rng.integers(2) else "lower_bound",
             )
             v_cmd = rng.uniform(0.0, 1.0)
-            v_reg = regulate_linear_velocity(
-                v_cmd,
-                rng.uniform(-20, 20),
-                rng.uniform(0.0, 3.0),
-                rng.uniform(0.0, 8.0),
-                cfg,
-            )
+            v_reg = regulate_linear_velocity(v_cmd, rng.uniform(-20, 20), rng.uniform(0.0, 8.0), cfg)
             assert v_reg <= v_cmd + 1e-15
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        cfg=st.builds(
+            RegulationConfig,
+            enable_curvature=st.booleans(),
+            enable_proximity=st.booleans(),
+            enable_goal=st.booleans(),
+            min_turn_radius=st.floats(0.05, 3.0),
+            goal_slowdown_distance=st.floats(0.05, 3.0),
+            min_regulated_speed=st.floats(0.0, 1.0),
+            min_approach_speed=st.floats(0.0, 0.5),
+            combination_mode=st.sampled_from([COMBINE_LOWER_BOUND, COMBINE_HARD_CAP]),
+        ),
+        threshold=st.floats(1e-3, 5.0),
+        gain=st.floats(1e-3, 1.0),
+        v_cmd=st.floats(0.0, 2.0),
+        goal_distance=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        data=st.data(),
+    )
+    def test_proximity_keys_only_switch_the_hard_cap(self, cfg, threshold, gain, v_cmd, goal_distance, data):
+        # There are no obstacles: the threshold and gain never matter, and
+        # enable_proximity matters only as the hard_cap mode's switch.
+        at_min_radius = 1.0 / cfg.min_turn_radius
+        curvature = data.draw(
+            st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, at_min_radius, -at_min_radius]))
+        )
+        v_reg = regulate_linear_velocity(v_cmd, curvature, goal_distance, cfg)
+        others = [replace(cfg, proximity_threshold=threshold, proximity_gain=gain)]
+        if cfg.combination_mode == COMBINE_LOWER_BOUND:
+            others.append(replace(cfg, enable_proximity=not cfg.enable_proximity))
+        for other in others:
+            assert bits([regulate_linear_velocity(v_cmd, curvature, goal_distance, other)]) == bits([v_reg])
 
 
 class TestWindowBounds:
@@ -539,7 +579,7 @@ class TestComputeCommand:
         for kind in ControllerKind:
             v, omega = command_velocities(
                 kind, 1.0, 0.0, 0.0, 0.5, path, project_onto_path(path, 1.0, 0.0), window,
-                self.limits, self.lookahead, self.regulation, math.inf,
+                self.limits, self.lookahead, self.regulation,
             )
             assert v == pytest.approx(0.5)
             assert omega == pytest.approx(0.0, abs=1e-12)
@@ -550,7 +590,7 @@ class TestComputeCommand:
         v, omega = command_velocities(
             ControllerKind.PURE_PURSUIT, 2.9, 0.0, 0.0, 0.5,
             path, project_onto_path(path, 2.9, 0.0), window,
-            self.limits, self.lookahead, self.regulation, math.inf,
+            self.limits, self.lookahead, self.regulation,
         )
         reachable = 0.0 + self.limits.ang_accel_max * self.limits.dt
         assert v == 0.5
@@ -562,7 +602,7 @@ class TestComputeCommand:
         v, omega = command_velocities(
             ControllerKind.DYNAMIC_WINDOW, 2.9, 0.0, 0.0, 0.5,
             path, project_onto_path(path, 2.9, 0.0), window,
-            self.limits, self.lookahead, self.regulation, math.inf,
+            self.limits, self.lookahead, self.regulation,
         )
         v_lo, v_hi, omega_lo, omega_hi = window
         assert v_lo <= v <= v_hi
@@ -574,13 +614,30 @@ class TestComputeCommand:
         window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
         v, omega = command_velocities(
             ControllerKind.REGULATED, 2.9, 0.0, 0.0, 0.5, path, projection, window,
-            self.limits, self.lookahead, self.regulation, math.inf,
+            self.limits, self.lookahead, self.regulation,
         )
         assert v < 0.5
         lookahead = operative_lookahead(ControllerKind.REGULATED, self.lookahead, 0.5)
         target = lookahead_point(path, *projection[:3], projection[4], lookahead)
         kappa = arc_curvature(2.9, 0.0, 0.0, *target)
         assert omega == pytest.approx(kappa * v, abs=1e-12)
+
+    def test_hard_cap_proximity_switch_slows_the_regulated_command(self):
+        path = straight_path()
+        projection = project_onto_path(path, 1.0, 0.0)
+        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
+        hard_cap = replace(
+            self.regulation, enable_curvature=False, enable_goal=False,
+            combination_mode=COMBINE_HARD_CAP,
+        )
+        on, off = (
+            command_velocities(
+                ControllerKind.REGULATED, 1.0, 0.0, 0.0, 0.5, path, projection, window,
+                self.limits, self.lookahead, replace(hard_cap, enable_proximity=enabled),
+            )
+            for enabled in (True, False)
+        )
+        assert on[0] == hard_cap.min_regulated_speed < off[0]
 
     def test_pure_pursuit_ignores_scaled_mode(self):
         path = straight_path()
@@ -590,7 +647,7 @@ class TestComputeCommand:
             command = command_velocities(
                 ControllerKind.PURE_PURSUIT, 0.0, 0.0, 0.0, 0.0,
                 path, project_onto_path(path, 0.0, 0.0), window,
-                self.limits, cfg, self.regulation, math.inf,
+                self.limits, cfg, self.regulation,
             )
             assert command == (0.5, 0.0)
 
@@ -603,22 +660,8 @@ class TestComputeCommand:
         adaptive, plain = (
             command_velocities(
                 kind, 2.75, 0.0, 0.0, 0.0, path, projection, window,
-                self.limits, self.lookahead, self.regulation, math.inf,
+                self.limits, self.lookahead, self.regulation,
             )
             for kind in (ControllerKind.ADAPTIVE, ControllerKind.PURE_PURSUIT)
         )
         assert adaptive[1] != plain[1]
-
-    def test_proximity_injection_reduces_speed(self):
-        path = straight_path()
-        projection = project_onto_path(path, 1.0, 0.0)
-        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
-        regulation = replace(self.regulation, enable_proximity=True)
-        near, far = (
-            command_velocities(
-                ControllerKind.REGULATED, 1.0, 0.0, 0.0, 0.5, path, projection, window,
-                self.limits, self.lookahead, regulation, obstacle_distance,
-            )
-            for obstacle_distance in (0.4, math.inf)
-        )
-        assert near[0] < far[0]

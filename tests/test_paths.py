@@ -277,6 +277,10 @@ class TestKernelsMatchOracles:
     # distance from the centre rounds to above the best distance: the stop
     # rule skips segment 0 unless it allows for the rounding slack.
     @example(points=_ROTATED_U_TURN, x=2.3407162564957655, y=-1.1197937420816186)
+    # 2.0156 m from its nearest segment, 12, just beyond the grid's limit of
+    # 2 m: the stop rule skips the cell's later segments before any best is
+    # found, and the scan answers.
+    @example(points=_HALF_METRE_U_TURN, x=-0.25, y=2.5)
     def test_nearest_point_is_the_batch_oracle(self, points, x, y):
         path = ReferencePath(points)
         projection = project_onto_path(path, x, y)
@@ -503,6 +507,14 @@ class TestCsvRoundTrip:
         path.to_csv(file)
         loaded = ReferencePath.from_csv(file)
         np.testing.assert_array_equal(loaded.waypoints, path.waypoints)
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"x,y\r\n0,0\r\n1,0\r\n1,1\r\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        np.testing.assert_array_equal(
+            ReferencePath.from_csv(marked).waypoints, ReferencePath.from_csv(plain).waypoints
+        )
 
     def test_header_required(self, tmp_path):
         file = tmp_path / "bad.csv"

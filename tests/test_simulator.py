@@ -368,8 +368,6 @@ class TestRunScenario:
             run(straight_path(), ControllerKind.PURE_PURSUIT, goal_tolerance=-0.1)
         with pytest.raises(ParameterError):
             run(straight_path(), ControllerKind.PURE_PURSUIT, goal_tolerance=0.0)
-        with pytest.raises(ParameterError):
-            run(straight_path(), ControllerKind.REGULATED, obstacle_distance=-1.0)
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -379,11 +377,10 @@ class TestRunScenario:
             ({"max_time": 0.02}, "max_time"),
             ({"goal_tolerance": math.nan}, "goal_tolerance"),
             ({"goal_tolerance": math.inf}, "goal_tolerance"),
-            ({"obstacle_distance": math.nan}, "obstacle_distance"),
         ],
         ids=[
             "inf_max_time", "nan_max_time", "max_time_below_dt", "nan_goal_tolerance",
-            "inf_goal_tolerance", "nan_obstacle_distance",
+            "inf_goal_tolerance",
         ],
     )
     def test_rejects_non_finite_or_too_short_run(self, overrides, message):
@@ -414,21 +411,17 @@ class TestFloatLoopIsTheObjectLoop:
             enable_goal=st.booleans(),
             combination_mode=st.sampled_from([COMBINE_LOWER_BOUND, COMBINE_HARD_CAP]),
         ),
-        obstacle_distance=st.floats(0.0, 2.0),
         v_min=st.floats(-0.5, 0.0),
         sigmas=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05])] * 3),
         seed=st.integers(0, 2**16),
     )
-    def test_every_column_matches_the_oracle(
-        self, kind, path, lookahead, regulation, obstacle_distance, v_min, sigmas, seed
-    ):
+    def test_every_column_matches_the_oracle(self, kind, path, lookahead, regulation, v_min, sigmas, seed):
         sigma_v, sigma_omega, sigma_pose_init = sigmas
         arguments = dict(
             limits=KinodynamicLimits(v_min=v_min),
             lookahead=lookahead,
             regulation=regulation,
             noise=NoiseModel(sigma_v, sigma_omega, sigma_pose_init, seed),
-            obstacle_distance=obstacle_distance,
             max_time=12.0,
             goal_tolerance=0.15,
         )
