@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .controllers import FIXED_LOOKAHEAD, ControllerKind
 from .errors import ConfigError, PursuitBenchError
-from .harness import load_config, load_sweep_config, run_comparison, run_lookahead_sweep, emit_report
+from .harness import _output_dir, emit_report, load_config, load_sweep_config, run_comparison, run_lookahead_sweep
 from .metrics import scenario_metrics
 from .paths import ReferencePath, generate_corner_path
 from .simulator import run_scenario
@@ -48,6 +48,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.lookahead is not None:
         lookahead = replace(lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=args.lookahead)
     kind = ControllerKind.from_name(args.controller)
+    out = _output_dir(config, args.out)
     result = run_scenario(
         reference,
         kind,
@@ -57,8 +58,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         max_time=config.max_time,
         goal_tolerance=config.goal_tolerance,
     )
-    out = Path(args.out) if args.out else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     trajectory_file = out / f"traj_{label}_{kind.value}.csv"
     result.log.to_csv(trajectory_file)
     metrics = scenario_metrics(result)

@@ -21,7 +21,6 @@ FIXED_LOOKAHEAD = "fixed"
 VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
 
 COMBINE_LOWER_BOUND = "lower_bound"
-COMBINE_HARD_CAP = "hard_cap"
 
 
 def _require_finite(config) -> None:
@@ -118,18 +117,14 @@ class LookaheadConfig:
 
 @dataclass(frozen=True)
 class RegulationConfig:
-    """Linear-velocity regulation heuristics and how they combine.
+    """Linear-velocity regulation heuristics.
 
-    ``combination_mode`` selects what the minimum-speed parameters mean:
-    ``lower_bound`` (default) applies ``min_regulated_speed`` and
-    ``min_approach_speed`` as floors under the scaled velocities, while
-    ``hard_cap`` folds them directly into the min() combinations so they act
-    as ceilings whenever the corresponding stage is enabled.
-
-    The benchmark has no obstacles, so the proximity stage never scales the
-    speed: ``enable_proximity`` only switches on the ``hard_cap`` ceiling,
-    and ``proximity_threshold`` and ``proximity_gain`` are checked but have
-    no effect.
+    ``min_regulated_speed`` and ``min_approach_speed`` are floors under the
+    curvature- and goal-scaled velocities. ``combination_mode`` names that
+    rule and must be ``lower_bound``; it is kept so that configs which spell
+    it out still load. The benchmark has no obstacles, so
+    ``enable_proximity``, ``proximity_threshold`` and ``proximity_gain`` are
+    checked but have no effect.
     """
 
     enable_curvature: bool = True
@@ -156,10 +151,8 @@ class RegulationConfig:
         for name in ("min_regulated_speed", "min_approach_speed"):
             if not getattr(self, name) >= 0.0:
                 raise ParameterError(f"{name} must be non-negative")
-        if self.combination_mode not in (COMBINE_LOWER_BOUND, COMBINE_HARD_CAP):
-            raise ParameterError(
-                f"combination_mode must be '{COMBINE_LOWER_BOUND}' or '{COMBINE_HARD_CAP}'"
-            )
+        if self.combination_mode != COMBINE_LOWER_BOUND:
+            raise ParameterError(f"combination_mode must be '{COMBINE_LOWER_BOUND}'")
 
 
 @dataclass(frozen=True)
@@ -210,8 +203,10 @@ def regulate_linear_velocity(
 ) -> float:
     """Apply the enabled speed heuristics to a nominal linear command.
 
-    Curvature scaling acts first, then goal slowdown; disabled heuristics
-    impose no cap. The result never exceeds ``v_cmd``.
+    Curvature scaling acts first, then goal slowdown, each floored by its
+    minimum speed (``min_regulated_speed``, ``min_approach_speed``) and
+    never raised above the stage before it; disabled heuristics impose no
+    cap. The result never exceeds ``v_cmd``.
     """
     turn_radius = math.inf if curvature == 0.0 else 1.0 / abs(curvature)
     v_curv = (
@@ -219,29 +214,10 @@ def regulate_linear_velocity(
         if cfg.enable_curvature
         else math.inf
     )
-
-    if cfg.combination_mode == COMBINE_HARD_CAP:
-        if cfg.enable_curvature or cfg.enable_proximity:
-            # There are no obstacles, so the proximity stage passes v_cmd
-            # through; enabling it only brings in the min_regulated_speed cap.
-            v_prox = v_cmd if cfg.enable_proximity else math.inf
-            v_turn = min(v_curv, v_prox, cfg.min_regulated_speed)
-        else:
-            v_turn = v_cmd
-        if cfg.enable_goal:
-            v_reg = min(
-                goal_heuristic(v_turn, goal_distance, cfg.goal_slowdown_distance),
-                cfg.min_approach_speed,
-            )
-        else:
-            v_reg = v_turn
-    else:
-        v_turn = min(v_cmd, max(v_curv, cfg.min_regulated_speed))
-        if cfg.enable_goal:
-            scaled = goal_heuristic(v_turn, goal_distance, cfg.goal_slowdown_distance)
-            v_reg = min(v_turn, max(scaled, cfg.min_approach_speed))
-        else:
-            v_reg = v_turn
+    v_reg = v_turn = min(v_cmd, max(v_curv, cfg.min_regulated_speed))
+    if cfg.enable_goal:
+        scaled = goal_heuristic(v_turn, goal_distance, cfg.goal_slowdown_distance)
+        v_reg = min(v_turn, max(scaled, cfg.min_approach_speed))
     return min(v_cmd, v_reg)
 
 

@@ -230,7 +230,10 @@ def _trial_noise(config: ExperimentConfig, trial: int) -> NoiseModel:
 def _output_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
     """``out_dir``, or the config's ``output_dir`` when it is None; created if missing."""
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out}: cannot create output directory: {exc.strerror or exc}") from exc
     return out
 
 
@@ -306,9 +309,7 @@ def run_lookahead_sweep(
     out = _output_dir(config, out_dir)
     name, spec = config.paths[0]
     reference = generate_corner_path(spec)
-    regulation = replace(
-        config.regulation, enable_curvature=False, enable_proximity=False, enable_goal=False
-    )
+    regulation = replace(config.regulation, enable_curvature=False, enable_goal=False)
     rows = []
     for value in sweep.lookahead_values:
         lookahead = replace(config.lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=value)

@@ -59,17 +59,28 @@ class ReferencePath:
             raise ParameterError("a path needs at least two planar waypoints")
         if not np.all(np.isfinite(points)):
             raise ParameterError("waypoints must be finite")
-        segments = np.diff(points, axis=0)
-        seg_lengths = np.hypot(segments[:, 0], segments[:, 1])
+        with np.errstate(over="ignore"):  # an overflowing segment is rejected below
+            segments = np.diff(points, axis=0)
+            seg_lengths = np.hypot(segments[:, 0], segments[:, 1])
+            seg_len_sq = seg_lengths**2
         if np.any(seg_lengths == 0.0):
             raise ParameterError("consecutive waypoints must be distinct")
+        # The projection divides by the squared length, which must neither
+        # underflow to 0 nor overflow.
+        unmeasurable = np.flatnonzero(~((seg_len_sq > 0.0) & (seg_len_sq < math.inf)))
+        if unmeasurable.size:
+            index = int(unmeasurable[0])
+            raise ParameterError(
+                f"segment {index} (waypoints {index} to {index + 1}) is {seg_lengths[index]:g} m long;"
+                " its squared length must be a positive finite float"
+            )
         self._waypoints = points
         self._segments = segments
         self._seg_lengths = seg_lengths
         self._cumlen = np.concatenate(([0.0], np.cumsum(seg_lengths)))
         # Computed once for the per-step kernels: contiguous per-segment rows
         # for the projection's scan, plain floats for the lookahead scan.
-        starts, deltas, self._seg_len_sq = points[:-1].T.copy(), segments.T.copy(), seg_lengths**2
+        starts, deltas, self._seg_len_sq = points[:-1].T.copy(), segments.T.copy(), seg_len_sq
         for arr in (points, segments, seg_lengths, self._cumlen, starts, deltas, self._seg_len_sq):
             arr.setflags(write=False)
         (self._sx, self._sy), (self._dx, self._dy) = starts, deltas
@@ -200,10 +211,8 @@ class _CellGrid(NamedTuple):
 
     @staticmethod
     def build(path: ReferencePath) -> "_CellGrid | None":
-        """The grid of ``path``; None if the float kernel cannot run on it or no answer could be certified."""
+        """The grid of ``path``; None if no answer could be certified."""
         len_sq, lengths = path._seg_len_sq, path._seg_lengths
-        if not np.all((len_sq > 0.0) & (len_sq < math.inf)):
-            return None  # a squared length under- or overflowed: the scan answers
         points = path._waypoints
         lo, hi = np.minimum(points[:-1], points[1:]), np.maximum(points[:-1], points[1:])
         # The mean, not the median: np.median imports numpy.ma, which costs memory.

@@ -24,8 +24,6 @@ from pursuitbench import (
     operative_lookahead,
 )
 from pursuitbench.controllers import (
-    COMBINE_HARD_CAP,
-    COMBINE_LOWER_BOUND,
     FIXED_LOOKAHEAD,
     command_velocities,
     curvature_heuristic,
@@ -142,9 +140,10 @@ class TestTypeValidation:
         with pytest.raises(ParameterError, match="proximity_threshold"):
             RegulationConfig(proximity_threshold=0.0)
 
-    def test_regulation_config_rejects_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            RegulationConfig(combination_mode="strict")
+    @pytest.mark.parametrize("mode", ["strict", "hard_cap"])
+    def test_regulation_config_rejects_unknown_mode(self, mode):
+        with pytest.raises(ParameterError, match="^combination_mode must be 'lower_bound'$"):
+            RegulationConfig(combination_mode=mode)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("cls, name", SECTION_FLOATS)
@@ -235,43 +234,15 @@ class TestRegulateLinearVelocity:
     def test_all_disabled_is_identity(self):
         cfg = RegulationConfig(enable_curvature=False, enable_proximity=False, enable_goal=False)
         assert regulate_linear_velocity(0.5, 5.0, 0.1, cfg) == 0.5
-        cfg_cap = replace(cfg, combination_mode=COMBINE_HARD_CAP)
-        assert regulate_linear_velocity(0.5, 5.0, 0.1, cfg_cap) == 0.5
 
     def test_lower_bound_floors_curvature_scaling(self):
         cfg = RegulationConfig(enable_proximity=False, enable_goal=False)
         kappa = 1.0 / 0.45
         assert regulate_linear_velocity(0.5, kappa, 10.0, cfg) == 0.25
 
-    def test_hard_cap_same_inputs(self):
-        cfg = RegulationConfig(
-            enable_proximity=False, enable_goal=False, combination_mode=COMBINE_HARD_CAP
-        )
-        kappa = 1.0 / 0.45
-        assert regulate_linear_velocity(0.5, kappa, 10.0, cfg) == pytest.approx(
-            0.25, abs=1e-12
-        )
-
-    def test_hard_cap_caps_even_gentle_turns(self):
-        # With the curvature stage active, the cap mode limits the speed to
-        # min_regulated_speed regardless of how gentle the turn is.
-        cfg = RegulationConfig(
-            enable_proximity=False, enable_goal=False, combination_mode=COMBINE_HARD_CAP
-        )
-        assert regulate_linear_velocity(0.5, 0.01, 10.0, cfg) == 0.25
-
     def test_lower_bound_keeps_gentle_turns_unscaled(self):
         cfg = RegulationConfig(enable_proximity=False, enable_goal=False)
         assert regulate_linear_velocity(0.5, 0.01, 10.0, cfg) == 0.5
-
-    def test_hard_cap_proximity_switch_brings_in_the_speed_ceiling(self):
-        cfg = RegulationConfig(
-            enable_curvature=False, enable_goal=False, combination_mode=COMBINE_HARD_CAP
-        )
-        assert regulate_linear_velocity(0.5, 0.0, 10.0, cfg) == 0.5
-        on = replace(cfg, enable_proximity=True)
-        assert regulate_linear_velocity(0.5, 0.0, 10.0, on) == 0.25
-        assert regulate_linear_velocity(0.1, 0.0, 10.0, on) == 0.1
 
     def test_lower_bound_proximity_switch_changes_nothing(self):
         cfg = RegulationConfig(enable_curvature=False, enable_goal=False)
@@ -299,7 +270,6 @@ class TestRegulateLinearVelocity:
                 goal_slowdown_distance=rng.uniform(0.1, 2.0),
                 min_regulated_speed=rng.uniform(0.0, 0.6),
                 min_approach_speed=rng.uniform(0.0, 0.3),
-                combination_mode=COMBINE_HARD_CAP if rng.integers(2) else "lower_bound",
             )
             v_cmd = rng.uniform(0.0, 1.0)
             v_reg = regulate_linear_velocity(v_cmd, rng.uniform(-20, 20), rng.uniform(0.0, 8.0), cfg)
@@ -316,7 +286,6 @@ class TestRegulateLinearVelocity:
             goal_slowdown_distance=st.floats(0.05, 3.0),
             min_regulated_speed=st.floats(0.0, 1.0),
             min_approach_speed=st.floats(0.0, 0.5),
-            combination_mode=st.sampled_from([COMBINE_LOWER_BOUND, COMBINE_HARD_CAP]),
         ),
         threshold=st.floats(1e-3, 5.0),
         gain=st.floats(1e-3, 1.0),
@@ -324,17 +293,17 @@ class TestRegulateLinearVelocity:
         goal_distance=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
         data=st.data(),
     )
-    def test_proximity_keys_only_switch_the_hard_cap(self, cfg, threshold, gain, v_cmd, goal_distance, data):
-        # There are no obstacles: the threshold and gain never matter, and
-        # enable_proximity matters only as the hard_cap mode's switch.
+    def test_proximity_keys_never_change_the_rule(self, cfg, threshold, gain, v_cmd, goal_distance, data):
+        # There are no obstacles: enable_proximity, the threshold and the gain never matter.
         at_min_radius = 1.0 / cfg.min_turn_radius
         curvature = data.draw(
             st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, at_min_radius, -at_min_radius]))
         )
         v_reg = regulate_linear_velocity(v_cmd, curvature, goal_distance, cfg)
-        others = [replace(cfg, proximity_threshold=threshold, proximity_gain=gain)]
-        if cfg.combination_mode == COMBINE_LOWER_BOUND:
-            others.append(replace(cfg, enable_proximity=not cfg.enable_proximity))
+        others = [
+            replace(cfg, proximity_threshold=threshold, proximity_gain=gain),
+            replace(cfg, enable_proximity=not cfg.enable_proximity),
+        ]
         for other in others:
             assert bits([regulate_linear_velocity(v_cmd, curvature, goal_distance, other)]) == bits([v_reg])
 
@@ -621,23 +590,6 @@ class TestComputeCommand:
         target = lookahead_point(path, *projection[:3], projection[4], lookahead)
         kappa = arc_curvature(2.9, 0.0, 0.0, *target)
         assert omega == pytest.approx(kappa * v, abs=1e-12)
-
-    def test_hard_cap_proximity_switch_slows_the_regulated_command(self):
-        path = straight_path()
-        projection = project_onto_path(path, 1.0, 0.0)
-        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
-        hard_cap = replace(
-            self.regulation, enable_curvature=False, enable_goal=False,
-            combination_mode=COMBINE_HARD_CAP,
-        )
-        on, off = (
-            command_velocities(
-                ControllerKind.REGULATED, 1.0, 0.0, 0.0, 0.5, path, projection, window,
-                self.limits, self.lookahead, replace(hard_cap, enable_proximity=enabled),
-            )
-            for enabled in (True, False)
-        )
-        assert on[0] == hard_cap.min_regulated_speed < off[0]
 
     def test_pure_pursuit_ignores_scaled_mode(self):
         path = straight_path()

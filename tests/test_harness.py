@@ -218,10 +218,7 @@ class TestLoadConfig:
         "text, message",
         [
             ("limits: {v_max: -0.1, v_min: -0.5}\n", "limits: v_max"),
-            (
-                "regulation: {combination_mode: hard_cap, min_regulated_speed: -0.1}\n",
-                "regulation: min_regulated_speed",
-            ),
+            ("regulation: {min_regulated_speed: -0.1}\n", "regulation: min_regulated_speed"),
             ("regulation: {min_approach_speed: -0.1}\n", "regulation: min_approach_speed"),
         ],
         ids=["v_max", "min_regulated_speed", "min_approach_speed"],
@@ -230,6 +227,12 @@ class TestLoadConfig:
         file = tmp_path / "bad.yaml"
         file.write_text(text)
         with pytest.raises(ConfigError, match=f"^{message} must be non-negative$"):
+            load_config(file)
+
+    def test_removed_combination_mode_rejected(self, tmp_path):
+        file = tmp_path / "bad.yaml"
+        file.write_text("regulation: {combination_mode: hard_cap}\n")
+        with pytest.raises(ConfigError, match="^regulation: combination_mode must be 'lower_bound'$"):
             load_config(file)
 
     @pytest.mark.parametrize(
@@ -423,6 +426,25 @@ class TestCli:
         argv = [arg.format(dir=tmp_path) for arg in argv]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare"], ["sweep"], ["simulate", "--controller", "pp", "--path", "B"]],
+        ids=["compare", "sweep", "simulate"],
+    )
+    def test_out_naming_a_file_fails_with_a_named_error(self, tmp_path, capsys, argv):
+        file = tmp_path / "taken"
+        file.write_text("")
+        assert main([*argv, "--out", str(file)]) == 1
+        assert capsys.readouterr().err == f"error: {file}: cannot create output directory: File exists\n"
+
+    def test_simulate_rejects_a_segment_the_projection_cannot_measure(self, tmp_path, capsys):
+        # The middle waypoint is 1e-170 m from the first: that length squared underflows to 0.
+        waypoints = tmp_path / "tiny.csv"
+        waypoints.write_text("x,y\n0,0\n1e-170,0\n3,0\n")
+        argv = ["simulate", "--controller", "dwpp", "--path", str(waypoints), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: segment 0 ")
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"

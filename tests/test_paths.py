@@ -80,6 +80,19 @@ class TestTypes:
         with pytest.raises(ParameterError):
             ReferencePath([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "points, index",
+        [
+            ([(0.0, 0.0), (1e-170, 0.0), (3.0, 0.0)], 0),  # the squared length underflows to 0
+            ([(0.0, 0.0), (1.0, 0.0), (2e154, 0.0)], 1),  # the squared length overflows
+            ([(-1e308, 0.0), (1e308, 0.0)], 0),  # the length itself overflows
+        ],
+        ids=["underflow", "overflow", "infinite"],
+    )
+    def test_path_rejects_a_segment_the_projection_cannot_measure(self, points, index):
+        with pytest.raises(ParameterError, match=f"^segment {index} \\(waypoints {index} to {index + 1}\\) is "):
+            ReferencePath(points)
+
     def test_arclength_starts_at_zero_and_increases(self):
         path = corner_path(90.0)
         arc = [project_onto_path(path, x, y)[4] for x, y in path.waypoints.tolist()]

@@ -32,8 +32,6 @@ from pursuitbench import (
     run_scenario,
 )
 from pursuitbench.controllers import (
-    COMBINE_HARD_CAP,
-    COMBINE_LOWER_BOUND,
     FIXED_LOOKAHEAD,
     VELOCITY_SCALED_LOOKAHEAD,
     reachable_velocities,
@@ -409,7 +407,6 @@ class TestFloatLoopIsTheObjectLoop:
             enable_curvature=st.booleans(),
             enable_proximity=st.booleans(),
             enable_goal=st.booleans(),
-            combination_mode=st.sampled_from([COMBINE_LOWER_BOUND, COMBINE_HARD_CAP]),
         ),
         v_min=st.floats(-0.5, 0.0),
         sigmas=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05])] * 3),
