@@ -9,10 +9,11 @@ from pathlib import Path
 
 from .controllers import FIXED_LOOKAHEAD, ControllerKind
 from .errors import ConfigError, PursuitBenchError
-from .harness import _output_dir, emit_report, load_config, load_sweep_config, run_comparison, run_lookahead_sweep
+from .harness import (
+    _output_dir, _run, emit_report, load_config, load_sweep_config, run_comparison, run_lookahead_sweep,
+)
 from .metrics import scenario_metrics
 from .paths import ReferencePath, generate_corner_path
-from .simulator import run_scenario
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -49,15 +50,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         lookahead = replace(lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=args.lookahead)
     kind = ControllerKind.from_name(args.controller)
     out = _output_dir(config, args.out)
-    result = run_scenario(
-        reference,
-        kind,
-        config.limits,
-        lookahead,
-        config.regulation,
-        max_time=config.max_time,
-        goal_tolerance=config.goal_tolerance,
-    )
+    result = _run(replace(config, lookahead=lookahead), reference, kind, f"path {label}, controller {kind.value}")
     trajectory_file = out / f"traj_{label}_{kind.value}.csv"
     result.log.to_csv(trajectory_file)
     metrics = scenario_metrics(result)

@@ -41,8 +41,8 @@ from .errors import ConfigError, ParameterError, PursuitBenchError
 from .metrics import (
     METRICS, AggregateMetrics, ScenarioMetrics, aggregate, cross_track_stats, scenario_metrics,
 )
-from .paths import CornerPathSpec, generate_corner_path
-from .simulator import NoiseModel, run_scenario
+from .paths import CornerPathSpec, ReferencePath, generate_corner_path
+from .simulator import NoiseModel, ScenarioResult, run_scenario
 
 PROFILE_NAMES = ("experiment_table1", "simulation_table6")
 
@@ -117,8 +117,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         values = self.lookahead_values
-        if not values or not all(a < b for a, b in zip((0.0, *values), values)):
-            raise ParameterError("lookahead_values must be non-empty, positive and strictly increasing")
+        if not values or not all(a < b < math.inf for a, b in zip((0.0, *values), values)):
+            raise ParameterError("lookahead_values must be non-empty, finite, positive and strictly increasing")
 
 
 # Every top-level key with a default of the type it takes in YAML: the fields
@@ -227,6 +227,24 @@ def _trial_noise(config: ExperimentConfig, trial: int) -> NoiseModel:
     return replace(config.noise, sigma_pose_init=sigma_pose, seed=config.noise.seed + trial)
 
 
+def _run(
+    config: ExperimentConfig, reference: ReferencePath, kind: ControllerKind, label: str,
+    noise: NoiseModel = NoiseModel(),
+) -> ScenarioResult:
+    """One scenario under ``config``'s limits, lookahead, regulation and stop rule.
+
+    A ``PursuitBenchError`` the run raises is re-raised, of the same type,
+    with ``label`` in front of its message.
+    """
+    try:
+        return run_scenario(
+            reference, kind, config.limits, config.lookahead, config.regulation,
+            noise=noise, max_time=config.max_time, goal_tolerance=config.goal_tolerance,
+        )
+    except PursuitBenchError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
 def _output_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
     """``out_dir``, or the config's ``output_dir`` when it is None; created if missing."""
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
@@ -252,44 +270,40 @@ def run_comparison(
     Trial ``i`` uses seed ``noise.seed + i``. Outputs: one trajectory CSV per
     scenario, the generated reference paths, and ``metrics.csv`` with one row
     per scenario. Re-running the same config reproduces the files byte for
-    byte.
+    byte. A scenario that raises ``PursuitBenchError`` (labelled with its
+    path, controller and trial) first removes every file this call wrote.
     """
     out = _output_dir(config, out_dir)
     aggregates: dict[tuple[str, str], AggregateMetrics] = {}
     metric_rows = []
-    for name, spec in config.paths:
-        reference = generate_corner_path(spec)
-        reference.to_csv(out / f"path_{name}.csv")
-        for kind in config.controllers:
-            per_trial: list[ScenarioMetrics] = []
-            for trial in range(config.trials):
-                noise = _trial_noise(config, trial)
-                try:
-                    result = run_scenario(
-                        reference,
-                        kind,
-                        config.limits,
-                        config.lookahead,
-                        config.regulation,
-                        noise=noise,
-                        max_time=config.max_time,
-                        goal_tolerance=config.goal_tolerance,
+    written: list[Path] = []
+    try:
+        for name, spec in config.paths:
+            reference = generate_corner_path(spec)
+            written.append(out / f"path_{name}.csv")
+            reference.to_csv(written[-1])
+            for kind in config.controllers:
+                per_trial: list[ScenarioMetrics] = []
+                for trial in range(config.trials):
+                    noise = _trial_noise(config, trial)
+                    label = f"path {name}, controller {kind.value}, trial {trial}"
+                    result = _run(config, reference, kind, label, noise)
+                    written.append(out / f"traj_{name}_{kind.value}_trial{trial}.csv")
+                    result.log.to_csv(written[-1])
+                    metrics = scenario_metrics(result)
+                    per_trial.append(metrics)
+                    metric_rows.append(
+                        (
+                            name, kind.value, trial, noise.seed,
+                            *(repr(getattr(metrics, metric.name)) for metric in METRICS),
+                            int(metrics.reached_goal),
+                        )
                     )
-                except PursuitBenchError as exc:
-                    raise type(exc)(
-                        f"path {name}, controller {kind.value}, trial {trial}: {exc}"
-                    ) from exc
-                result.log.to_csv(out / f"traj_{name}_{kind.value}_trial{trial}.csv")
-                metrics = scenario_metrics(result)
-                per_trial.append(metrics)
-                metric_rows.append(
-                    (
-                        name, kind.value, trial, noise.seed,
-                        *(repr(getattr(metrics, metric.name)) for metric in METRICS),
-                        int(metrics.reached_goal),
-                    )
-                )
-            aggregates[(name, kind.value)] = aggregate(per_trial)
+                aggregates[(name, kind.value)] = aggregate(per_trial)
+    except PursuitBenchError:
+        for file in written:
+            file.unlink(missing_ok=True)
+        raise
     header = ("path", "controller", "trial", "seed", *(metric.name for metric in METRICS), "reached_goal")
     _write_csv(out / "metrics.csv", header, metric_rows)
     return aggregates
@@ -302,7 +316,8 @@ def run_lookahead_sweep(
 
     Uses the first configured path, forces the dynamic-window controller with
     a fixed lookahead, and disables every regulation heuristic so the sweep
-    isolates the lookahead's effect. Returns and writes rows of
+    isolates the lookahead's effect. Every run is noise-free, whatever the
+    config's ``noise`` says. Returns and writes rows of
     (lookahead, mean_cte, travel_time) sorted by lookahead.
     """
     config = sweep.base
@@ -313,19 +328,8 @@ def run_lookahead_sweep(
     rows = []
     for value in sweep.lookahead_values:
         lookahead = replace(config.lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=value)
-        try:
-            result = run_scenario(
-                reference,
-                ControllerKind.DYNAMIC_WINDOW,
-                config.limits,
-                lookahead,
-                regulation,
-                noise=NoiseModel(seed=config.noise.seed),
-                max_time=config.max_time,
-                goal_tolerance=config.goal_tolerance,
-            )
-        except PursuitBenchError as exc:
-            raise type(exc)(f"path {name}, lookahead {value}: {exc}") from exc
+        fixed = replace(config, lookahead=lookahead, regulation=regulation)
+        result = _run(fixed, reference, ControllerKind.DYNAMIC_WINDOW, f"path {name}, lookahead {value}")
         mean_cte, _ = cross_track_stats(result.log)
         rows.append((value, mean_cte, result.travel_time))
     header = ("lookahead", "mean_cte", "travel_time")

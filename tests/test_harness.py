@@ -31,6 +31,15 @@ from pursuitbench.cli import main
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 GOLDEN_TRAJECTORIES = Path(__file__).resolve().parent / "golden_trajectories.json"
 
+# The 178-degree corner with 3 m legs ends 0.105 m from its start.
+FOLD_CONFIG = """
+paths:
+  - {name: F, corner_angle_deg: 178.0, segment_length: 3.0, waypoint_spacing: 0.05}
+controllers: [dwpp]
+trials: 1
+"""
+FOLD_ERROR = "the start lies 0.104714 m from the goal, within goal_tolerance 0.15 m"
+
 SMALL_CONFIG = """
 paths:
   - {name: B, corner_angle_deg: 90.0, segment_length: 1.5, waypoint_spacing: 0.05}
@@ -209,6 +218,11 @@ class TestLoadConfig:
         file.write_text("lookahead_values: [0.5, 0.4]\n")
         with pytest.raises(ConfigError, match="lookahead_values"):
             load_sweep_config(file)
+
+    def test_infinite_sweep_value_rejected_before_any_run(self):
+        base = load_sweep_config("simulation_table6").base
+        with pytest.raises(ParameterError, match="^lookahead_values must be non-empty, finite,"):
+            SweepConfig(base, (0.52, math.inf))
 
     def test_missing_source_rejected(self):
         with pytest.raises(ConfigError, match="neither"):
@@ -453,21 +467,28 @@ class TestCli:
         assert "trials" in capsys.readouterr().err
 
     def test_compare_rejects_a_path_that_starts_inside_the_goal(self, tmp_path, capsys):
-        # The 178-degree corner with 3 m legs ends 0.105 m from its start.
+        # Path A runs and writes its files before F fails; the failure removes them all.
         config = tmp_path / "fold.yaml"
-        config.write_text(
-            "paths:\n"
-            "  - {name: F, corner_angle_deg: 178.0, segment_length: 3.0, waypoint_spacing: 0.05}\n"
-            "controllers: [dwpp]\n"
-            "trials: 1\n"
-        )
+        config.write_text(FOLD_CONFIG.replace("paths:\n", "paths:\n  - {name: A, corner_angle_deg: 90.0}\n"))
         out = tmp_path / "out"
         assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: path F, controller dwpp, trial 0: the start lies 0.104714 m from the goal,"
-            " within goal_tolerance 0.15 m\n"
-        )
-        assert not list(out.glob("traj_*.csv"))
+        assert capsys.readouterr().err == f"error: path F, controller dwpp, trial 0: {FOLD_ERROR}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["compare"], "path F, controller dwpp, trial 0"),
+            (["sweep"], "path F, lookahead 0.26"),
+            (["simulate", "--controller", "dwpp", "--path", "F"], "path F, controller dwpp"),
+        ],
+        ids=["compare", "sweep", "simulate"],
+    )
+    def test_a_failed_run_is_labelled_by_every_command(self, tmp_path, capsys, argv, label):
+        config = tmp_path / "fold.yaml"
+        config.write_text(FOLD_CONFIG)
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {label}: {FOLD_ERROR}\n"
 
 
 def test_package_root_exports_exactly_the_library_api():
