@@ -22,6 +22,10 @@ VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
 
 COMBINE_LOWER_BOUND = "lower_bound"
 
+# The per-step clamps spell out the builtins, saving a call each: max(a, b) is
+# ``b if b > a else a`` and min(a, b) is ``b if b < a else a``, an operand
+# order that keeps their results on ties (0.0 against -0.0) and NaN.
+
 
 def _require_finite(config) -> None:
     """Reject the first float field of a config dataclass that is NaN or infinite."""
@@ -181,7 +185,9 @@ def operative_lookahead(kind: ControllerKind, cfg: LookaheadConfig, v: float) ->
         kind is not ControllerKind.ADAPTIVE and cfg.mode == FIXED_LOOKAHEAD
     ):
         return cfg.fixed_distance
-    return min(max(v * cfg.projection_time, cfg.min_distance), cfg.max_distance)
+    lookahead = v * cfg.projection_time
+    lookahead = cfg.min_distance if cfg.min_distance > lookahead else lookahead
+    return cfg.max_distance if cfg.max_distance < lookahead else lookahead
 
 
 def curvature_heuristic(v: float, turn_radius: float, min_radius: float) -> float:
@@ -214,11 +220,15 @@ def regulate_linear_velocity(
         if cfg.enable_curvature
         else math.inf
     )
-    v_reg = v_turn = min(v_cmd, max(v_curv, cfg.min_regulated_speed))
-    if cfg.enable_goal:
-        scaled = goal_heuristic(v_turn, goal_distance, cfg.goal_slowdown_distance)
-        v_reg = min(v_turn, max(scaled, cfg.min_approach_speed))
-    return min(v_cmd, v_reg)
+    floor = cfg.min_regulated_speed
+    v_turn = floor if floor > v_curv else v_curv
+    v_turn = v_turn if v_turn < v_cmd else v_cmd
+    if not cfg.enable_goal:
+        return v_turn
+    scaled = goal_heuristic(v_turn, goal_distance, cfg.goal_slowdown_distance)
+    floor = cfg.min_approach_speed
+    scaled = floor if floor > scaled else scaled
+    return scaled if scaled < v_turn else v_turn
 
 
 def _clamp_range(lo: float, hi: float, lo_bound: float, hi_bound: float) -> tuple[float, float]:
@@ -228,7 +238,9 @@ def _clamp_range(lo: float, hi: float, lo_bound: float, hi_bound: float) -> tupl
     the high end), so a range that overlaps the bounds is intersected with
     them exactly; one that misses them collapses to the bound nearest to it.
     """
-    return min(max(lo_bound, lo), hi_bound), max(min(hi_bound, hi), lo_bound)
+    lo = lo if lo > lo_bound else lo_bound
+    hi = hi if hi < hi_bound else hi_bound
+    return (hi_bound if hi_bound < lo else lo), (lo_bound if lo_bound > hi else hi)
 
 
 def reachable_velocities(
@@ -257,9 +269,8 @@ def window_bounds(reachable: tuple, limits: KinodynamicLimits) -> tuple[float, f
     bound.
     """
     v_lo, v_hi, omega_lo, omega_hi = reachable
-    return (
-        *_clamp_range(v_lo, v_hi, limits.v_min, limits.v_max),
-        *_clamp_range(omega_lo, omega_hi, limits.omega_min, limits.omega_max),
+    return _clamp_range(v_lo, v_hi, limits.v_min, limits.v_max) + _clamp_range(
+        omega_lo, omega_hi, limits.omega_min, limits.omega_max
     )
 
 
@@ -291,13 +302,17 @@ def select_velocity(
     curvature takes v_hi and the feasible omega nearest zero.
     """
     if curvature == 0.0:
-        return v_hi, min(max(0.0, omega_lo), omega_hi)
+        omega = omega_lo if omega_lo > 0.0 else 0.0
+        return v_hi, (omega_hi if omega_hi < omega else omega)
     bound = omega_hi if curvature > 0.0 else omega_lo
     v = bound / curvature  # where the line leaves through the omega bound
     if v_lo <= v < v_hi:
         return v, bound  # on the line; curvature * v could round past bound
-    v = min(max(v, v_lo), v_hi)
-    return v, min(max(curvature * v, omega_lo), omega_hi)
+    v = v_lo if v_lo > v else v
+    v = v_hi if v_hi < v else v
+    omega = curvature * v
+    omega = omega_lo if omega_lo > omega else omega
+    return v, (omega_hi if omega_hi < omega else omega)
 
 
 def min_stable_lookahead(v: float, cfg: StabilityConfig) -> float:
@@ -338,7 +353,8 @@ def command_velocities(
     if kind is ControllerKind.PURE_PURSUIT or kind is ControllerKind.ADAPTIVE:
         return v_des, curvature * v_des
 
-    goal_distance = max(0.0, path.length - arc_length)
+    goal_distance = path.length - arc_length
+    goal_distance = goal_distance if goal_distance > 0.0 else 0.0
     v_reg = regulate_linear_velocity(v_des, curvature, goal_distance, regulation_cfg)
     if kind is ControllerKind.REGULATED:
         return v_reg, curvature * v_reg

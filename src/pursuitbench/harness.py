@@ -270,8 +270,10 @@ def run_comparison(
     Trial ``i`` uses seed ``noise.seed + i``. Outputs: one trajectory CSV per
     scenario, the generated reference paths, and ``metrics.csv`` with one row
     per scenario. Re-running the same config reproduces the files byte for
-    byte. A scenario that raises ``PursuitBenchError`` (labelled with its
-    path, controller and trial) first removes every file this call wrote.
+    byte. The path and trajectory CSVs are renamed into place from
+    ``<name>.partial`` once every scenario has run, so a scenario that raises
+    ``PursuitBenchError`` (labelled with its path, controller and trial)
+    leaves ``out`` as it was.
     """
     out = _output_dir(config, out_dir)
     aggregates: dict[tuple[str, str], AggregateMetrics] = {}
@@ -280,7 +282,7 @@ def run_comparison(
     try:
         for name, spec in config.paths:
             reference = generate_corner_path(spec)
-            written.append(out / f"path_{name}.csv")
+            written.append(out / f"path_{name}.csv.partial")
             reference.to_csv(written[-1])
             for kind in config.controllers:
                 per_trial: list[ScenarioMetrics] = []
@@ -288,7 +290,7 @@ def run_comparison(
                     noise = _trial_noise(config, trial)
                     label = f"path {name}, controller {kind.value}, trial {trial}"
                     result = _run(config, reference, kind, label, noise)
-                    written.append(out / f"traj_{name}_{kind.value}_trial{trial}.csv")
+                    written.append(out / f"traj_{name}_{kind.value}_trial{trial}.csv.partial")
                     result.log.to_csv(written[-1])
                     metrics = scenario_metrics(result)
                     per_trial.append(metrics)
@@ -304,6 +306,8 @@ def run_comparison(
         for file in written:
             file.unlink(missing_ok=True)
         raise
+    for file in written:
+        file.replace(file.with_suffix(""))
     header = ("path", "controller", "trial", "seed", *(metric.name for metric in METRICS), "reached_goal")
     _write_csv(out / "metrics.csv", header, metric_rows)
     return aggregates

@@ -118,8 +118,10 @@ class ReferencePath:
         return self._waypoints[-1]
 
     def to_csv(self, file: str | Path) -> None:
-        """Write the waypoints as a two-column CSV with header ``x,y``."""
-        write_csv_columns(file, ("x", "y"), self._waypoints.T)
+        """Write the waypoints under the header ``x,y``, as ``csv.writer`` writes ``repr`` of each."""
+        with open(file, "w", newline="") as handle:
+            handle.write("x,y\r\n")
+            handle.writelines(f"{x!r},{y!r}\r\n" for x, y in self._waypoints.tolist())
 
     @classmethod
     def from_csv(cls, file: str | Path) -> "ReferencePath":
@@ -384,20 +386,3 @@ def arc_curvature(x: float, y: float, theta: float, tx: float, ty: float) -> flo
         raise DegenerateGeometryError("lookahead target coincides with the robot position")
     heading_to_target = math.atan2(dy, dx) - theta
     return 2.0 * math.sin(heading_to_target) / distance
-
-
-def write_csv_columns(file: str | Path, header, columns) -> None:
-    """Write equal-length numeric columns under ``header`` as CSV.
-
-    Floats are written as ``repr`` and bool columns as 0/1, with ``\\r\\n``
-    line ends: the bytes ``csv.writer`` writes for the same cells, which
-    never need quoting. Rows stream through the file's buffer, so no
-    whole-file string is built.
-    """
-    cells = [
-        map(repr, column.view(np.uint8).tolist() if column.dtype == bool else column.tolist())
-        for column in columns
-    ]
-    with open(file, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
-        handle.writelines(",".join(row) + "\r\n" for row in zip(*cells))

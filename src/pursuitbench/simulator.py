@@ -30,11 +30,13 @@ from .paths import (
     project_onto_path,
     require_finite_pose,
     wrap_angle,
-    write_csv_columns,
 )
 
 # Commands are flagged as violations only beyond this absolute slack.
 _VIOLATION_TOL = 1e-9
+
+# The four violation-flag cells of a CSV row, indexed by the flags as a 4-bit number.
+_FLAG_CELLS = tuple(",".join(f"{code >> shift & 1}" for shift in (3, 2, 1, 0)) for code in range(16))
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,38 @@ class TrajectoryLog:
         return self.viol_v | self.viol_w | self.viol_a | self.viol_alpha
 
     def to_csv(self, file: str | Path) -> None:
-        write_csv_columns(file, self._COLUMNS, [getattr(self, name) for name in self._COLUMNS])
+        """Write the CSV columns as ``csv.writer`` writes ``repr`` of each float and 0/1 flags.
+
+        A ``v``/``omega`` cell with the bits of the previous row's
+        ``v_exec``/``omega_exec``, and a ``v_cmd``/``omega_cmd`` cell with its
+        own row's, reuses that string; every other float is formatted once.
+        """
+        floats = [getattr(self, name).astype(np.float64, copy=False) for name in self._COLUMNS[:10]]
+        v_bits, omega_bits, v_cmd_bits, omega_cmd_bits, v_exec_bits, omega_exec_bits = (
+            column.view(np.int64) for column in floats[4:]
+        )
+        # Bits 0 and 1: the v and omega cells are the previous row's exec cells;
+        # bits 2 and 3: the v_cmd and omega_cmd cells are their own row's.
+        reuse = (v_cmd_bits == v_exec_bits) * 4 + (omega_cmd_bits == omega_exec_bits) * 8
+        reuse[1:] += (v_bits[1:] == v_exec_bits[:-1]) + (omega_bits[1:] == omega_exec_bits[:-1]) * 2
+        flags = sum(getattr(self, name) * (8 >> bit) for bit, name in enumerate(self._COLUMNS[10:]))
+        columns = [column.tolist() for column in floats]
+        with open(file, "w", newline="") as handle:
+            write = handle.write
+            write(",".join(self._COLUMNS) + "\r\n")
+            v_exec = omega_exec = ""
+            for t, x, y, theta, v, omega, v_cmd, omega_cmd, v_next, omega_next, cells, flag in zip(
+                *columns, reuse.tolist(), flags.tolist()
+            ):
+                v = v_exec if cells & 1 else repr(v)
+                omega = omega_exec if cells & 2 else repr(omega)
+                v_exec, omega_exec = repr(v_next), repr(omega_next)
+                v_cmd = v_exec if cells & 4 else repr(v_cmd)
+                omega_cmd = omega_exec if cells & 8 else repr(omega_cmd)
+                write(
+                    f"{t!r},{x!r},{y!r},{theta!r},{v},{omega},{v_cmd},{omega_cmd},"
+                    f"{v_exec},{omega_exec},{_FLAG_CELLS[flag]}\r\n"
+                )
 
 
 @dataclass(frozen=True)
@@ -124,10 +157,13 @@ class ScenarioResult:
 def clip_to_window(v: float, omega: float, window: tuple) -> tuple[float, float]:
     """Project (v, omega) onto the dynamic window ``window_bounds(...)``, one axis at a time.
 
-    A command already inside the window comes back bit for bit.
+    A command already inside the window comes back bit for bit. Each axis is
+    ``min(max(value, lo), hi)``, spelled out as in ``controllers``.
     """
     v_lo, v_hi, omega_lo, omega_hi = window
-    return min(max(v, v_lo), v_hi), min(max(omega, omega_lo), omega_hi)
+    v = v_lo if v_lo > v else v
+    omega = omega_lo if omega_lo > omega else omega
+    return (v_hi if v_hi < v else v), (omega_hi if omega_hi < omega else omega)
 
 
 def arc_step(
@@ -147,20 +183,17 @@ def arc_step(
     return x + v * math.cos(theta) * dt, y + v * math.sin(theta) * dt, theta + omega * dt
 
 
-def _outside(value: float, lo: float, hi: float) -> bool:
-    return value > hi + _VIOLATION_TOL or value < lo - _VIOLATION_TOL
-
-
 def _violation_flags(
     v_cmd: float, omega_cmd: float, reachable: tuple, limits: KinodynamicLimits
 ) -> tuple[bool, bool, bool, bool]:
     """The raw command against the static limits and the ``reachable_velocities`` ranges."""
     v_lo, v_hi, omega_lo, omega_hi = reachable
+    tol = _VIOLATION_TOL
     return (
-        _outside(v_cmd, limits.v_min, limits.v_max),
-        _outside(omega_cmd, limits.omega_min, limits.omega_max),
-        _outside(v_cmd, v_lo, v_hi),
-        _outside(omega_cmd, omega_lo, omega_hi),
+        v_cmd > limits.v_max + tol or v_cmd < limits.v_min - tol,
+        omega_cmd > limits.omega_max + tol or omega_cmd < limits.omega_min - tol,
+        v_cmd > v_hi + tol or v_cmd < v_lo - tol,
+        omega_cmd > omega_hi + tol or omega_cmd < omega_lo - tol,
     )
 
 

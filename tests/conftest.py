@@ -18,13 +18,12 @@ from pursuitbench import (
     SimulationDivergedError,
     TrajectoryLog,
     generate_corner_path,
-    operative_lookahead,
 )
 from pursuitbench.controllers import (
-    regulate_linear_velocity,
-    regulated_range,
+    FIXED_LOOKAHEAD,
+    curvature_heuristic,
+    goal_heuristic,
     require_finite_command,
-    select_velocity,
 )
 from pursuitbench.paths import arc_curvature, require_finite_pose, wrap_angle
 from pursuitbench.simulator import arc_step
@@ -178,11 +177,64 @@ def regulated_window_oracle(window: tuple, v_reg: float) -> tuple:
     return v_lo, v_hi, omega_lo, omega_hi
 
 
+# Kernel oracles: the per-step clamps in the builtin min/max form the package
+# used before they became conditional expressions. The package's kernels must
+# reproduce them bit for bit, signed zeros, infinities and NaN included.
+
+
+def operative_lookahead_oracle(kind, cfg, v: float) -> float:
+    if kind is ControllerKind.PURE_PURSUIT or (
+        kind is not ControllerKind.ADAPTIVE and cfg.mode == FIXED_LOOKAHEAD
+    ):
+        return cfg.fixed_distance
+    return min(max(v * cfg.projection_time, cfg.min_distance), cfg.max_distance)
+
+
+def regulate_linear_velocity_oracle(v_cmd: float, curvature: float, goal_distance: float, cfg) -> float:
+    turn_radius = math.inf if curvature == 0.0 else 1.0 / abs(curvature)
+    v_curv = (
+        curvature_heuristic(v_cmd, turn_radius, cfg.min_turn_radius)
+        if cfg.enable_curvature
+        else math.inf
+    )
+    v_reg = v_turn = min(v_cmd, max(v_curv, cfg.min_regulated_speed))
+    if cfg.enable_goal:
+        scaled = goal_heuristic(v_turn, goal_distance, cfg.goal_slowdown_distance)
+        v_reg = min(v_turn, max(scaled, cfg.min_approach_speed))
+    return min(v_cmd, v_reg)
+
+
+def clamp_range_oracle(lo: float, hi: float, lo_bound: float, hi_bound: float) -> tuple[float, float]:
+    return min(max(lo_bound, lo), hi_bound), max(min(hi_bound, hi), lo_bound)
+
+
+def regulated_range_oracle(v_lo: float, v_hi: float, v_reg: float) -> tuple[float, float]:
+    if v_reg < 0.0:
+        raise ParameterError("regulated velocity must be non-negative")
+    return clamp_range_oracle(0.0, v_reg, v_lo, v_hi)
+
+
+def select_velocity_oracle(v_lo, v_hi, omega_lo, omega_hi, curvature) -> tuple[float, float]:
+    if curvature == 0.0:
+        return v_hi, min(max(0.0, omega_lo), omega_hi)
+    bound = omega_hi if curvature > 0.0 else omega_lo
+    v = bound / curvature
+    if v_lo <= v < v_hi:
+        return v, bound
+    v = min(max(v, v_lo), v_hi)
+    return v, min(max(curvature * v, omega_lo), omega_hi)
+
+
+def clip_to_window_oracle(v: float, omega: float, window: tuple) -> tuple[float, float]:
+    v_lo, v_hi, omega_lo, omega_hi = window
+    return min(max(v, v_lo), v_hi), min(max(omega, omega_lo), omega_hi)
+
+
 # Simulation oracle: the step loop as the package ran it on the object-level
 # per-step functions, before the loop moved to the package's float kernels.
-# It projects, finds the lookahead target, computes the dynamic window and
-# clips with the oracles above; the curvature, the regulation, the dwpp
-# selection and the arc step come from the package. The package's
+# It projects, finds the lookahead target, computes the dynamic window,
+# regulates, selects the dwpp command and clips with the oracles above; the
+# curvature and the arc step come from the package. The package's
 # run_scenario must reproduce its logs, outcomes and error messages bit for
 # bit.
 
@@ -201,26 +253,27 @@ def _violation_flags_oracle(command, velocity, limits) -> tuple[bool, bool, bool
 
 
 def _command_oracle(kind, pose, velocity, path, projection, limits, lookahead, regulation):
-    target = lookahead_oracle(path, projection, operative_lookahead(kind, lookahead, velocity[0]))
+    target = lookahead_oracle(path, projection, operative_lookahead_oracle(kind, lookahead, velocity[0]))
     curvature = arc_curvature(*pose, *target)
     v_des = limits.v_max
     if kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE):
         command = v_des, curvature * v_des
     else:
         goal_distance = max(0.0, path.length - projection[4])
-        v_reg = regulate_linear_velocity(v_des, curvature, goal_distance, regulation)
+        v_reg = regulate_linear_velocity_oracle(v_des, curvature, goal_distance, regulation)
         if kind is ControllerKind.REGULATED:
             command = v_reg, curvature * v_reg
         else:
             v_lo, v_hi, omega_lo, omega_hi = dynamic_window_oracle(*velocity, limits)
-            command = select_velocity(*regulated_range(v_lo, v_hi, v_reg), omega_lo, omega_hi, curvature)
+            command = select_velocity_oracle(
+                *regulated_range_oracle(v_lo, v_hi, v_reg), omega_lo, omega_hi, curvature
+            )
     require_finite_command(*command)
     return command
 
 
 def _clip_oracle(command, velocity, limits) -> tuple[float, float]:
-    v_lo, v_hi, omega_lo, omega_hi = dynamic_window_oracle(*velocity, limits)
-    return min(max(command[0], v_lo), v_hi), min(max(command[1], omega_lo), omega_hi)
+    return clip_to_window_oracle(*command, dynamic_window_oracle(*velocity, limits))
 
 
 def run_scenario_oracle(

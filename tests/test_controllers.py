@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     bits,
+    clamp_range_oracle,
+    clip_to_window_oracle,
     corner_path,
     distance_point_to_line,
     dynamic_window_oracle,
+    operative_lookahead_oracle,
+    regulate_linear_velocity_oracle,
+    regulated_range_oracle,
     regulated_window_oracle,
+    select_velocity_oracle,
     straight_path,
 )
 from pursuitbench import (
@@ -25,6 +32,8 @@ from pursuitbench import (
 )
 from pursuitbench.controllers import (
     FIXED_LOOKAHEAD,
+    VELOCITY_SCALED_LOOKAHEAD,
+    _clamp_range,
     command_velocities,
     curvature_heuristic,
     goal_heuristic,
@@ -37,6 +46,7 @@ from pursuitbench.controllers import (
     window_bounds,
 )
 from pursuitbench.paths import arc_curvature, lookahead_point, project_onto_path, wrap_angle
+from pursuitbench.simulator import clip_to_window
 
 # A window is ``(v_lo, v_hi, omega_lo, omega_hi)``, as ``window_bounds`` returns it.
 
@@ -522,6 +532,79 @@ class TestOptimalVelocity:
                 exit_omega = omega_hi if kappa > 0.0 else omega_lo
                 fastest = min(v_hi, exit_omega / kappa)
             assert v_cmd >= fastest
+
+
+# Floats that probe min/max's tie and NaN rules: signed zeros, infinities and
+# NaN, often equal to one another, plus any float.
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, math.inf, -math.inf, math.nan]), st.floats()
+)
+
+
+def outcome(function, *args):
+    """``function(*args)`` as exact hex strings, or the type and message of what it raised."""
+    try:
+        result = function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return bits(result if isinstance(result, tuple) else (result,))
+
+
+class TestKernelsAreTheirMinMaxForms:
+    # The kernels read only these attributes of a config; a namespace lets the
+    # draw reach values the config classes reject.
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(ControllerKind),
+        cfg=st.builds(
+            SimpleNamespace,
+            mode=st.sampled_from([FIXED_LOOKAHEAD, VELOCITY_SCALED_LOOKAHEAD]),
+            fixed_distance=edge_floats,
+            min_distance=edge_floats,
+            max_distance=edge_floats,
+            projection_time=edge_floats,
+        ),
+        v=edge_floats,
+    )
+    def test_operative_lookahead(self, kind, cfg, v):
+        assert outcome(operative_lookahead, kind, cfg, v) == outcome(operative_lookahead_oracle, kind, cfg, v)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        cfg=st.builds(
+            SimpleNamespace,
+            enable_curvature=st.booleans(),
+            enable_goal=st.booleans(),
+            min_turn_radius=edge_floats,
+            goal_slowdown_distance=edge_floats,
+            min_regulated_speed=edge_floats,
+            min_approach_speed=edge_floats,
+        ),
+        args=st.tuples(edge_floats, edge_floats, edge_floats),
+    )
+    def test_regulate_linear_velocity(self, cfg, args):
+        expected = outcome(regulate_linear_velocity_oracle, *args, cfg)
+        assert outcome(regulate_linear_velocity, *args, cfg) == expected
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(args=st.tuples(*[edge_floats] * 4))
+    def test_clamp_range(self, args):
+        assert outcome(_clamp_range, *args) == outcome(clamp_range_oracle, *args)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(args=st.tuples(*[edge_floats] * 3))
+    def test_regulated_range(self, args):
+        assert outcome(regulated_range, *args) == outcome(regulated_range_oracle, *args)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(args=st.tuples(*[edge_floats] * 5))
+    def test_select_velocity(self, args):
+        assert outcome(select_velocity, *args) == outcome(select_velocity_oracle, *args)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(v=edge_floats, omega=edge_floats, window=st.tuples(*[edge_floats] * 4))
+    def test_clip_to_window(self, v, omega, window):
+        assert outcome(clip_to_window, v, omega, window) == outcome(clip_to_window_oracle, v, omega, window)
 
 
 class TestMinStableLookahead:

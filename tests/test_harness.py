@@ -475,6 +475,22 @@ class TestCli:
         assert capsys.readouterr().err == f"error: path F, controller dwpp, trial 0: {FOLD_ERROR}\n"
         assert list(out.iterdir()) == []
 
+    def test_compare_that_fails_leaves_an_earlier_run_in_the_same_out_as_it_was(self, tmp_path, capsys):
+        # The A-only run's files are all rewritten by the A+F run before F fails.
+        path_a = "paths:\n  - {name: A, corner_angle_deg: 90.0}\n"
+        first, second = tmp_path / "a.yaml", tmp_path / "fold.yaml"
+        first.write_text(path_a + "controllers: [dwpp]\ntrials: 1\n")
+        second.write_text(FOLD_CONFIG.replace("paths:\n", path_a))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(first), "--out", str(out)]) == 0
+        before = {file.name: file.read_bytes() for file in out.iterdir()}
+        assert main(["compare", "--config", str(second), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: path F, controller dwpp, trial 0: {FOLD_ERROR}\n"
+        assert {file.name: file.read_bytes() for file in out.iterdir()} == before
+        assert sorted(before) == [
+            "metrics.csv", "path_A.csv", "summary.csv", "summary.txt", "traj_A_dwpp_trial0.csv",
+        ]
+
     @pytest.mark.parametrize(
         "argv, label",
         [

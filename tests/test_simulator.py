@@ -499,3 +499,35 @@ class TestTrajectoryLogIO:
         log.to_csv(tmp_path / "columns.csv")
         write_log_rowwise(log, tmp_path / "rows.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @settings(
+        max_examples=200, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(n=st.integers(0, 8), data=st.data())
+    def test_csv_bytes_are_the_rowwise_writer_where_cells_repeat(self, tmp_path, n, data):
+        # As in a run's log, v and omega are mostly the previous row's v_exec
+        # and omega_exec, and v_cmd and omega_cmd their own row's. Other rows
+        # take the other row's exec value, its negation (0.0 against -0.0 is
+        # equal with other bits) or a fresh draw, NaN included.
+        cell = st.one_of(st.sampled_from([0.0, -0.0, math.nan, 1.5]), st.floats())
+
+        def floats():
+            return np.array(data.draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+
+        def mixed(*sources):
+            choice = data.draw(st.lists(st.integers(0, len(sources) - 1), min_size=n, max_size=n))
+            return np.choose(np.array(choice, dtype=int), sources)
+
+        columns = {name: floats() for name in ("t", "x", "y", "theta", "v_exec", "omega_exec")}
+        for name in ("v", "omega"):
+            same = columns[f"{name}_exec"]
+            previous = np.concatenate((floats()[:1], same[:-1]))
+            columns[name] = mixed(previous, previous, same, -previous, floats())
+            columns[f"{name}_cmd"] = mixed(same, same, previous, -same, floats())
+        for name in ("viol_v", "viol_w", "viol_a", "viol_alpha"):
+            columns[name] = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        log = TrajectoryLog(**columns, cte=np.zeros(n), arc_length=np.zeros(n))
+        log.to_csv(tmp_path / "columns.csv")
+        write_log_rowwise(log, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
