@@ -20,10 +20,11 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import yaml
 
@@ -38,9 +39,7 @@ from .controllers import (
     operative_lookahead,
 )
 from .errors import ConfigError, ParameterError, PursuitBenchError
-from .metrics import (
-    METRICS, AggregateMetrics, ScenarioMetrics, aggregate, cross_track_stats, scenario_metrics,
-)
+from .metrics import METRICS, ScenarioMetrics, cross_track_stats, mean_sd, scenario_metrics
 from .paths import CornerPathSpec, ReferencePath, generate_corner_path
 from .simulator import NoiseModel, ScenarioResult, run_scenario
 
@@ -93,6 +92,15 @@ class ExperimentConfig:
                 raise ParameterError(f"paths[{position}]: name must be non-empty")
             if name in names[:position]:
                 raise ParameterError(f"paths[{position}]: duplicate path name '{name}'")
+            # A name becomes part of its output file names.
+            for char in ("/", os.sep, os.altsep, "\0"):
+                if char and char in name:
+                    raise ParameterError(f"paths[{position}]: name {name!r} must not contain {char!r}")
+            try:
+                os.fsencode(name)
+            except UnicodeEncodeError:
+                encoding = sys.getfilesystemencoding()
+                raise ParameterError(f"paths[{position}]: name {name!r} is not a file name in {encoding}") from None
         for position, kind in enumerate(self.controllers):
             if kind in self.controllers[:position]:
                 raise ParameterError(f"controllers[{position}]: duplicate controller '{kind.value}'")
@@ -182,12 +190,12 @@ def _read_config_text(source: str | Path) -> str:
     path = Path(source)
     if path.exists():
         try:
-            return path.read_text()
+            return path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{source}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     resource = importlib.resources.files("pursuitbench").joinpath("profiles", f"{source}.yaml")
     if resource.is_file():
-        return resource.read_text()
+        return resource.read_text(encoding="utf-8")
     raise ConfigError(f"'{source}' is neither a config file nor a shipped profile {PROFILE_NAMES}")
 
 
@@ -256,7 +264,7 @@ def _output_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
 
 
 def _write_csv(file: Path, header, rows) -> None:
-    with open(file, "w", newline="") as handle:
+    with open(file, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -264,20 +272,21 @@ def _write_csv(file: Path, header, rows) -> None:
 
 def run_comparison(
     config: ExperimentConfig, out_dir: str | Path | None = None
-) -> dict[tuple[str, str], AggregateMetrics]:
+) -> dict[tuple[str, str], list[ScenarioMetrics]]:
     """Run every (path, controller, trial) scenario and write CSV artifacts.
 
-    Trial ``i`` uses seed ``noise.seed + i``. Outputs: one trajectory CSV per
-    scenario, the generated reference paths, and ``metrics.csv`` with one row
-    per scenario. Re-running the same config reproduces the files byte for
-    byte. The path and trajectory CSVs are renamed into place from
-    ``<name>.partial`` once every scenario has run, so a scenario that raises
-    ``PursuitBenchError`` (labelled with its path, controller and trial)
-    leaves ``out`` as it was.
+    Returns each (path name, controller name)'s per-trial metrics, trial
+    ``i`` at index ``i``, in config order. Trial ``i`` uses seed
+    ``noise.seed + i``. Outputs: one trajectory CSV per scenario, the
+    generated reference paths, and ``metrics.csv`` with one row per scenario.
+    Re-running the same config reproduces the files byte for byte. The path
+    and trajectory CSVs are renamed into place from ``<name>.partial`` once
+    every scenario has run, so a run that raises, whether a scenario's
+    ``PursuitBenchError`` (labelled with its path, controller and trial), an
+    ``OSError`` or an interrupt, leaves ``out`` as it was.
     """
     out = _output_dir(config, out_dir)
-    aggregates: dict[tuple[str, str], AggregateMetrics] = {}
-    metric_rows = []
+    results: dict[tuple[str, str], list[ScenarioMetrics]] = {}
     written: list[Path] = []
     try:
         for name, spec in config.paths:
@@ -285,32 +294,30 @@ def run_comparison(
             written.append(out / f"path_{name}.csv.partial")
             reference.to_csv(written[-1])
             for kind in config.controllers:
-                per_trial: list[ScenarioMetrics] = []
+                trials = results[(name, kind.value)] = []
                 for trial in range(config.trials):
-                    noise = _trial_noise(config, trial)
                     label = f"path {name}, controller {kind.value}, trial {trial}"
-                    result = _run(config, reference, kind, label, noise)
+                    result = _run(config, reference, kind, label, _trial_noise(config, trial))
                     written.append(out / f"traj_{name}_{kind.value}_trial{trial}.csv.partial")
                     result.log.to_csv(written[-1])
-                    metrics = scenario_metrics(result)
-                    per_trial.append(metrics)
-                    metric_rows.append(
-                        (
-                            name, kind.value, trial, noise.seed,
-                            *(repr(getattr(metrics, metric.name)) for metric in METRICS),
-                            int(metrics.reached_goal),
-                        )
-                    )
-                aggregates[(name, kind.value)] = aggregate(per_trial)
-    except PursuitBenchError:
+                    trials.append(scenario_metrics(result))
+    except BaseException:
         for file in written:
             file.unlink(missing_ok=True)
         raise
     for file in written:
         file.replace(file.with_suffix(""))
     header = ("path", "controller", "trial", "seed", *(metric.name for metric in METRICS), "reached_goal")
-    _write_csv(out / "metrics.csv", header, metric_rows)
-    return aggregates
+    rows = (
+        (
+            name, controller, trial, _trial_noise(config, trial).seed,
+            *(getattr(metrics, metric.name) for metric in METRICS), int(metrics.reached_goal),
+        )
+        for (name, controller), trials in results.items()
+        for trial, metrics in enumerate(trials)
+    )
+    _write_csv(out / "metrics.csv", header, rows)
+    return results
 
 
 def run_lookahead_sweep(
@@ -337,20 +344,22 @@ def run_lookahead_sweep(
         mean_cte, _ = cross_track_stats(result.log)
         rows.append((value, mean_cte, result.travel_time))
     header = ("lookahead", "mean_cte", "travel_time")
-    _write_csv(out / "sweep.csv", header, [map(repr, row) for row in rows])
+    _write_csv(out / "sweep.csv", header, rows)
     return rows
 
 
 def emit_report(
-    results: Mapping[tuple[str, str], AggregateMetrics],
+    results: Mapping[tuple[str, str], Sequence[ScenarioMetrics]],
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
 ) -> str:
     """Write the four mean +/- SD summary tables plus stability advisories.
 
-    Produces ``summary.txt`` (plain text, one table per metric, paths as rows
-    and controllers as columns) and ``summary.csv`` alongside. Returns the
-    report text.
+    ``results`` maps each (path name, controller name) to its per-trial
+    metrics, as ``run_comparison`` returns them; each cell is their
+    ``mean_sd``. Produces ``summary.txt`` (UTF-8 plain text, one table per
+    metric, paths as rows and controllers as columns) and ``summary.csv``
+    alongside. Returns the report text.
     """
     if not results:
         raise ParameterError("no results to report")
@@ -375,7 +384,7 @@ def emit_report(
         for path_name in path_names:
             row = path_name.ljust(8)
             for controller in controller_names:
-                stats = getattr(results[(path_name, controller)], metric.name)
+                stats = mean_sd(results[(path_name, controller)], metric.name)
                 row += f"{fmt.format(stats.mean)} ± {fmt.format(stats.sd)}".rjust(cell_width)
             lines.append(row)
         lines.append("")
@@ -395,14 +404,15 @@ def emit_report(
     lines.append("")
 
     text = "\n".join(lines)
-    (out / "summary.txt").write_text(text)
+    (out / "summary.txt").write_text(text, encoding="utf-8")
     header = ["path", "controller", "trials", "reached"]
     header += [f"{metric.name}_{stat}" for metric in METRICS for stat in ("mean", "sd")]
     rows = []
     for path_name in path_names:
         for controller in controller_names:
-            agg = results[(path_name, controller)]
-            stats = [repr(value) for metric in METRICS for value in getattr(agg, metric.name)]
-            rows.append([path_name, controller, agg.trial_count, agg.reached_count, *stats])
+            trials = results[(path_name, controller)]
+            stats = [value for metric in METRICS for value in mean_sd(trials, metric.name)]
+            reached = sum(trial.reached_goal for trial in trials)
+            rows.append([path_name, controller, len(trials), reached, *stats])
     _write_csv(out / "summary.csv", header, rows)
     return text

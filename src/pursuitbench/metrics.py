@@ -36,18 +36,6 @@ class ScenarioMetrics:
 METRICS = tuple(metric for metric in fields(ScenarioMetrics) if metric.metadata)
 
 
-@dataclass(frozen=True)
-class AggregateMetrics:
-    """Mean and sample standard deviation of each metric over trials."""
-
-    trial_count: int
-    reached_count: int
-    violation_ratio: MeanSD
-    mean_cte: MeanSD
-    max_cte: MeanSD
-    travel_time: MeanSD
-
-
 def violation_ratio(log: TrajectoryLog) -> float:
     """Percentage of steps whose raw command violated any limit."""
     if len(log) == 0:
@@ -74,21 +62,10 @@ def scenario_metrics(result: ScenarioResult) -> ScenarioMetrics:
     )
 
 
-def _mean_sd(values: Sequence[float]) -> MeanSD:
-    arr = np.asarray(values, dtype=float)
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return MeanSD(float(arr.mean()), sd)
-
-
-def aggregate(trials: Sequence[ScenarioMetrics]) -> AggregateMetrics:
-    """Mean and sample SD (n-1 denominator; 0 for a single trial) per metric."""
+def mean_sd(trials: Sequence[ScenarioMetrics], metric: str) -> MeanSD:
+    """Mean and sample SD (n-1 denominator; 0 for a single trial) of ``metric`` over ``trials``."""
     if not trials:
         raise ParameterError("cannot aggregate an empty trial list")
-    return AggregateMetrics(
-        trial_count=len(trials),
-        reached_count=sum(1 for trial in trials if trial.reached_goal),
-        **{
-            metric.name: _mean_sd([getattr(trial, metric.name) for trial in trials])
-            for metric in METRICS
-        },
-    )
+    values = np.array([getattr(trial, metric) for trial in trials], dtype=float)
+    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return MeanSD(float(values.mean()), sd)

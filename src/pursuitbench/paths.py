@@ -75,17 +75,15 @@ class ReferencePath:
                 " its squared length must be a positive finite float"
             )
         self._waypoints = points
-        self._segments = segments
         self._seg_lengths = seg_lengths
-        self._cumlen = np.concatenate(([0.0], np.cumsum(seg_lengths)))
         # Computed once for the per-step kernels: contiguous per-segment rows
         # for the projection's scan, plain floats for the lookahead scan.
         starts, deltas, self._seg_len_sq = points[:-1].T.copy(), segments.T.copy(), seg_len_sq
-        for arr in (points, segments, seg_lengths, self._cumlen, starts, deltas, self._seg_len_sq):
+        for arr in (points, seg_lengths, starts, deltas, self._seg_len_sq):
             arr.setflags(write=False)
         (self._sx, self._sy), (self._dx, self._dy) = starts, deltas
         self._xs, self._ys = map(tuple, points.T.tolist())
-        self._cum = self._cumlen.tolist()
+        self._cum = np.concatenate(([0.0], np.cumsum(seg_lengths))).tolist()
         # Bounds the rounding of the cumulative sums (one per waypoint), the
         # cell quotients and the distances, with a wide margin.
         self._slack = (
@@ -338,9 +336,10 @@ def _nearest_by_scan(path: ReferencePath, x: float, y: float) -> tuple[float, fl
     oy = y - (sy + t * dy)
     dist_sq = ox * ox + oy * oy
     index = int(dist_sq.argmin())
-    fraction = t[index]
-    px, py = (path._waypoints[index] + fraction * path._segments[index]).tolist()
-    arc = float(path._cumlen[index] + fraction * path._seg_lengths[index])
+    fraction = float(t[index])
+    px = path._xs[index] + fraction * float(dx[index])
+    py = path._ys[index] + fraction * float(dy[index])
+    arc = path._cum[index] + fraction * float(path._seg_lengths[index])
     return px, py, index, math.sqrt(float(dist_sq[index])), arc
 
 

@@ -1,9 +1,13 @@
+import csv
 import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import ModuleType
 from unittest import mock
@@ -18,6 +22,7 @@ from pursuitbench import (
     ControllerKind,
     ExperimentConfig,
     ParameterError,
+    ScenarioMetrics,
     SweepConfig,
     emit_report,
     load_config,
@@ -27,6 +32,7 @@ from pursuitbench import (
 )
 from pursuitbench import harness
 from pursuitbench.cli import main
+from pursuitbench.metrics import METRICS, mean_sd
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 GOLDEN_TRAJECTORIES = Path(__file__).resolve().parent / "golden_trajectories.json"
@@ -308,16 +314,58 @@ class TestRunComparison:
 
     def test_multi_trial_noise_gives_positive_sd(self, small_config, tmp_path):
         results = run_comparison(small_config, tmp_path / "out")
-        assert results[("B", "rpp")].mean_cte.sd > 0.0
-        assert results[("B", "dwpp")].violation_ratio == (0.0, 0.0)
+        assert mean_sd(results[("B", "rpp")], "mean_cte").sd > 0.0
+        assert mean_sd(results[("B", "dwpp")], "violation_ratio") == (0.0, 0.0)
 
     def test_single_trial_sd_is_zero(self, tmp_path):
         file = tmp_path / "one.yaml"
         file.write_text(SMALL_CONFIG.replace("trials: 2", "trials: 1"))
         results = run_comparison(load_config(file), tmp_path / "out")
-        agg = results[("B", "rpp")]
-        assert agg.trial_count == 1
-        assert agg.mean_cte.sd == 0.0
+        assert len(results[("B", "rpp")]) == 1
+        assert mean_sd(results[("B", "rpp")], "mean_cte").sd == 0.0
+
+    def test_metrics_and_summary_csv_are_the_returned_trials(self, small_config, tmp_path):
+        out = tmp_path / "out"
+        results = run_comparison(small_config, out)
+        emit_report(results, small_config, out)
+        names = [metric.name for metric in METRICS]
+        with open(out / "metrics.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(row["path"], row["controller"], int(row["trial"])) for row in rows] == [
+            (*key, trial) for key, trials in results.items() for trial in range(len(trials))
+        ]
+        for row in rows:
+            metrics = results[(row["path"], row["controller"])][int(row["trial"])]
+            assert [float(row[name]) for name in names] == [getattr(metrics, name) for name in names]
+            assert row["reached_goal"] == str(int(metrics.reached_goal))
+        with open(out / "summary.csv", newline="") as handle:
+            summary = list(csv.DictReader(handle))
+        assert [(row["path"], row["controller"]) for row in summary] == list(results)
+        for row in summary:
+            trials = results[(row["path"], row["controller"])]
+            assert len(trials) == small_config.trials
+            assert (int(row["trials"]), int(row["reached"])) == (len(trials), sum(t.reached_goal for t in trials))
+            for name in names:
+                stats = mean_sd(trials, name)
+                assert (float(row[f"{name}_mean"]), float(row[f"{name}_sd"])) == stats, name
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt(), OSError(28, "No space left on device")])
+    def test_any_exception_mid_run_leaves_out_as_it_was(self, small_config, tmp_path, monkeypatch, interrupt):
+        run = harness._run
+        calls = []
+
+        def run_then_fail(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise interrupt
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_run", run_then_fail)
+        out = tmp_path / "out"
+        with pytest.raises(type(interrupt)):
+            run_comparison(small_config, out)
+        assert len(calls) == 3
+        assert list(out.iterdir()) == []
 
 
 class TestRunLookaheadSweep:
@@ -377,6 +425,17 @@ class TestEmitReport:
     def test_empty_results_rejected(self, small_config, tmp_path):
         with pytest.raises(ParameterError):
             emit_report({}, small_config, tmp_path / "out")
+
+    def test_summary_counts_trials_and_reached_goals(self, small_config, tmp_path):
+        config = replace(small_config, controllers=small_config.controllers[:1])
+        trials = [
+            ScenarioMetrics(1.0, 0.05, 0.2, 20.0, reached_goal=True),
+            ScenarioMetrics(1.0, 0.05, 0.2, 60.0, reached_goal=False),
+        ]
+        emit_report({("B", "rpp"): trials}, config, tmp_path)
+        with open(tmp_path / "summary.csv", newline="") as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["trials"], row["reached"], row["travel_time_mean"]) == ("2", "1", "40.0")
 
 
 class TestCli:
@@ -492,6 +551,51 @@ class TestCli:
         ]
 
     @pytest.mark.parametrize(
+        "yaml_name, message",
+        [("b/c", "paths[1]: name 'b/c' must not contain '/'"),
+         ('"b\\0c"', "paths[1]: name 'b\\x00c' must not contain '\\x00'")],
+        ids=["slash", "nul"],
+    )
+    def test_compare_rejects_a_path_name_that_is_not_a_file_name(self, tmp_path, capsys, yaml_name, message):
+        config = tmp_path / "names.yaml"
+        config.write_text(f"paths:\n  - {{name: A}}\n  - {{name: {yaml_name}}}\ncontrollers: [dwpp]\ntrials: 1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_compare_under_an_ascii_locale_writes_utf8_files(self, tmp_path):
+        # The config's comment and the report's "±" are not ASCII.
+        config = tmp_path / "one.yaml"
+        config.write_text(
+            "# one corner, ±1 trial, Ä\npaths:\n  - {name: A, segment_length: 1.5}\n"
+            "controllers: [dwpp]\ntrials: 1\n",
+            encoding="utf-8",
+        )
+        src = str(Path(pursuitbench.__file__).resolve().parent.parent)
+        ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+        def compare(locale_env, out):
+            env = {**os.environ, **locale_env, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": src}
+            argv = [sys.executable, "-m", "pursuitbench.cli", "compare", "--config", str(config), "--out", str(out)]
+            return subprocess.run(argv, env=env, capture_output=True, timeout=120)
+
+        summaries = []
+        for locale_env in (ascii_locale, {"PYTHONUTF8": "1"}):
+            out = tmp_path / f"out{len(summaries)}"
+            done = compare(locale_env, out)
+            assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+            summaries.append((out / "summary.txt").read_bytes())
+        assert "± ".encode() in summaries[0]
+        assert summaries[0] == summaries[1]
+        # A path name the ASCII file system encoding cannot hold is rejected before any run.
+        config.write_text(config.read_text(encoding="utf-8").replace("name: A", "name: Ä"), encoding="utf-8")
+        done = compare(ascii_locale, tmp_path / "out_ascii_name")
+        assert done.returncode == 1
+        assert done.stderr.decode("utf-8") == "error: paths[0]: name 'Ä' is not a file name in ascii\n"
+
+    @pytest.mark.parametrize(
         "argv, label",
         [
             (["compare"], "path F, controller dwpp, trial 0"),
@@ -551,6 +655,8 @@ def test_shipped_profiles_match_golden_digests(tmp_path):
             assert written == digest, f"{workload}/{file}"
     pinned = json.loads(GOLDEN_TRAJECTORIES.read_text())["table1"]
     assert trajectory_digest(tmp_path / "table1") == (pinned["files"], pinned["sha256"])
+    summary = hashlib.sha256((tmp_path / "table1" / "summary.txt").read_bytes()).hexdigest()
+    assert summary == pinned["summary.txt"]
 
 
 def test_longpath_workload_matches_golden_digests(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from pursuitbench import (
     run_scenario,
     scenario_metrics,
 )
-from pursuitbench.metrics import aggregate, cross_track_stats, violation_ratio
+from pursuitbench.metrics import cross_track_stats, mean_sd, violation_ratio
 
 
 def make_log(xs, ys, violations=None, path=None):
@@ -119,38 +119,29 @@ def sample_metrics(**overrides):
     return ScenarioMetrics(**base)
 
 
-class TestAggregate:
+class TestMeanSD:
     def test_identical_trials_have_zero_sd(self):
-        agg = aggregate([sample_metrics(), sample_metrics(), sample_metrics()])
-        assert agg.trial_count == 3
-        assert agg.violation_ratio.sd == 0.0
-        assert agg.travel_time == (20.0, 0.0)
+        trials = [sample_metrics(), sample_metrics(), sample_metrics()]
+        assert mean_sd(trials, "violation_ratio").sd == 0.0
+        assert mean_sd(trials, "travel_time") == (20.0, 0.0)
 
     def test_two_point_sample_sd(self):
-        agg = aggregate([sample_metrics(travel_time=1.0), sample_metrics(travel_time=3.0)])
-        assert agg.travel_time.mean == pytest.approx(2.0)
-        assert agg.travel_time.sd == pytest.approx(math.sqrt(2.0))
+        stats = mean_sd([sample_metrics(travel_time=1.0), sample_metrics(travel_time=3.0)], "travel_time")
+        assert stats.mean == pytest.approx(2.0)
+        assert stats.sd == pytest.approx(math.sqrt(2.0))
 
     def test_single_trial_sd_is_zero(self):
-        agg = aggregate([sample_metrics()])
-        assert agg.trial_count == 1
-        assert agg.mean_cte.sd == 0.0
+        assert mean_sd([sample_metrics()], "mean_cte") == (0.05, 0.0)
 
     def test_permutation_invariant(self):
         trials = [sample_metrics(mean_cte=value) for value in (0.01, 0.07, 0.03)]
-        forward = aggregate(trials)
-        backward = aggregate(list(reversed(trials)))
-        assert forward == backward
+        assert mean_sd(trials, "mean_cte") == mean_sd(list(reversed(trials)), "mean_cte")
 
     def test_duplicating_the_mean_keeps_the_mean(self):
         trials = [sample_metrics(max_cte=0.1), sample_metrics(max_cte=0.3)]
         with_mean = trials + [sample_metrics(max_cte=0.2)]
-        assert aggregate(with_mean).max_cte.mean == pytest.approx(aggregate(trials).max_cte.mean)
-
-    def test_counts_reached_goals(self):
-        agg = aggregate([sample_metrics(), sample_metrics(reached_goal=False)])
-        assert agg.reached_count == 1
+        assert mean_sd(with_mean, "max_cte").mean == pytest.approx(mean_sd(trials, "max_cte").mean)
 
     def test_empty_trials_rejected(self):
         with pytest.raises(ParameterError):
-            aggregate([])
+            mean_sd([], "travel_time")
