@@ -93,9 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The report's "±" reaches a stdout that cannot encode it as "\xb1"; the files stay UTF-8.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         return args.func(args)
-    except PursuitBenchError as exc:
+    except (PursuitBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ either a file path or the name of a shipped profile (``experiment_table1``,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib.resources
 import math
@@ -57,10 +58,8 @@ _PATH_ENTRY = {
 def _corner(entry: Mapping) -> tuple[str, CornerPathSpec]:
     """A ``paths`` entry merged over ``_PATH_ENTRY``, as (name, spec)."""
     merged = {**_PATH_ENTRY, **entry}
-    spec = CornerPathSpec(
-        merged["segment_length"], math.radians(merged["corner_angle_deg"]), merged["waypoint_spacing"]
-    )
-    return merged["name"], spec
+    angle = math.radians(merged["corner_angle_deg"])
+    return merged["name"], CornerPathSpec(merged["segment_length"], angle, merged["waypoint_spacing"])
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,8 @@ def _check(key: str, value, default):
 
     A mapping default returns only the keys given, for the caller to merge;
     a dataclass default returns the dataclass with the given fields replaced;
-    a list default takes a non-empty list of entries like its first one.
+    a list default takes a non-empty list of entries like its first one and
+    returns them as a tuple, each converted by ``_LIST_ENTRY`` once checked.
     """
     if is_dataclass(default):
         own = {field.name: getattr(default, field.name) for field in fields(default)}
@@ -178,7 +178,10 @@ def _check(key: str, value, default):
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{key} must be a non-empty list")
-        return [_check(f"{key}[{position}]", item, default[0]) for position, item in enumerate(value)]
+        labels = [f"{key}[{position}]" for position in range(len(value))]
+        return tuple(
+            _build(label, _LIST_ENTRY[key], _check(label, item, default[0])) for label, item in zip(labels, value)
+        )
     if type(default) is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
     if type(value) is not type(default) or (type(value) is float and not math.isfinite(value)):
@@ -208,13 +211,7 @@ def _parse(source: str | Path) -> dict:
         raise ConfigError(f"{source}: {exc}") from exc
     if raw is not None and not isinstance(raw, Mapping):
         raise ConfigError(f"{source}: top level must be a mapping")
-    values = _check("", raw, _TOP_LEVEL)
-    for name, convert in _LIST_ENTRY.items():
-        if name in values:
-            values[name] = tuple(
-                _build(f"{name}[{position}]", convert, entry) for position, entry in enumerate(values[name])
-            )
-    return values
+    return _check("", raw, _TOP_LEVEL)
 
 
 def load_sweep_config(source: str | Path = "simulation_table6") -> SweepConfig:
@@ -303,7 +300,8 @@ def run_comparison(
                     trials.append(scenario_metrics(result))
     except BaseException:
         for file in written:
-            file.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                file.unlink()
         raise
     for file in written:
         file.replace(file.with_suffix(""))
@@ -375,18 +373,18 @@ def emit_report(
         "repeatability of the deterministic simulator, not real-world variability.",
         "",
     ]
+    # Each (path, controller)'s mean_sd per metric, in config order: both files render these.
+    keys = [(path_name, controller) for path_name in path_names for controller in controller_names]
+    cells = {key: [mean_sd(results[key], metric.name) for metric in METRICS] for key in keys}
     cell_width = 16
-    for metric in METRICS:
+    for index, metric in enumerate(METRICS):
         fmt = metric.metadata["format"]
         lines.append(f"{metric.metadata['title']} (mean ± sd)")
-        header = "path".ljust(8) + "".join(name.upper().rjust(cell_width) for name in controller_names)
-        lines.append(header)
+        lines.append("path".ljust(8) + "".join(name.upper().rjust(cell_width) for name in controller_names))
         for path_name in path_names:
-            row = path_name.ljust(8)
-            for controller in controller_names:
-                stats = mean_sd(results[(path_name, controller)], metric.name)
-                row += f"{fmt.format(stats.mean)} ± {fmt.format(stats.sd)}".rjust(cell_width)
-            lines.append(row)
+            stats = (cells[(path_name, controller)][index] for controller in controller_names)
+            row = "".join(f"{fmt.format(cell.mean)} ± {fmt.format(cell.sd)}".rjust(cell_width) for cell in stats)
+            lines.append(path_name.ljust(8) + row)
         lines.append("")
 
     v_max = config.limits.v_max
@@ -408,11 +406,9 @@ def emit_report(
     header = ["path", "controller", "trials", "reached"]
     header += [f"{metric.name}_{stat}" for metric in METRICS for stat in ("mean", "sd")]
     rows = []
-    for path_name in path_names:
-        for controller in controller_names:
-            trials = results[(path_name, controller)]
-            stats = [value for metric in METRICS for value in mean_sd(trials, metric.name)]
-            reached = sum(trial.reached_goal for trial in trials)
-            rows.append([path_name, controller, len(trials), reached, *stats])
+    for (path_name, controller), stats in cells.items():
+        trials = results[(path_name, controller)]
+        reached = sum(trial.reached_goal for trial in trials)
+        rows.append([path_name, controller, len(trials), reached, *(value for cell in stats for value in cell)])
     _write_csv(out / "summary.csv", header, rows)
     return text

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import importlib.util
 import json
@@ -20,6 +21,7 @@ import pursuitbench
 from pursuitbench import (
     ConfigError,
     ControllerKind,
+    CornerPathSpec,
     ExperimentConfig,
     ParameterError,
     ScenarioMetrics,
@@ -185,6 +187,66 @@ class TestLoadConfig:
         file = tmp_path / "bad.yaml"
         file.write_text("controllers: [pp, teb]\n")
         with pytest.raises(ConfigError, match="teb"):
+            load_config(file)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "paths: [{name: A}, {name: B, corner_angle_deg: 180}]\n",
+                "paths[1]: corner_angle must be strictly inside (0, pi)",
+            ),
+            (
+                "paths: [{name: A, waypoint_spacing: 5.0}]\n",
+                "paths[0]: waypoint_spacing must be in (0, segment_length)",
+            ),
+            (
+                "controllers: [pp, teb]\n",
+                "controllers[1]: unknown controller 'teb' (expected one of: pp, app, rpp, dwpp)",
+            ),
+            ("paths: []\n", "paths must be a non-empty list"),
+            ("controllers: dwpp\n", "controllers must be a non-empty list"),
+            ("lookahead_values: [0.5, x]\n", "lookahead_values[1] must be a finite number, got 'x'"),
+        ],
+        ids=["corner_angle", "waypoint_spacing", "controller", "empty_paths", "scalar_controllers", "sweep_value"],
+    )
+    def test_list_entry_error_message(self, tmp_path, text, message):
+        file = tmp_path / "bad.yaml"
+        file.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_sweep_config(file)
+
+    def test_list_entries_load_as_tuples_of_config_values(self, tmp_path):
+        file = tmp_path / "lists.yaml"
+        file.write_text(
+            "paths:\n  - {name: A, corner_angle_deg: 60, segment_length: 2}\n"
+            "controllers: [dwpp, pp]\nlookahead_values: [1, 2.5]\n"
+        )
+        config = load_config(file)
+        assert config.paths == (("A", CornerPathSpec(2.0, math.radians(60.0))),)
+        assert type(config.paths) is tuple and type(config.paths[0]) is tuple
+        assert config.controllers == (ControllerKind.DYNAMIC_WINDOW, ControllerKind.PURE_PURSUIT)
+        assert type(config.controllers) is tuple
+        values = load_sweep_config(file).lookahead_values
+        assert values == (1.0, 2.5) and type(values) is tuple
+        assert [type(value) for value in values] == [float, float]
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            (("paths", "limits"), "paths[1]: corner_angle must be strictly inside (0, pi)"),
+            (("limits", "paths"), "limits: v_max must be a finite number, got True"),
+        ],
+        ids=["paths_first", "limits_first"],
+    )
+    def test_first_error_in_file_order_is_reported(self, tmp_path, sections, message):
+        text = {
+            "paths": "paths:\n  - {name: A}\n  - {name: B, corner_angle_deg: 180}\n",
+            "limits": "limits: {v_max: true}\n",
+        }
+        file = tmp_path / "bad.yaml"
+        file.write_text("".join(text[section] for section in sections))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(file)
 
     def test_duplicate_path_name_rejected(self, tmp_path):
@@ -366,6 +428,35 @@ class TestRunComparison:
             run_comparison(small_config, out)
         assert len(calls) == 3
         assert list(out.iterdir()) == []
+
+    def test_cleanup_removes_the_rest_when_one_partial_file_cannot_be_removed(
+        self, small_config, tmp_path, monkeypatch
+    ):
+        run = harness._run
+        calls = []
+        failure = OSError(28, "No space left on device")
+
+        def run_then_fail(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise failure
+            return run(*args, **kwargs)
+
+        unlink = Path.unlink
+
+        def unlink_except_path_file(file, *args, **kwargs):
+            if file.name == "path_B.csv.partial":
+                raise PermissionError(13, "Permission denied")
+            return unlink(file, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_run", run_then_fail)
+        monkeypatch.setattr(Path, "unlink", unlink_except_path_file)
+        out = tmp_path / "out"
+        with pytest.raises(OSError) as raised:
+            run_comparison(small_config, out)
+        assert raised.value is failure
+        # Both trajectory files of controller rpp were written before the third run failed.
+        assert [file.name for file in out.iterdir()] == ["path_B.csv.partial"]
 
 
 class TestRunLookaheadSweep:
@@ -565,6 +656,18 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(out.iterdir()) == []
 
+    def test_compare_reports_a_file_it_cannot_write_as_an_error(self, tmp_path, capsys):
+        # The file system's name limit is unknown when the config loads, so the write itself fails.
+        config = tmp_path / "long.yaml"
+        name = "a" * 300
+        config.write_text(f"paths:\n  - {{name: {name}, segment_length: 1.5}}\ncontrollers: [dwpp]\ntrials: 1\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     def test_compare_under_an_ascii_locale_writes_utf8_files(self, tmp_path):
         # The config's comment and the report's "±" are not ASCII.
         config = tmp_path / "one.yaml"
@@ -594,6 +697,24 @@ class TestCli:
         done = compare(ascii_locale, tmp_path / "out_ascii_name")
         assert done.returncode == 1
         assert done.stderr.decode("utf-8") == "error: paths[0]: name 'Ä' is not a file name in ascii\n"
+
+    def test_compare_to_an_ascii_stdout_escapes_the_report(self, tmp_path):
+        # With PYTHONIOENCODING unset, stdout takes the locale's ASCII encoding.
+        config = tmp_path / "one.yaml"
+        config.write_text("paths:\n  - {name: A, segment_length: 1.5}\ncontrollers: [dwpp]\ntrials: 1\n")
+        src = str(Path(pursuitbench.__file__).resolve().parent.parent)
+        environ = {name: value for name, value in os.environ.items() if name != "PYTHONIOENCODING"}
+        runs = []
+        for locale_env in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, {"PYTHONUTF8": "1"}):
+            out = tmp_path / f"out{len(runs)}"
+            env = {**environ, **locale_env, "PYTHONPATH": src}
+            argv = [sys.executable, "-m", "pursuitbench.cli", "compare", "--config", str(config), "--out", str(out)]
+            runs.append((subprocess.run(argv, env=env, capture_output=True, timeout=120), out))
+        (ascii_run, ascii_out), (_, utf8_out) = runs
+        assert ascii_run.returncode == 0, ascii_run.stderr.decode("utf-8", "replace")
+        assert b"Traceback" not in ascii_run.stderr
+        assert b"(mean \\xb1 sd)" in ascii_run.stdout
+        assert (ascii_out / "summary.txt").read_bytes() == (utf8_out / "summary.txt").read_bytes()
 
     @pytest.mark.parametrize(
         "argv, label",
