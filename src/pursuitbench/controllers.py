@@ -190,42 +190,30 @@ def operative_lookahead(kind: ControllerKind, cfg: LookaheadConfig, v: float) ->
     return cfg.max_distance if cfg.max_distance < lookahead else lookahead
 
 
-def curvature_heuristic(v: float, turn_radius: float, min_radius: float) -> float:
-    """Scale the speed down linearly once the turn radius drops to ``min_radius``."""
-    if turn_radius > min_radius:
-        return v
-    return v * turn_radius / min_radius
-
-
-def goal_heuristic(v: float, goal_distance: float, slowdown_distance: float) -> float:
-    """Scale the speed down linearly over the final ``slowdown_distance``."""
-    if goal_distance > slowdown_distance:
-        return v
-    return v * goal_distance / slowdown_distance
-
-
 def regulate_linear_velocity(
     v_cmd: float, curvature: float, goal_distance: float, cfg: RegulationConfig
 ) -> float:
     """Apply the enabled speed heuristics to a nominal linear command.
 
-    Curvature scaling acts first, then goal slowdown, each floored by its
-    minimum speed (``min_regulated_speed``, ``min_approach_speed``) and
-    never raised above the stage before it; disabled heuristics impose no
-    cap. The result never exceeds ``v_cmd``.
+    Curvature scaling acts first, linear in the turn radius once it drops to
+    ``min_turn_radius``, then goal slowdown, linear over the final
+    ``goal_slowdown_distance``. Each is floored by its minimum speed
+    (``min_regulated_speed``, ``min_approach_speed``) and never raised above
+    the stage before it; disabled heuristics impose no cap. The result never
+    exceeds ``v_cmd``.
     """
-    turn_radius = math.inf if curvature == 0.0 else 1.0 / abs(curvature)
-    v_curv = (
-        curvature_heuristic(v_cmd, turn_radius, cfg.min_turn_radius)
-        if cfg.enable_curvature
-        else math.inf
-    )
+    v_turn = math.inf
+    if cfg.enable_curvature:
+        turn_radius = math.inf if curvature == 0.0 else 1.0 / abs(curvature)
+        r_min = cfg.min_turn_radius
+        v_turn = v_cmd if turn_radius > r_min else v_cmd * turn_radius / r_min
     floor = cfg.min_regulated_speed
-    v_turn = floor if floor > v_curv else v_curv
+    v_turn = floor if floor > v_turn else v_turn
     v_turn = v_turn if v_turn < v_cmd else v_cmd
     if not cfg.enable_goal:
         return v_turn
-    scaled = goal_heuristic(v_turn, goal_distance, cfg.goal_slowdown_distance)
+    d_slow = cfg.goal_slowdown_distance
+    scaled = v_turn if goal_distance > d_slow else v_turn * goal_distance / d_slow
     floor = cfg.min_approach_speed
     scaled = floor if floor > scaled else scaled
     return scaled if scaled < v_turn else v_turn
@@ -287,6 +275,19 @@ def regulated_range(v_lo: float, v_hi: float, v_reg: float) -> tuple[float, floa
     return _clamp_range(0.0, v_reg, v_lo, v_hi)
 
 
+def clip_to_window(v: float, omega: float, window: tuple) -> tuple[float, float]:
+    """Project (v, omega) onto the dynamic window ``window_bounds(...)``, one axis at a time.
+
+    This is the execution layer's clip, which every law's command goes
+    through. A command already inside the window comes back bit for bit.
+    Each axis is ``min(max(value, lo), hi)``, spelled out.
+    """
+    v_lo, v_hi, omega_lo, omega_hi = window
+    v = v_lo if v_lo > v else v
+    omega = omega_lo if omega_lo > omega else omega
+    return (v_hi if v_hi < v else v), (omega_hi if omega_hi < omega else omega)
+
+
 def select_velocity(
     v_lo: float, v_hi: float, omega_lo: float, omega_hi: float, curvature: float
 ) -> tuple[float, float]:
@@ -298,21 +299,20 @@ def select_velocity(
     larger v. With omega clamped into the window the distance is
     piecewise linear in v, so the optimum is one clamp: v is where the line
     leaves through the omega bound it heads for, clamped into [v_lo, v_hi],
-    and omega is the line at that v, clamped into [omega_lo, omega_hi]. Zero
-    curvature takes v_hi and the feasible omega nearest zero.
+    and omega is the line at that v, clipped into the window by
+    :func:`clip_to_window`. Zero curvature takes v_hi and the feasible omega
+    nearest zero. So the clip returns every selection unchanged.
     """
+    window = (v_lo, v_hi, omega_lo, omega_hi)
     if curvature == 0.0:
-        omega = omega_lo if omega_lo > 0.0 else 0.0
-        return v_hi, (omega_hi if omega_hi < omega else omega)
+        return clip_to_window(v_hi, 0.0, window)
     bound = omega_hi if curvature > 0.0 else omega_lo
     v = bound / curvature  # where the line leaves through the omega bound
     if v_lo <= v < v_hi:
         return v, bound  # on the line; curvature * v could round past bound
     v = v_lo if v_lo > v else v
     v = v_hi if v_hi < v else v
-    omega = curvature * v
-    omega = omega_lo if omega_lo > omega else omega
-    return v, (omega_hi if omega_hi < omega else omega)
+    return clip_to_window(v, curvature * v, window)
 
 
 def min_stable_lookahead(v: float, cfg: StabilityConfig) -> float:

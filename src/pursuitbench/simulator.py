@@ -19,6 +19,7 @@ from .controllers import (
     KinodynamicLimits,
     LookaheadConfig,
     RegulationConfig,
+    clip_to_window,
     command_velocities,
     reachable_velocities,
     require_finite_command,
@@ -154,18 +155,6 @@ class ScenarioResult:
     travel_time: float
 
 
-def clip_to_window(v: float, omega: float, window: tuple) -> tuple[float, float]:
-    """Project (v, omega) onto the dynamic window ``window_bounds(...)``, one axis at a time.
-
-    A command already inside the window comes back bit for bit. Each axis is
-    ``min(max(value, lo), hi)``, spelled out as in ``controllers``.
-    """
-    v_lo, v_hi, omega_lo, omega_hi = window
-    v = v_lo if v_lo > v else v
-    omega = omega_lo if omega_lo > omega else omega
-    return (v_hi if v_hi < v else v), (omega_hi if omega_hi < omega else omega)
-
-
 def arc_step(
     x: float, y: float, theta: float, v: float, omega: float, dt: float
 ) -> tuple[float, float, float]:
@@ -198,7 +187,7 @@ def _violation_flags(
 
 
 def _initial_pose(
-    path: ReferencePath, noise: NoiseModel, rng: np.random.Generator
+    path: ReferencePath, noise: NoiseModel, rng: np.random.Generator | None
 ) -> tuple[float, float, float]:
     """``(x, y, theta)`` at the first waypoint, heading along the first segment, perturbed by ``noise``.
 
@@ -245,11 +234,13 @@ def run_scenario(
         raise ParameterError("goal_tolerance must be positive and finite")
     if noise is None:
         noise = NoiseModel()
-    rng = np.random.default_rng(noise.seed)
-    x, y, theta = _initial_pose(path, noise, rng)
-    v = omega = 0.0
     sigma_v, sigma_omega = noise.sigma_v, noise.sigma_omega
     velocity_noise = sigma_v > 0.0 or sigma_omega > 0.0
+    # A noise-free run draws nothing, so it never loads numpy.random.
+    noisy = velocity_noise or noise.sigma_pose_init > 0.0
+    rng = np.random.default_rng(noise.seed) if noisy else None
+    x, y, theta = _initial_pose(path, noise, rng)
+    v = omega = 0.0
     goal_x, goal_y = float(path.goal[0]), float(path.goal[1])
 
     def at_goal(x: float, y: float) -> bool:

@@ -19,12 +19,7 @@ from pursuitbench import (
     TrajectoryLog,
     generate_corner_path,
 )
-from pursuitbench.controllers import (
-    FIXED_LOOKAHEAD,
-    curvature_heuristic,
-    goal_heuristic,
-    require_finite_command,
-)
+from pursuitbench.controllers import FIXED_LOOKAHEAD, require_finite_command
 from pursuitbench.paths import arc_curvature, require_finite_pose, wrap_angle
 from pursuitbench.simulator import arc_step
 
@@ -188,6 +183,14 @@ def operative_lookahead_oracle(kind, cfg, v: float) -> float:
     ):
         return cfg.fixed_distance
     return min(max(v * cfg.projection_time, cfg.min_distance), cfg.max_distance)
+
+
+def curvature_heuristic(v: float, turn_radius: float, min_radius: float) -> float:
+    return v if turn_radius > min_radius else v * turn_radius / min_radius
+
+
+def goal_heuristic(v: float, goal_distance: float, slowdown_distance: float) -> float:
+    return v if goal_distance > slowdown_distance else v * goal_distance / slowdown_distance
 
 
 def regulate_linear_velocity_oracle(v_cmd: float, curvature: float, goal_distance: float, cfg) -> float:

@@ -34,9 +34,8 @@ from pursuitbench.controllers import (
     FIXED_LOOKAHEAD,
     VELOCITY_SCALED_LOOKAHEAD,
     _clamp_range,
+    clip_to_window,
     command_velocities,
-    curvature_heuristic,
-    goal_heuristic,
     min_stable_lookahead,
     reachable_velocities,
     regulate_linear_velocity,
@@ -46,7 +45,6 @@ from pursuitbench.controllers import (
     window_bounds,
 )
 from pursuitbench.paths import arc_curvature, lookahead_point, project_onto_path, wrap_angle
-from pursuitbench.simulator import clip_to_window
 
 # A window is ``(v_lo, v_hi, omega_lo, omega_hi)``, as ``window_bounds`` returns it.
 
@@ -67,10 +65,14 @@ def line_crosses_window(window, kappa):
     return lo <= omega_hi and hi >= omega_lo
 
 
+def ordered_pairs(value):
+    """Ordered (low, high) pairs of ``value``, equal pairs included."""
+    return st.one_of(value.map(lambda x: (x, x)), st.tuples(value, value).map(sorted).map(tuple))
+
+
 def bounds(lo, hi):
     """Ordered (low, high) pairs in [lo, hi], equal pairs included."""
-    value = st.floats(lo, hi)
-    return st.one_of(value.map(lambda x: (x, x)), st.tuples(value, value).map(sorted).map(tuple))
+    return ordered_pairs(st.floats(lo, hi))
 
 
 positive = st.floats(0.0, 10.0, exclude_min=True)
@@ -221,23 +223,32 @@ class TestNominalCommand:
 
 
 class TestHeuristics:
+    # Each stage alone: the other stage disabled and both speed floors at 0.
+    CURVATURE = RegulationConfig(
+        enable_goal=False, min_turn_radius=0.9, min_regulated_speed=0.0, min_approach_speed=0.0
+    )
+    GOAL = RegulationConfig(
+        enable_curvature=False, goal_slowdown_distance=1.0, min_regulated_speed=0.0,
+        min_approach_speed=0.0,
+    )
+
     def test_curvature_above_threshold_passes_through(self):
-        assert curvature_heuristic(0.5, 2.0, 0.9) == 0.5
+        assert regulate_linear_velocity(0.5, 1.0 / 2.0, 10.0, self.CURVATURE) == 0.5
 
     def test_curvature_scales_below_threshold(self):
-        assert curvature_heuristic(0.5, 0.45, 0.9) == pytest.approx(0.25)
+        assert regulate_linear_velocity(0.5, 1.0 / 0.45, 10.0, self.CURVATURE) == pytest.approx(0.25)
 
     def test_curvature_continuous_at_threshold(self):
-        assert curvature_heuristic(0.5, 0.9, 0.9) == pytest.approx(0.5)
+        assert regulate_linear_velocity(0.5, 1.0 / 0.9, 10.0, self.CURVATURE) == pytest.approx(0.5)
 
     def test_goal_far_passes_through(self):
-        assert goal_heuristic(0.5, 5.0, 1.0) == 0.5
+        assert regulate_linear_velocity(0.5, 0.0, 5.0, self.GOAL) == 0.5
 
     def test_goal_scales_when_close(self):
-        assert goal_heuristic(0.5, 0.5, 1.0) == pytest.approx(0.25)
+        assert regulate_linear_velocity(0.5, 0.0, 0.5, self.GOAL) == pytest.approx(0.25)
 
     def test_goal_reached_stops(self):
-        assert goal_heuristic(0.5, 0.0, 1.0) == 0.0
+        assert regulate_linear_velocity(0.5, 0.0, 0.0, self.GOAL) == 0.0
 
 
 class TestRegulateLinearVelocity:
@@ -532,6 +543,24 @@ class TestOptimalVelocity:
                 exit_omega = omega_hi if kappa > 0.0 else omega_lo
                 fastest = min(v_hi, exit_omega / kappa)
             assert v_cmd >= fastest
+
+    signed_bound = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        v_bounds=ordered_pairs(signed_bound),
+        omega_bounds=ordered_pairs(signed_bound),
+        kappa=st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats()),
+    )
+    @example(v_bounds=(0.0, -0.0), omega_bounds=(0.0, -0.0), kappa=1.0)
+    @example(v_bounds=(-0.0, 0.0), omega_bounds=(-0.0, 0.0), kappa=-1.0)
+    @example(v_bounds=(0.1, 0.4), omega_bounds=(-0.5, 0.5), kappa=math.inf)
+    @example(v_bounds=(0.1, 0.4), omega_bounds=(-0.5, 0.5), kappa=math.nan)
+    def test_selection_comes_back_from_the_clip_unchanged(self, v_bounds, omega_bounds, kappa):
+        # DWPP's command lies in the window, so the execution clip is the identity on it.
+        window = (*v_bounds, *omega_bounds)
+        selection = select_velocity(*window, kappa)
+        assert bits(clip_to_window(*selection, window)) == bits(selection)
 
 
 # Floats that probe min/max's tie and NaN rules: signed zeros, infinities and

@@ -1,11 +1,15 @@
 import csv
 import math
-from dataclasses import fields
+import os
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import pursuitbench.paths as paths
@@ -26,6 +30,7 @@ from pursuitbench import (
     NoiseModel,
     ParameterError,
     PursuitBenchError,
+    ReferencePath,
     RegulationConfig,
     SimulationDivergedError,
     TrajectoryLog,
@@ -34,11 +39,12 @@ from pursuitbench import (
 from pursuitbench.controllers import (
     FIXED_LOOKAHEAD,
     VELOCITY_SCALED_LOOKAHEAD,
+    clip_to_window,
     reachable_velocities,
     window_bounds,
 )
 from pursuitbench.paths import project_onto_path, wrap_angle
-from pursuitbench.simulator import arc_step, clip_to_window
+from pursuitbench.simulator import arc_step
 
 
 def euler_reference(x, y, theta, v, omega, dt, substeps=1000):
@@ -72,9 +78,13 @@ def outcome(simulate, *args, **kwargs):
     columns = {}
     for field in fields(TrajectoryLog):
         column = getattr(result.log, field.name)
-        values = column.tolist() if column.dtype == bool else list(map(float.hex, column.tolist()))
-        columns[field.name] = (column.dtype.str, values)
+        columns[field.name] = (column.dtype.str, cells(column))
     return columns, result.reached_goal, float.hex(result.travel_time)
+
+
+def cells(column) -> list:
+    """A log column as exact hex strings, or as bools."""
+    return column.tolist() if column.dtype == bool else list(map(float.hex, column.tolist()))
 
 
 class TestExecutionAndNoiseModels:
@@ -424,6 +434,120 @@ class TestFloatLoopIsTheObjectLoop:
         )
         expected = outcome(run_scenario_oracle, path, kind, **arguments)
         assert outcome(run_scenario, path, kind, **arguments) == expected
+
+
+@st.composite
+def random_walk(draw):
+    """A polyline of 2-4 legs at 0.05 m spacing, turning up to 100 whole degrees per leg.
+
+    Whole degrees keep the geometry clear of subnormal numbers, where scaling
+    by a power of two is not exact.
+    """
+    heading, points = 0.0, [np.zeros((1, 2))]
+    for leg in range(draw(st.integers(2, 4))):
+        heading += math.radians(draw(st.integers(-100, 100))) if leg else 0.0
+        length = draw(st.floats(0.5, 1.5))
+        steps = np.linspace(0.0, length, round(length / 0.05) + 1)[1:]
+        points.append(points[-1][-1] + np.outer(steps, (math.cos(heading), math.sin(heading))))
+    waypoints = np.vstack(points)
+    assume(math.hypot(*(waypoints[-1] - waypoints[0])) > 0.5)
+    return ReferencePath(waypoints)
+
+
+def scaled_settings(k, limits, lookahead, regulation, goal_tolerance):
+    """Every length-bearing setting times ``k``; dt, projection_time and the angular limits kept."""
+    return dict(
+        limits=replace(
+            limits, v_max=k * limits.v_max, v_min=k * limits.v_min,
+            accel_max=k * limits.accel_max, decel_max=k * limits.decel_max,
+        ),
+        lookahead=replace(
+            lookahead, fixed_distance=k * lookahead.fixed_distance,
+            min_distance=k * lookahead.min_distance, max_distance=k * lookahead.max_distance,
+        ),
+        regulation=replace(
+            regulation, min_turn_radius=k * regulation.min_turn_radius,
+            goal_slowdown_distance=k * regulation.goal_slowdown_distance,
+            min_regulated_speed=k * regulation.min_regulated_speed,
+            min_approach_speed=k * regulation.min_approach_speed,
+        ),
+        goal_tolerance=k * goal_tolerance,
+    )
+
+
+class TestScaleRelation:
+    # Scaling a path and every length-bearing setting by a power of two is
+    # exact in binary floating point, and every kernel is homogeneous in
+    # lengths or takes a ratio of them: the scaled run is the run, scaled.
+    LENGTH_COLUMNS = ("x", "y", "v", "v_cmd", "v_exec", "cte", "arc_length")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        k=st.sampled_from([2.0, 0.5, 4.0]),
+        path=st.one_of(
+            st.floats(10.0, 170.0).map(lambda angle: corner_path(angle, segment_length=1.5)),
+            random_walk(),
+            st.just(_U_TURN),
+        ),
+        lookahead=st.builds(
+            LookaheadConfig,
+            mode=st.sampled_from([FIXED_LOOKAHEAD, VELOCITY_SCALED_LOOKAHEAD]),
+            fixed_distance=st.floats(0.2, 1.0),
+        ),
+        v_min=st.sampled_from([0.0, -0.3]),
+    )
+    def test_scaled_run_is_the_run_scaled(self, k, path, lookahead, v_min):
+        limits, tol = KinodynamicLimits(v_min=v_min), simulator._VIOLATION_TOL
+        arguments = dict(
+            limits=limits, lookahead=lookahead, regulation=RegulationConfig(), goal_tolerance=0.15
+        )
+        scaled_path = ReferencePath(k * path.waypoints)
+        for kind in ControllerKind:
+            original = run(path, kind, max_time=12.0, **arguments)
+            scaled = run(scaled_path, kind, max_time=12.0, **scaled_settings(k, **arguments))
+            assert (scaled.reached_goal, scaled.travel_time) == (original.reached_goal, original.travel_time)
+            log, scaled_log = original.log, scaled.log
+            for field in fields(TrajectoryLog):
+                if field.name not in ("viol_v", "viol_a"):
+                    column = getattr(log, field.name)
+                    expected = k * column if field.name in self.LENGTH_COLUMNS else column
+                    assert cells(getattr(scaled_log, field.name)) == cells(expected), field.name
+            # The flags' absolute tolerance does not scale: skip the rows whose
+            # v_cmd lies within it of the limit it is tested against, in either run.
+            tested = {
+                "viol_v": (limits.v_max, limits.v_min),
+                "viol_a": (log.v + limits.accel_max * limits.dt, log.v - limits.decel_max * limits.dt),
+            }
+            for name, bounds in tested.items():
+                gap = np.min([np.abs(log.v_cmd - bound) for bound in bounds], axis=0)
+                clear = (gap > tol) & (k * gap > tol)
+                assert cells(getattr(scaled_log, name)[clear]) == cells(getattr(log, name)[clear]), name
+
+
+def test_noise_free_run_never_loads_numpy_random():
+    # The first generator a process builds loads numpy.random, which costs
+    # milliseconds and megabytes of peak memory that a noise-free run never uses.
+    code = """
+import sys
+from pursuitbench import ControllerKind, KinodynamicLimits, LookaheadConfig, RegulationConfig
+from pursuitbench import CornerPathSpec, NoiseModel, generate_corner_path, run_scenario
+if "numpy.random" in sys.modules:
+    print("preloaded")
+    sys.exit()
+path = generate_corner_path(CornerPathSpec(1.5, 1.5, 0.05))
+result = run_scenario(
+    path, ControllerKind.DYNAMIC_WINDOW, KinodynamicLimits(), LookaheadConfig(), RegulationConfig(),
+    NoiseModel(seed=3), max_time=12.0, goal_tolerance=0.15,
+)
+print(len(result.log) > 0, "numpy.random" in sys.modules)
+"""
+    src = str(Path(simulator.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() == "preloaded":
+        pytest.skip("importing numpy already loads numpy.random")
+    assert done.stdout.split() == ["True", "False"]
 
 
 class TestTrajectoryLogIO:
