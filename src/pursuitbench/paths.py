@@ -48,9 +48,10 @@ def require_finite_pose(x: float, y: float, theta: float) -> None:
 class ReferencePath:
     """Ordered planar waypoints with cumulative arc-length metadata.
 
-    Instances are immutable after construction (the projection's cell grid
-    is derived from the waypoints on first use); the exposed arrays are
-    read-only views and safe to share between threads.
+    Each segment's geometry is held once, in one numpy table and the same
+    values as float records; the projection's cell grid (built on first use)
+    is only an index over them. Immutable after construction; the exposed
+    arrays are read-only views and safe to share between threads.
     """
 
     def __init__(self, waypoints) -> None:
@@ -75,14 +76,14 @@ class ReferencePath:
                 " its squared length must be a positive finite float"
             )
         self._waypoints = points
-        self._seg_lengths = seg_lengths
-        # Computed once for the per-step kernels: contiguous per-segment rows
-        # for the projection's scan, plain floats for the lookahead scan.
-        starts, deltas, self._seg_len_sq = points[:-1].T.copy(), segments.T.copy(), seg_len_sq
-        for arr in (points, seg_lengths, starts, deltas, self._seg_len_sq):
+        # One row per segment fact, one column per segment: start x, start y,
+        # delta x, delta y, squared length, length. The per-step kernels read
+        # the same values as float records, which share the waypoint floats.
+        self._segments = np.vstack((points[:-1].T, segments.T, seg_len_sq, seg_lengths))
+        for arr in (points, self._segments):
             arr.setflags(write=False)
-        (self._sx, self._sy), (self._dx, self._dy) = starts, deltas
         self._xs, self._ys = map(tuple, points.T.tolist())
+        self._records = list(zip(self._xs, self._ys, *self._segments[2:].tolist()))
         self._cum = np.concatenate(([0.0], np.cumsum(seg_lengths))).tolist()
         # Bounds the rounding of the cumulative sums (one per waypoint), the
         # cell quotients and the distances, with a wide margin.
@@ -177,6 +178,13 @@ def generate_corner_path(spec: CornerPathSpec) -> ReferencePath:
     return ReferencePath(np.vstack((leg_1, leg_2)))
 
 
+def _foot_offsets(path: ReferencePath, which, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Foot points of (x, y) on the segments ``which`` (index array or slice): fractions, offsets to (x, y)."""
+    sx, sy, dx, dy, len_sq, _ = path._segments[:, which]
+    t = np.clip(((x - sx) * dx + (y - sy) * dy) / len_sq, 0.0, 1.0)
+    return t, x - (sx + t * dx), y - (sy + t * dy)
+
+
 class _CellGrid(NamedTuple):
     """Square cells over a path, each listing the segments near it, nearest first.
 
@@ -188,11 +196,11 @@ class _CellGrid(NamedTuple):
 
     ``segments`` holds the listed segment indices cell after cell, each
     cell's in ascending order of their bound: the distance from the cell's
-    centre to the segment, which ``bounds`` holds at the same positions. The
-    ``k``-th cell of ``cells`` owns positions ``starts[k]`` up to
-    ``starts[k + 1]``. By the triangle inequality a segment is at least its
-    bound, less the query's distance from the centre, away from a query.
-    Each segment has one record, which every cell listing it shares.
+    centre to the segment, which ``bounds`` holds at the same positions.
+    ``cells`` maps a cell to the range of its positions. By the triangle
+    inequality a segment is at least its bound, less the query's distance
+    from the centre, away from a query. The grid is only an index: a
+    segment's geometry stays in the path's tables.
     """
 
     x0: float
@@ -201,22 +209,19 @@ class _CellGrid(NamedTuple):
     scale: float  # cells per metre: 1 / size
     columns: int
     rows: int
-    cells: dict  # column * rows + row -> k
+    cells: dict  # column * rows + row -> range of positions
     # Flat arrays, read through memoryviews, which index to Python ints and floats.
-    starts: memoryview
     bounds: memoryview
     segments: memoryview
     limit: float
-    records: list  # per segment, as floats: (sx, sy, dx, dy, len_sq, length)
 
     @staticmethod
     def build(path: ReferencePath) -> "_CellGrid | None":
         """The grid of ``path``; None if no answer could be certified."""
-        len_sq, lengths = path._seg_len_sq, path._seg_lengths
         points = path._waypoints
         lo, hi = np.minimum(points[:-1], points[1:]), np.maximum(points[:-1], points[1:])
         # The mean, not the median: np.median imports numpy.ma, which costs memory.
-        size = _CELL_SEGMENTS * float(lengths.mean())
+        size = _CELL_SEGMENTS * float(path._segments[5].mean())  # row 5: the segment lengths
         while math.isfinite(size):
             # A margin of two cells keeps every listed index non-negative.
             scale, origin = 1.0 / size, points.min(axis=0) - 2.0 * size
@@ -246,15 +251,14 @@ class _CellGrid(NamedTuple):
             column = first[index, 0] + offset // heights[index]
             row = first[index, 1] + offset % heights[index]
             cx, cy = origin[0] + (column + 0.5) * size, origin[1] + (row + 0.5) * size
-            sx, sy, dx, dy = path._sx[index], path._sy[index], path._dx[index], path._dy[index]
-            t = np.clip(((cx - sx) * dx + (cy - sy) * dy) / len_sq[index], 0.0, 1.0)
-            bound[pairs] = np.hypot(cx - (sx + t * dx), cy - (sy + t * dy))
+            bound[pairs] = np.hypot(*_foot_offsets(path, index, cx, cy)[1:])
             key[pairs], segment[pairs] = column * rows + row, index
         # lexsort is stable: equal bounds in a cell keep ascending segment order.
         order = np.lexsort((bound, key))
         key = key[order]  # one array at a time: each is freed before the next is made
         starts = np.flatnonzero(np.diff(key, prepend=-1))
-        cells = {cell: k for k, cell in enumerate(key[starts].tolist())}
+        edges = [*starts.tolist(), total]
+        cells = dict(zip(key[starts].tolist(), map(range, edges, edges[1:])))
         del key
         bound = bound[order]
         segment = segment[order]
@@ -266,11 +270,8 @@ class _CellGrid(NamedTuple):
             int(last[:, 0].max()) + 1,
             rows,
             cells,
-            *(memoryview(values).toreadonly() for values in (np.append(starts, total), bound, segment)),
+            *(memoryview(values).toreadonly() for values in (bound, segment)),
             size - path._slack,
-            list(
-                zip(path._xs, path._ys, *(values.tolist() for values in (path._dx, path._dy, len_sq, lengths)))
-            ),
         )
 
 
@@ -281,20 +282,21 @@ def project_onto_path(path: ReferencePath, x: float, y: float) -> tuple[float, f
     point, the index of the segment containing it, the unsigned distance
     from (x, y) to it and the arc length from the path start to it. Ties
     between equidistant segments resolve to the lowest segment index so
-    repeated queries are reproducible. The path's cell grid answers when it
-    certifies its result (see ``_CellGrid``); otherwise every segment is
-    scanned. Both evaluate a segment with the same
+    repeated queries are reproducible. The path's cell grid picks the
+    segments to evaluate and answers when it certifies its result (see
+    ``_CellGrid``); otherwise every segment is scanned. Both read the
+    path's segment tables and evaluate a segment with the same
     floating-point operations, so the result does not depend on which one
     answered.
     """
     grid = path._grid
     if grid is not None:
-        x0, y0, size, scale, columns, rows, cells, starts, bounds, segments, limit, records = grid
+        x0, y0, size, scale, columns, rows, cells, bounds, segments, limit = grid
         column, row = (x - x0) * scale, (y - y0) * scale
         if 0.0 <= column < columns and 0.0 <= row < rows:
             column, row = int(column), int(row)
-            cell = cells.get(column * rows + row)
-            if cell is not None:
+            positions = cells.get(column * rows + row)
+            if positions is not None:
                 # The cell's segments come nearest bound first. Once a bound,
                 # less the query's distance from the centre and the rounding
                 # slack, exceeds the best distance, that segment and every
@@ -306,7 +308,8 @@ def project_onto_path(path: ReferencePath, x: float, y: float) -> tuple[float, f
                 best = distance = math.inf
                 cutoff = limit + reach
                 nearest = -1
-                for position in range(starts[cell], starts[cell + 1]):
+                records = path._records
+                for position in positions:
                     if bounds[position] > cutoff:
                         break
                     index = segments[position]
@@ -330,17 +333,13 @@ def project_onto_path(path: ReferencePath, x: float, y: float) -> tuple[float, f
 
 def _nearest_by_scan(path: ReferencePath, x: float, y: float) -> tuple[float, float, int, float, float]:
     """The projection from every segment at once, in numpy."""
-    sx, sy, dx, dy = path._sx, path._sy, path._dx, path._dy
-    t = np.clip(((x - sx) * dx + (y - sy) * dy) / path._seg_len_sq, 0.0, 1.0)
-    ox = x - (sx + t * dx)
-    oy = y - (sy + t * dy)
+    t, ox, oy = _foot_offsets(path, slice(None), x, y)
     dist_sq = ox * ox + oy * oy
     index = int(dist_sq.argmin())
     fraction = float(t[index])
-    px = path._xs[index] + fraction * float(dx[index])
-    py = path._ys[index] + fraction * float(dy[index])
-    arc = path._cum[index] + fraction * float(path._seg_lengths[index])
-    return px, py, index, math.sqrt(float(dist_sq[index])), arc
+    sx, sy, dx, dy, _, length = path._records[index]
+    arc = path._cum[index] + fraction * length
+    return sx + fraction * dx, sy + fraction * dy, index, math.sqrt(float(dist_sq[index])), arc
 
 
 def lookahead_point(

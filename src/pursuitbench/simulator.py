@@ -289,7 +289,7 @@ def run_scenario(
             raise SimulationDivergedError(f"step {step}: {exc}") from exc
 
     names = [field.name for field in fields(TrajectoryLog)]
-    columns = list(zip(*rows)) if rows else [[] for _ in names]
+    columns = list(zip(*rows))  # never empty: max_time >= dt, and a start at the goal raises
     log = TrajectoryLog(
         **{
             name: np.array(column, dtype=bool if name.startswith("viol_") else float)

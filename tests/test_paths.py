@@ -238,12 +238,16 @@ def cell_edge(origin: float, scale: float, k: int) -> float:
 
 
 def draw_query(data, path) -> tuple[float, float]:
-    """A point within one cell of the path, its coordinates possibly on cell edges."""
+    """A point within one cell of the path, or 1 to 20 cells from it, possibly on cell edges.
+
+    The far points reach the fallback scan, also from outside the grid's bounding box.
+    """
     grid = path._grid
     index = data.draw(st.integers(0, len(path) - 2), label="segment")
     a, b = path.waypoints[index], path.waypoints[index + 1]
     u = data.draw(st.floats(0.0, 1.0), label="fraction")
-    radius = data.draw(st.floats(0.0, 1.0), label="radius in cells") / grid.scale
+    cells = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 20.0))
+    radius = data.draw(cells, label="radius in cells") / grid.scale
     angle = data.draw(st.floats(-math.pi, math.pi), label="angle")
     query = [
         float(a[0] + u * (b[0] - a[0]) + radius * math.cos(angle)),

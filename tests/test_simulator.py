@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import pursuitbench.paths as paths
@@ -43,6 +44,7 @@ from pursuitbench.controllers import (
     reachable_velocities,
     window_bounds,
 )
+from pursuitbench.metrics import violation_ratio
 from pursuitbench.paths import project_onto_path, wrap_angle
 from pursuitbench.simulator import arc_step
 
@@ -522,6 +524,54 @@ class TestScaleRelation:
                 gap = np.min([np.abs(log.v_cmd - bound) for bound in bounds], axis=0)
                 clear = (gap > tol) & (k * gap > tol)
                 assert cells(getattr(scaled_log, name)[clear]) == cells(getattr(log, name)[clear]), name
+
+
+class TestStressCells:
+    # Random cells of the stress grid: corner angle, waypoint spacing,
+    # lookahead, speed limits, reversing and the pose-noise seed. Every run
+    # finishes or fails with a precise error, dwpp never violates, and every
+    # executed command lies inside its step's dynamic window.
+    LEG, TOLERANCE, SIGMA = 1.5, 0.15, 0.01
+    START_IN_GOAL = re.compile(r"the start lies \S+ m from the goal, within goal_tolerance 0\.15 m")
+    EXECUTED = ("v", "omega", "v_exec", "omega_exec")
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        angle=st.floats(10.0, 178.0),
+        spacing=st.floats(0.01, 0.3),
+        lookahead=st.one_of(
+            st.builds(LookaheadConfig, mode=st.just(FIXED_LOOKAHEAD), fixed_distance=st.floats(0.26, 1.04)),
+            st.just(LookaheadConfig(mode=VELOCITY_SCALED_LOOKAHEAD)),
+        ),
+        speeds=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+        v_min=st.sampled_from([0.0, -0.1]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(angle=178.0, spacing=0.05, lookahead=LookaheadConfig(), speeds=(0.5, 0.5), v_min=0.0, seed=0)
+    def test_every_run_finishes_inside_the_window(self, angle, spacing, lookahead, speeds, v_min, seed):
+        (v_max, accel_max), noise = speeds, NoiseModel(sigma_pose_init=self.SIGMA, seed=seed)
+        limits = KinodynamicLimits(v_max=v_max, v_min=v_min, accel_max=accel_max)
+        path = corner_path(angle, segment_length=self.LEG, spacing=spacing)
+        # The noise-free distance from the start to the goal.
+        gap = 2.0 * self.LEG * math.sin(math.radians(180.0 - angle) / 2.0)
+        for kind in ControllerKind:
+            try:
+                result = run(
+                    path, kind, limits=limits, lookahead=lookahead, noise=noise,
+                    max_time=30.0, goal_tolerance=self.TOLERANCE,
+                )
+            except PursuitBenchError as exc:
+                assert type(exc) is ParameterError and self.START_IN_GOAL.fullmatch(str(exc)), exc
+                assert gap < self.TOLERANCE + 6.0 * self.SIGMA
+                continue
+            assert gap > self.TOLERANCE - 6.0 * self.SIGMA
+            log = result.log
+            if kind is ControllerKind.DYNAMIC_WINDOW:
+                assert violation_ratio(log) == 0.0
+            executed = (getattr(log, name).tolist() for name in self.EXECUTED)
+            for v, omega, v_exec, omega_exec in zip(*executed):
+                v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(v, omega, limits), limits)
+                assert v_lo <= v_exec <= v_hi and omega_lo <= omega_exec <= omega_hi
 
 
 def test_noise_free_run_never_loads_numpy_random():
