@@ -45,10 +45,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--path '{args.path}' is neither a configured path name {sorted(named)} nor a CSV file"
         )
+    kind = ControllerKind.from_name(args.controller)
     lookahead = config.lookahead
     if args.lookahead is not None:
+        if kind is ControllerKind.ADAPTIVE:
+            raise ConfigError("--lookahead cannot fix the lookahead of controller app, which scales it with speed")
         lookahead = replace(lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=args.lookahead)
-    kind = ControllerKind.from_name(args.controller)
     out = _output_dir(config, args.out)
     result = _run(replace(config, lookahead=lookahead), reference, kind, f"path {label}, controller {kind.value}")
     trajectory_file = out / f"traj_{label}_{kind.value}.csv"
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a single scenario and write its trajectory")
     simulate.add_argument("--controller", required=True, choices=[k.value for k in ControllerKind])
     simulate.add_argument("--path", required=True, help="configured path name or waypoint CSV file")
-    simulate.add_argument("--lookahead", type=float, default=None, help="force a fixed lookahead [m]")
+    simulate.add_argument("--lookahead", type=float, default=None, help="force a fixed lookahead [m] (not app)")
     simulate.add_argument("--config", default="experiment_table1", help="config file or profile name")
     simulate.add_argument("--out", default=None, help="output directory (default: config output_dir)")
     simulate.set_defaults(func=_cmd_simulate)

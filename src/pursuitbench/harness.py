@@ -276,11 +276,12 @@ def run_comparison(
     ``i`` at index ``i``, in config order. Trial ``i`` uses seed
     ``noise.seed + i``. Outputs: one trajectory CSV per scenario, the
     generated reference paths, and ``metrics.csv`` with one row per scenario.
-    Re-running the same config reproduces the files byte for byte. The path
-    and trajectory CSVs are renamed into place from ``<name>.partial`` once
-    every scenario has run, so a run that raises, whether a scenario's
-    ``PursuitBenchError`` (labelled with its path, controller and trial), an
-    ``OSError`` or an interrupt, leaves ``out`` as it was.
+    Re-running the same config reproduces the files byte for byte. Every CSV
+    is written as ``<name>.partial`` and, once every scenario has run and
+    ``metrics.csv.partial`` is written, renamed into place, ``metrics.csv``
+    first. A run that raises before that first rename succeeds, whether a
+    scenario's ``PursuitBenchError`` (labelled with its path, controller and
+    trial), an ``OSError`` or an interrupt, leaves ``out`` as it was.
     """
     out = _output_dir(config, out_dir)
     results: dict[tuple[str, str], list[ScenarioMetrics]] = {}
@@ -298,23 +299,24 @@ def run_comparison(
                     written.append(out / f"traj_{name}_{kind.value}_trial{trial}.csv.partial")
                     result.log.to_csv(written[-1])
                     trials.append(scenario_metrics(result))
+        header = ("path", "controller", "trial", "seed", *(metric.name for metric in METRICS), "reached_goal")
+        rows = (
+            (
+                name, controller, trial, _trial_noise(config, trial).seed,
+                *(getattr(metrics, metric.name) for metric in METRICS), int(metrics.reached_goal),
+            )
+            for (name, controller), trials in results.items()
+            for trial, metrics in enumerate(trials)
+        )
+        written.insert(0, out / "metrics.csv.partial")
+        _write_csv(written[0], header, rows)
+        for file in written:
+            file.replace(file.with_suffix(""))
     except BaseException:
         for file in written:
             with contextlib.suppress(OSError):
                 file.unlink()
         raise
-    for file in written:
-        file.replace(file.with_suffix(""))
-    header = ("path", "controller", "trial", "seed", *(metric.name for metric in METRICS), "reached_goal")
-    rows = (
-        (
-            name, controller, trial, _trial_noise(config, trial).seed,
-            *(getattr(metrics, metric.name) for metric in METRICS), int(metrics.reached_goal),
-        )
-        for (name, controller), trials in results.items()
-        for trial, metrics in enumerate(trials)
-    )
-    _write_csv(out / "metrics.csv", header, rows)
     return results
 
 

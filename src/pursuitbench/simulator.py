@@ -172,17 +172,18 @@ def arc_step(
     return x + v * math.cos(theta) * dt, y + v * math.sin(theta) * dt, theta + omega * dt
 
 
-def _violation_flags(
-    v_cmd: float, omega_cmd: float, reachable: tuple, limits: KinodynamicLimits
-) -> tuple[bool, bool, bool, bool]:
-    """The raw command against the static limits and the ``reachable_velocities`` ranges."""
-    v_lo, v_hi, omega_lo, omega_hi = reachable
+def _violation_flags(v_cmd, omega_cmd, v, omega, limits: KinodynamicLimits) -> tuple:
+    """The raw commands against the static limits and the ``reachable_velocities`` of (v, omega).
+
+    The comparisons join with ``|``, so one call flags a run's whole log columns.
+    """
+    v_lo, v_hi, omega_lo, omega_hi = reachable_velocities(v, omega, limits)
     tol = _VIOLATION_TOL
     return (
-        v_cmd > limits.v_max + tol or v_cmd < limits.v_min - tol,
-        omega_cmd > limits.omega_max + tol or omega_cmd < limits.omega_min - tol,
-        v_cmd > v_hi + tol or v_cmd < v_lo - tol,
-        omega_cmd > omega_hi + tol or omega_cmd < omega_lo - tol,
+        (v_cmd > limits.v_max + tol) | (v_cmd < limits.v_min - tol),
+        (omega_cmd > limits.omega_max + tol) | (omega_cmd < limits.omega_min - tol),
+        (v_cmd > v_hi + tol) | (v_cmd < v_lo - tol),
+        (omega_cmd > omega_hi + tol) | (omega_cmd < omega_lo - tol),
     )
 
 
@@ -219,10 +220,11 @@ def run_scenario(
     """Run one tracking scenario until the goal is reached or time runs out.
 
     Per step: project the pose onto the path once, compute the command from
-    that projection, record violation flags against ``limits``, clip the
-    command to the dynamic window of ``limits`` (a dynamic-window command is
-    inside it and comes back unchanged), add the actuation noise and clip
-    again, then integrate. The run ends as soon as the robot is within
+    that projection, clip it to the dynamic window of ``limits`` (a
+    dynamic-window command is inside it and comes back unchanged), add the
+    actuation noise and clip again, log the nine values the step computed,
+    then integrate. The time, state velocities and violation flags follow from
+    those nine columns once per run. The run ends as soon as the robot is within
     ``goal_tolerance`` of the final waypoint, tested before each step and
     after the last one; a start (after the pose noise) already within
     ``goal_tolerance`` raises :class:`ParameterError`. Identical inputs
@@ -262,38 +264,32 @@ def run_scenario(
             break
         try:
             projection = project_onto_path(path, x, y)
-            reachable = reachable_velocities(v, omega, limits)
-            window = window_bounds(reachable, limits)
+            window = window_bounds(reachable_velocities(v, omega, limits), limits)
             v_cmd, omega_cmd = command_velocities(
                 kind, x, y, theta, v, path, projection, window,
                 limits, lookahead, regulation,
             )
             require_finite_command(v_cmd, omega_cmd)
-            flags = _violation_flags(v_cmd, omega_cmd, reachable, limits)
             v_exec, omega_exec = clip_to_window(v_cmd, omega_cmd, window)
             if velocity_noise:
                 v_exec += rng.normal(0.0, sigma_v) if sigma_v > 0.0 else 0.0
                 omega_exec += rng.normal(0.0, sigma_omega) if sigma_omega > 0.0 else 0.0
                 require_finite_command(v_exec, omega_exec)
                 v_exec, omega_exec = clip_to_window(v_exec, omega_exec, window)
-            rows.append(
-                (
-                    step * dt, x, y, theta, v, omega, v_cmd, omega_cmd, v_exec, omega_exec, *flags,
-                    projection[3], projection[4],  # the projection's distance and arc length
-                )
-            )
+            rows.append((x, y, theta, v_cmd, omega_cmd, v_exec, omega_exec, *projection[3:]))
             x, y, theta = arc_step(x, y, theta, v_exec, omega_exec, dt)
             require_finite_pose(x, y, theta)
             theta, v, omega = wrap_angle(theta), v_exec, omega_exec
         except ParameterError as exc:
             raise SimulationDivergedError(f"step {step}: {exc}") from exc
 
-    names = [field.name for field in fields(TrajectoryLog)]
-    columns = list(zip(*rows))  # never empty: max_time >= dt, and a start at the goal raises
+    reached_goal = at_goal(x, y)
+    # Never empty: max_time >= dt, and a start at the goal raises.
+    x, y, theta, v_cmd, omega_cmd, v_exec, omega_exec, cte, arc_length = np.array(rows).T
+    # Each step starts from the previous step's executed velocities, the first from rest.
+    v, omega = (np.concatenate(([0.0], column[:-1])) for column in (v_exec, omega_exec))
     log = TrajectoryLog(
-        **{
-            name: np.array(column, dtype=bool if name.startswith("viol_") else float)
-            for name, column in zip(names, columns)
-        }
+        np.arange(len(rows)) * dt, x, y, theta, v, omega, v_cmd, omega_cmd, v_exec, omega_exec,
+        *_violation_flags(v_cmd, omega_cmd, v, omega, limits), cte, arc_length,
     )
-    return ScenarioResult(log, at_goal(x, y), len(log) * dt)
+    return ScenarioResult(log, reached_goal, len(log) * dt)

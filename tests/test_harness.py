@@ -458,6 +458,33 @@ class TestRunComparison:
         # Both trajectory files of controller rpp were written before the third run failed.
         assert [file.name for file in out.iterdir()] == ["path_B.csv.partial"]
 
+    def test_failed_metrics_write_leaves_out_as_it_was(self, small_config, tmp_path, monkeypatch):
+        write_csv = harness._write_csv
+        failure = OSError(errno.ENOSPC, "No space left on device")
+
+        def write_csv_except_metrics(file, *args):
+            if file.name.startswith("metrics.csv"):
+                file.write_text("path,")
+                raise failure
+            return write_csv(file, *args)
+
+        monkeypatch.setattr(harness, "_write_csv", write_csv_except_metrics)
+        out = tmp_path / "out"
+        with pytest.raises(OSError) as raised:
+            run_comparison(small_config, out)
+        assert raised.value is failure
+        assert list(out.iterdir()) == []
+
+    def test_metrics_csv_that_cannot_be_replaced_leaves_out_as_it_was(self, tmp_path):
+        config = tmp_path / "one.yaml"
+        config.write_text(SMALL_CONFIG.replace("[rpp, dwpp]", "[dwpp]").replace("trials: 2", "trials: 1"))
+        out = tmp_path / "out"
+        (out / "metrics.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            run_comparison(load_config(config), out)
+        assert [file.name for file in out.iterdir()] == ["metrics.csv"]
+        assert list((out / "metrics.csv").iterdir()) == []
+
 
 class TestRunLookaheadSweep:
     def test_single_value_single_row(self, tmp_path):
@@ -580,6 +607,14 @@ class TestCli:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: fixed_distance must be finite\n"
+
+    def test_simulate_rejects_a_fixed_lookahead_for_app(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["simulate", "--controller", "app", "--path", "C", "--lookahead", "0.3", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lookahead ") and "controller app" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
