@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
-from .paths import ReferencePath, arc_curvature, lookahead_point
+from .paths import ReferencePath, arc_curvature, lookahead_point, require_field_types
 
 FIXED_LOOKAHEAD = "fixed"
 VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
@@ -28,7 +28,8 @@ COMBINE_LOWER_BOUND = "lower_bound"
 
 
 def _require_finite(config) -> None:
-    """Reject the first float field of a config dataclass that is NaN or infinite."""
+    """Check the field types of a config dataclass, then reject its first float field that is NaN or infinite."""
+    require_field_types(config)
     for field in fields(config):
         value = getattr(config, field.name)
         if isinstance(value, float) and not math.isfinite(value):

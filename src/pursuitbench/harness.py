@@ -41,7 +41,9 @@ from .controllers import (
 )
 from .errors import ConfigError, ParameterError, PursuitBenchError
 from .metrics import METRICS, ScenarioMetrics, cross_track_stats, mean_sd, scenario_metrics
-from .paths import CornerPathSpec, ReferencePath, generate_corner_path
+from .paths import (
+    _EXPECTED, CornerPathSpec, ReferencePath, generate_corner_path, require_field_types, require_type,
+)
 from .simulator import NoiseModel, ScenarioResult, run_scenario
 
 PROFILE_NAMES = ("experiment_table1", "simulation_table6")
@@ -105,9 +107,10 @@ class ExperimentConfig:
                 raise ParameterError(f"controllers[{position}]: duplicate controller '{kind.value}'")
         if type(self.trials) is not int or self.trials < 1:
             raise ParameterError(f"trials must be an integer of at least 1, got {self.trials!r}")
-        if type(self.goal_tolerance) is bool or not (0.0 < self.goal_tolerance < math.inf):
+        require_field_types(self)
+        if not 0.0 < self.goal_tolerance < math.inf:
             raise ParameterError(f"goal_tolerance must be positive and finite, got {self.goal_tolerance!r}")
-        if type(self.max_time) is bool or not (self.limits.dt <= self.max_time < math.inf):
+        if not self.limits.dt <= self.max_time < math.inf:
             raise ParameterError(
                 f"max_time must be finite and at least limits.dt ({self.limits.dt:g} s), got {self.max_time!r}"
             )
@@ -124,6 +127,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         values = self.lookahead_values
+        for position, value in enumerate(values):
+            require_type(f"lookahead_values[{position}]", value, float)
         if not values or not all(a < b < math.inf for a, b in zip((0.0, *values), values)):
             raise ParameterError("lookahead_values must be non-empty, finite, positive and strictly increasing")
 
@@ -140,8 +145,6 @@ _TOP_LEVEL = {
 
 # How each entry of a top-level list becomes part of the config value.
 _LIST_ENTRY = {"paths": _corner, "controllers": ControllerKind.from_name, "lookahead_values": float}
-
-_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _label(key: str, name) -> str:
@@ -202,12 +205,34 @@ def _read_config_text(source: str | Path) -> str:
     raise ConfigError(f"'{source}' is neither a config file nor a shipped profile {PROFILE_NAMES}")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping whose own keys repeat; ``<<`` merges still yield to them."""
+
+    def __init__(self, stream) -> None:
+        super().__init__(stream)
+        self._checked: set = set()
+
+    def flatten_mapping(self, node) -> None:
+        # A merge flattens its source mapping in place, which may happen before
+        # that mapping is built; so each mapping is checked when first flattened.
+        if node not in self._checked:
+            self._checked.add(node)
+            seen = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise ConfigError(f"line {key_node.start_mark.line + 1}: repeated key '{key_node.value}'")
+                    seen.add(key)
+        super().flatten_mapping(node)
+
+
 def _parse(source: str | Path) -> dict:
     """The keys a config file sets, checked and converted to config values."""
     text = _read_config_text(source)
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        raw = yaml.load(text, _UniqueKeyLoader)
+    except (yaml.YAMLError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     if raw is not None and not isinstance(raw, Mapping):
         raise ConfigError(f"{source}: top level must be a mapping")

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -30,6 +31,9 @@ _CELL_BUDGET = 32
 # The grid is built from this many segments at a time.
 _CHUNK_SEGMENTS = 64
 
+# How an error names what a config field of each type takes.
+_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -45,6 +49,25 @@ def require_finite_pose(x: float, y: float, theta: float) -> None:
         raise ParameterError("pose components must be finite")
 
 
+def require_type(name: str, value, kind: type) -> None:
+    """Raise :class:`ParameterError` unless ``value`` may fill a config field ``name`` of type ``kind``.
+
+    A float field takes any real number but a bool (ints and numpy floats
+    included); any other field takes exactly its type. The message is the
+    config loader's, so a config built in code fails as a loaded one does.
+    """
+    number = kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number or type(value) is kind):
+        raise ParameterError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+
+
+def require_field_types(config) -> None:
+    """:func:`require_type` for each float and bool field of a config dataclass, in field order."""
+    for field in fields(config):
+        if field.type in ("float", "bool"):
+            require_type(field.name, getattr(config, field.name), float if field.type == "float" else bool)
+
+
 class ReferencePath:
     """Ordered planar waypoints with cumulative arc-length metadata.
 
@@ -58,16 +81,17 @@ class ReferencePath:
         points = np.array(waypoints, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 2:
             raise ParameterError("a path needs at least two planar waypoints")
-        if not np.all(np.isfinite(points)):
-            raise ParameterError("waypoints must be finite")
+        infinite = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if infinite.size:
+            index = int(infinite[0])
+            x, y = points[index].tolist()
+            raise ParameterError(f"waypoint {index} is ({x!r}, {y!r}); waypoints must be finite")
         with np.errstate(over="ignore"):  # an overflowing segment is rejected below
             segments = np.diff(points, axis=0)
             seg_lengths = np.hypot(segments[:, 0], segments[:, 1])
             seg_len_sq = seg_lengths**2
-        if np.any(seg_lengths == 0.0):
-            raise ParameterError("consecutive waypoints must be distinct")
         # The projection divides by the squared length, which must neither
-        # underflow to 0 nor overflow.
+        # underflow to 0 (a repeated waypoint is a 0 m segment) nor overflow.
         unmeasurable = np.flatnonzero(~((seg_len_sq > 0.0) & (seg_len_sq < math.inf)))
         if unmeasurable.size:
             index = int(unmeasurable[0])
@@ -128,16 +152,24 @@ class ReferencePath:
         try:
             # utf-8-sig also reads the byte-order mark spreadsheet programs write.
             with open(file, newline="", encoding="utf-8-sig") as handle:
-                rows = list(csv.reader(handle))
+                reader = csv.reader(handle)
+                rows = [(reader.line_num, row) for row in reader]
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ParameterError(f"{file}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
-        if not rows or [h.strip() for h in rows[0]] != ["x", "y"]:
+        if not rows or [h.strip() for h in rows[0][1]] != ["x", "y"]:
             raise ParameterError(f"{file}: expected CSV header 'x,y'")
+        points = []
+        for line, row in rows[1:]:
+            if row:  # a blank line reads as []
+                try:
+                    x, y = row
+                    points.append((float(x), float(y)))
+                except ValueError:  # a cell that is no number, or a row of other than two cells
+                    raise ParameterError(f"{file}: line {line}: malformed waypoint row {','.join(row)!r}") from None
         try:
-            points = [(float(x), float(y)) for x, y in filter(None, rows[1:])]
-        except ValueError as exc:  # a cell that is no number, or a row of other than two cells
-            raise ParameterError(f"{file}: malformed waypoint row") from exc
-        return cls(points)
+            return cls(points)
+        except ParameterError as exc:
+            raise ParameterError(f"{file}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -154,6 +186,7 @@ class CornerPathSpec:
     waypoint_spacing: float = 0.05
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if not (math.isfinite(self.segment_length) and self.segment_length > 0.0):
             raise ParameterError("segment_length must be positive")
         if not (0.0 < self.waypoint_spacing < self.segment_length):

@@ -29,7 +29,9 @@ from .errors import ParameterError, SimulationDivergedError
 from .paths import (
     ReferencePath,
     project_onto_path,
+    require_field_types,
     require_finite_pose,
+    require_type,
     wrap_angle,
 )
 
@@ -56,6 +58,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         for name in ("sigma_v", "sigma_omega", "sigma_pose_init"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"noise sigmas must be finite and non-negative: {name}")
@@ -114,36 +117,16 @@ class TrajectoryLog:
     def to_csv(self, file: str | Path) -> None:
         """Write the CSV columns as ``csv.writer`` writes ``repr`` of each float and 0/1 flags.
 
-        A ``v``/``omega`` cell with the bits of the previous row's
-        ``v_exec``/``omega_exec``, and a ``v_cmd``/``omega_cmd`` cell with its
-        own row's, reuses that string; every other float is formatted once.
+        Each distinct bit pattern among the log's float cells is formatted
+        once, and every cell with those bits writes that string.
         """
-        floats = [getattr(self, name).astype(np.float64, copy=False) for name in self._COLUMNS[:10]]
-        v_bits, omega_bits, v_cmd_bits, omega_cmd_bits, v_exec_bits, omega_exec_bits = (
-            column.view(np.int64) for column in floats[4:]
-        )
-        # Bits 0 and 1: the v and omega cells are the previous row's exec cells;
-        # bits 2 and 3: the v_cmd and omega_cmd cells are their own row's.
-        reuse = (v_cmd_bits == v_exec_bits) * 4 + (omega_cmd_bits == omega_exec_bits) * 8
-        reuse[1:] += (v_bits[1:] == v_exec_bits[:-1]) + (omega_bits[1:] == omega_exec_bits[:-1]) * 2
+        floats = np.column_stack([getattr(self, name) for name in self._COLUMNS[:10]]).astype(np.float64)
+        bits, index = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
+        texts = np.array([*map(repr, bits.view(np.float64).tolist()), *_FLAG_CELLS], dtype=object)
         flags = sum(getattr(self, name) * (8 >> bit) for bit, name in enumerate(self._COLUMNS[10:]))
-        columns = [column.tolist() for column in floats]
+        cells = texts[np.column_stack((index.reshape(floats.shape), flags + len(bits)))]
         with open(file, "w", newline="") as handle:
-            write = handle.write
-            write(",".join(self._COLUMNS) + "\r\n")
-            v_exec = omega_exec = ""
-            for t, x, y, theta, v, omega, v_cmd, omega_cmd, v_next, omega_next, cells, flag in zip(
-                *columns, reuse.tolist(), flags.tolist()
-            ):
-                v = v_exec if cells & 1 else repr(v)
-                omega = omega_exec if cells & 2 else repr(omega)
-                v_exec, omega_exec = repr(v_next), repr(omega_next)
-                v_cmd = v_exec if cells & 4 else repr(v_cmd)
-                omega_cmd = omega_exec if cells & 8 else repr(omega_cmd)
-                write(
-                    f"{t!r},{x!r},{y!r},{theta!r},{v},{omega},{v_cmd},{omega_cmd},"
-                    f"{v_exec},{omega_exec},{_FLAG_CELLS[flag]}\r\n"
-                )
+            handle.writelines(",".join(row) + "\r\n" for row in [self._COLUMNS, *cells.tolist()])
 
 
 @dataclass(frozen=True)
@@ -230,6 +213,8 @@ def run_scenario(
     ``goal_tolerance`` raises :class:`ParameterError`. Identical inputs
     (including the noise seed) reproduce the log bit for bit.
     """
+    require_type("max_time", max_time, float)
+    require_type("goal_tolerance", goal_tolerance, float)
     if not limits.dt <= max_time < math.inf:
         raise ParameterError("max_time must be finite and at least limits.dt")
     if not 0.0 < goal_tolerance < math.inf:

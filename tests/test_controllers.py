@@ -167,6 +167,19 @@ class TestTypeValidation:
         with pytest.raises(ParameterError):
             StabilityConfig(steering_time_constant=0.0)
 
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (LookaheadConfig, "projection_time"),
+            (RegulationConfig, "min_turn_radius"),
+            (RegulationConfig, "goal_slowdown_distance"),
+            (StabilityConfig, "min_dimensionless_lookahead"),
+        ],
+    )
+    def test_section_config_names_a_non_positive_value(self, cls, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be positive$"):
+            cls(**{name: 0.0})
+
     def test_controller_kind_lookup(self):
         assert ControllerKind.from_name("dwpp") is ControllerKind.DYNAMIC_WINDOW
         with pytest.raises(ParameterError):

@@ -23,14 +23,21 @@ from pursuitbench import (
     ControllerKind,
     CornerPathSpec,
     ExperimentConfig,
+    KinodynamicLimits,
+    LookaheadConfig,
+    NoiseModel,
     ParameterError,
+    RegulationConfig,
     ScenarioMetrics,
+    StabilityConfig,
     SweepConfig,
     emit_report,
+    generate_corner_path,
     load_config,
     load_sweep_config,
     run_comparison,
     run_lookahead_sweep,
+    run_scenario,
 )
 from pursuitbench import harness
 from pursuitbench.cli import main
@@ -55,6 +62,13 @@ controllers: [rpp, dwpp]
 trials: 2
 noise: {sigma_pose_init: 0.01, seed: 3}
 """
+
+
+def _run_corner(limits=KinodynamicLimits(), spec=CornerPathSpec(1.5, 1.0), max_time=30.0, goal_tolerance=0.15):
+    return run_scenario(
+        generate_corner_path(spec), ControllerKind.DYNAMIC_WINDOW, limits, LookaheadConfig(), RegulationConfig(),
+        max_time=max_time, goal_tolerance=goal_tolerance,
+    )
 
 
 @pytest.fixture
@@ -164,6 +178,59 @@ class TestLoadConfig:
         with pytest.raises(ParameterError, match=f"^{name} must be .*, got True$"):
             ExperimentConfig(**{name: True})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"paths": ()}, "paths and controllers must be non-empty"),
+            ({"controllers": ()}, "paths and controllers must be non-empty"),
+            (
+                {"paths": (("A", CornerPathSpec(3.0, 1.0)), ("", CornerPathSpec(3.0, 1.0)))},
+                "paths[1]: name must be non-empty",
+            ),
+            ({"output_dir": ""}, "output_dir must be non-empty"),
+        ],
+        ids=["no_paths", "no_controllers", "unnamed_path", "no_output_dir"],
+    )
+    def test_experiment_config_names_an_empty_value(self, overrides, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: KinodynamicLimits(v_max=True), "v_max must be a finite number, got True"),
+            (lambda: KinodynamicLimits(v_max="0.5"), "v_max must be a finite number, got '0.5'"),
+            (lambda: LookaheadConfig(fixed_distance=True), "fixed_distance must be a finite number, got True"),
+            (lambda: RegulationConfig(enable_goal=0), "enable_goal must be true or false, got 0"),
+            (
+                lambda: StabilityConfig(steering_time_constant=True),
+                "steering_time_constant must be a finite number, got True",
+            ),
+            (lambda: NoiseModel(sigma_v=True), "sigma_v must be a finite number, got True"),
+            (lambda: CornerPathSpec(True, 1.0), "segment_length must be a finite number, got True"),
+            (
+                lambda: SweepConfig(lookahead_values=(True, 2.0)),
+                "lookahead_values[0] must be a finite number, got True",
+            ),
+            (lambda: _run_corner(max_time=True), "max_time must be a finite number, got True"),
+            (lambda: _run_corner(goal_tolerance=True), "goal_tolerance must be a finite number, got True"),
+        ],
+        ids=[
+            "v_max_bool", "v_max_str", "fixed_distance", "enable_goal", "steering_time_constant", "sigma_v",
+            "segment_length", "lookahead_values", "max_time", "goal_tolerance",
+        ],
+    )
+    def test_library_config_rejects_what_the_loader_rejects(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_library_config_takes_ints_and_numpy_floats(self):
+        limits = KinodynamicLimits(v_max=1, accel_max=np.float64(0.5), dt=np.float32(0.05))
+        spec = CornerPathSpec(3, np.float64(1.0))
+        SweepConfig(lookahead_values=(1, np.float64(2.0)))
+        result = _run_corner(limits=limits, spec=spec, max_time=np.int64(30), goal_tolerance=np.float64(0.15))
+        assert result.reached_goal
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("lookahed: {}\n")
@@ -181,6 +248,57 @@ class TestLoadConfig:
         file = tmp_path / "bad.yaml"
         file.write_text("limits: {dt: -1.0}\n")
         with pytest.raises(ConfigError, match="limits"):
+            load_config(file)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("trials: 1\ntrials: 2\n", "line 2: repeated key 'trials'"),
+            ("limits: {v_max: 0.5, v_max: 0.7}\n", "line 1: repeated key 'v_max'"),
+            ("paths:\n  - {name: A}\n  - {name: B,\n     name: C}\n", "line 4: repeated key 'name'"),
+        ],
+        ids=["top_level", "section", "list_entry"],
+    )
+    def test_repeated_key_rejected_with_its_line(self, tmp_path, text, message):
+        file = tmp_path / "twice.yaml"
+        file.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{file}: {message}')}$"):
+            load_config(file)
+
+    def test_merge_key_yields_to_the_mapping_own_keys(self, tmp_path):
+        file = tmp_path / "merge.yaml"
+        file.write_text("paths:\n  - &a {name: A, corner_angle_deg: 45.0}\n  - {<<: *a, name: B}\n")
+        spec = CornerPathSpec(3.0, math.radians(45.0))
+        assert load_config(file).paths == (("A", spec), ("B", spec))
+
+    @pytest.mark.parametrize("profile", harness.PROFILE_NAMES)
+    def test_shipped_profile_parses_as_the_safe_loader_reads_it(self, profile):
+        text = harness._read_config_text(profile)
+        assert yaml.load(text, harness._UniqueKeyLoader) == yaml.safe_load(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("limits: 3\n", "limits must be a mapping"),
+            ("- 1\n", "{file}: top level must be a mapping"),
+            (
+                "limits: {v_max: 0.5\n",
+                "{file}: while parsing a flow mapping\n"
+                '  in "<unicode string>", line 1, column 9:\n'
+                "    limits: {v_max: 0.5\n"
+                "            ^\n"
+                "expected ',' or '}', but got '<stream end>'\n"
+                '  in "<unicode string>", line 2, column 1:\n'
+                "    \n"
+                "    ^",
+            ),
+        ],
+        ids=["section", "top_level", "syntax"],
+    )
+    def test_malformed_file_rejected_with_its_message(self, tmp_path, text, message):
+        file = tmp_path / "bad.yaml"
+        file.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message.replace('{file}', str(file)))}$"):
             load_config(file)
 
     def test_unknown_controller_rejected(self, tmp_path):
@@ -643,7 +761,7 @@ class TestCli:
         waypoints.write_text("x,y\n0,0\n1e-170,0\n3,0\n")
         argv = ["simulate", "--controller", "dwpp", "--path", str(waypoints), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: segment 0 ")
+        assert capsys.readouterr().err.startswith(f"error: {waypoints}: segment 0 ")
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"

@@ -93,6 +93,14 @@ class TestTypes:
         with pytest.raises(ParameterError, match=f"^segment {index} \\(waypoints {index} to {index + 1}\\) is "):
             ReferencePath(points)
 
+    def test_path_names_its_first_non_finite_waypoint(self):
+        with pytest.raises(ParameterError, match=r"^waypoint 2 is \(1\.0, inf\); waypoints must be finite$"):
+            ReferencePath([(0.0, 0.0), (1.0, 0.0), (1.0, math.inf), (math.nan, 0.0)])
+
+    def test_corner_rejects_a_non_positive_segment_length(self):
+        with pytest.raises(ParameterError, match="^segment_length must be positive$"):
+            CornerPathSpec(0.0, 1.0)
+
     def test_arclength_starts_at_zero_and_increases(self):
         path = corner_path(90.0)
         arc = [project_onto_path(path, x, y)[4] for x, y in path.waypoints.tolist()]
@@ -135,6 +143,15 @@ class TestCornerPathGeneration:
 
 
 class TestNearestPoint:
+    def test_path_too_far_out_for_a_certified_grid_is_scanned(self):
+        # 1 mm segments at x = 1e11 m: a 4 mm cell is narrower than the path's
+        # rounding slack, so no grid is built and every query scans.
+        path = ReferencePath([(1e11 + 0.001 * i, 0.0) for i in range(11)])
+        assert path._grid is None
+        rng = np.random.default_rng(11)
+        for x, y in np.column_stack((1e11 + rng.uniform(-0.01, 0.02, 50), rng.uniform(-0.01, 0.01, 50))).tolist():
+            assert project_onto_path(path, x, y) == nearest_point_oracle(path, x, y)
+
     def test_perpendicular_foot(self):
         px, py, _, distance, _ = project_onto_path(straight_path(), 1.0, 0.1)
         np.testing.assert_allclose((px, py), [1.0, 0.0], atol=1e-12)
@@ -544,6 +561,25 @@ class TestCsvRoundTrip:
         file = tmp_path / "bad.csv"
         file.write_text(f"x,y\n{row}\n2,0\n")
         with pytest.raises(ParameterError, match="malformed waypoint row"):
+            ReferencePath.from_csv(file)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "x,y\n0,0\n1,0\n1,0\n2,0\n",
+                "segment 1 (waypoints 1 to 2) is 0 m long; its squared length must be a positive finite float",
+            ),
+            ("x,y\n", "a path needs at least two planar waypoints"),
+            ("x,y\n0,0\nnan,1\n2,0\n", "waypoint 1 is (nan, 1.0); waypoints must be finite"),
+            ("x,y\n0,0\n\n1,0,\n2,0\n", "line 4: malformed waypoint row '1,0,'"),
+        ],
+        ids=["repeated", "header_only", "nan", "trailing_cell"],
+    )
+    def test_rejection_names_the_file_and_the_bad_row(self, tmp_path, text, message):
+        file = tmp_path / "trail.csv"
+        file.write_text(text)
+        with pytest.raises(ParameterError, match=f"^{re.escape(f'{file}: {message}')}$"):
             ReferencePath.from_csv(file)
 
     def test_directory_rejected_by_name(self, tmp_path):

@@ -680,25 +680,17 @@ class TestTrajectoryLogIO:
     )
     @given(n=st.integers(0, 8), data=st.data())
     def test_csv_bytes_are_the_rowwise_writer_where_cells_repeat(self, tmp_path, n, data):
-        # As in a run's log, v and omega are mostly the previous row's v_exec
-        # and omega_exec, and v_cmd and omega_cmd their own row's. Other rows
-        # take the other row's exec value, its negation (0.0 against -0.0 is
-        # equal with other bits) or a fresh draw, NaN included.
-        cell = st.one_of(st.sampled_from([0.0, -0.0, math.nan, 1.5]), st.floats())
-
-        def floats():
-            return np.array(data.draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
-
-        def mixed(*sources):
-            choice = data.draw(st.lists(st.integers(0, len(sources) - 1), min_size=n, max_size=n))
-            return np.choose(np.array(choice, dtype=int), sources)
-
-        columns = {name: floats() for name in ("t", "x", "y", "theta", "v_exec", "omega_exec")}
-        for name in ("v", "omega"):
-            same = columns[f"{name}_exec"]
-            previous = np.concatenate((floats()[:1], same[:-1]))
-            columns[name] = mixed(previous, previous, same, -previous, floats())
-            columns[f"{name}_cmd"] = mixed(same, same, previous, -same, floats())
+        # Every float cell is drawn from one small pool, so equal bits recur
+        # within and across rows and columns: the writer formats each distinct
+        # bit pattern once. The pool holds 0.0 and -0.0 (equal, with other
+        # bits), both infinities and NaNs of either sign with several
+        # payloads (unequal to themselves), beside a few arbitrary floats.
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001], np.uint64)
+        pool = np.concatenate(
+            (nans.view(np.float64), [0.0, -0.0, math.inf, -math.inf], data.draw(st.lists(st.floats(), max_size=5)))
+        )
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
+        columns = {name: pool[np.array(data.draw(picks), dtype=int)] for name in TrajectoryLog._COLUMNS[:10]}
         for name in ("viol_v", "viol_w", "viol_a", "viol_alpha"):
             columns[name] = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         log = TrajectoryLog(**columns, cte=np.zeros(n), arc_length=np.zeros(n))
