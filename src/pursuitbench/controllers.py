@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ParameterError
-from .paths import ReferencePath, arc_curvature, lookahead_point, require_field_types
+from .paths import ReferencePath, arc_curvature, lookahead_point, require_field_types, require_type
 
 FIXED_LOOKAHEAD = "fixed"
 VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
@@ -29,11 +29,9 @@ COMBINE_LOWER_BOUND = "lower_bound"
 
 def _require_finite(config) -> None:
     """Check the field types of a config dataclass, then reject its first float field that is NaN or infinite."""
-    require_field_types(config)
-    for field in fields(config):
-        value = getattr(config, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{field.name} must be finite")
+    for name in require_field_types(config):
+        if not math.isfinite(getattr(config, name)):
+            raise ParameterError(f"{name} must be finite")
 
 
 class ControllerKind(enum.Enum):
@@ -89,6 +87,16 @@ def require_finite_command(v: float, omega: float) -> None:
     """Raise :class:`ParameterError` unless both command velocities are finite."""
     if not (math.isfinite(v) and math.isfinite(omega)):
         raise ParameterError("command velocities must be finite")
+
+
+def require_run_bounds(max_time: float, goal_tolerance: float, limits: KinodynamicLimits) -> None:
+    """Reject a ``max_time`` not finite and at least ``limits.dt`` or a ``goal_tolerance`` not positive and finite."""
+    require_type("max_time", max_time, float)
+    require_type("goal_tolerance", goal_tolerance, float)
+    if not limits.dt <= max_time < math.inf:
+        raise ParameterError(f"max_time must be finite and at least limits.dt ({limits.dt:g} s), got {max_time!r}")
+    if not 0.0 < goal_tolerance < math.inf:
+        raise ParameterError(f"goal_tolerance must be positive and finite, got {goal_tolerance!r}")
 
 
 @dataclass(frozen=True)

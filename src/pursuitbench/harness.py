@@ -38,12 +38,11 @@ from .controllers import (
     StabilityConfig,
     min_stable_lookahead,
     operative_lookahead,
+    require_run_bounds,
 )
 from .errors import ConfigError, ParameterError, PursuitBenchError
 from .metrics import METRICS, ScenarioMetrics, cross_track_stats, mean_sd, scenario_metrics
-from .paths import (
-    _EXPECTED, CornerPathSpec, ReferencePath, generate_corner_path, require_field_types, require_type,
-)
+from .paths import CornerPathSpec, ReferencePath, generate_corner_path, require_type
 from .simulator import NoiseModel, ScenarioResult, run_scenario
 
 PROFILE_NAMES = ("experiment_table1", "simulation_table6")
@@ -107,13 +106,7 @@ class ExperimentConfig:
                 raise ParameterError(f"controllers[{position}]: duplicate controller '{kind.value}'")
         if type(self.trials) is not int or self.trials < 1:
             raise ParameterError(f"trials must be an integer of at least 1, got {self.trials!r}")
-        require_field_types(self)
-        if not 0.0 < self.goal_tolerance < math.inf:
-            raise ParameterError(f"goal_tolerance must be positive and finite, got {self.goal_tolerance!r}")
-        if not self.limits.dt <= self.max_time < math.inf:
-            raise ParameterError(
-                f"max_time must be finite and at least limits.dt ({self.limits.dt:g} s), got {self.max_time!r}"
-            )
+        require_run_bounds(self.max_time, self.goal_tolerance, self.limits)
         if not self.output_dir:
             raise ParameterError("output_dir must be non-empty")
 
@@ -185,11 +178,10 @@ def _check(key: str, value, default):
         return tuple(
             _build(label, _LIST_ENTRY[key], _check(label, item, default[0])) for label, item in zip(labels, value)
         )
-    if type(default) is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if type(value) is not type(default) or (type(value) is float and not math.isfinite(value)):
-        raise ConfigError(f"{key} must be {_EXPECTED[type(default)]}, got {value!r}")
-    return value
+    try:
+        return require_type(key, value, type(default), finite=True)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _read_config_text(source: str | Path) -> str:

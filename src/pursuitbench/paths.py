@@ -7,15 +7,16 @@ distance queries include segment interiors, not just the waypoints.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import numbers
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -49,23 +50,41 @@ def require_finite_pose(x: float, y: float, theta: float) -> None:
         raise ParameterError("pose components must be finite")
 
 
-def require_type(name: str, value, kind: type) -> None:
-    """Raise :class:`ParameterError` unless ``value`` may fill a config field ``name`` of type ``kind``.
+def require_type(name: str, value, kind: type, *, finite: bool = False):
+    """``value`` as a config field ``name`` of type ``kind`` stores it, else :class:`ParameterError`.
 
-    A float field takes any real number but a bool (ints and numpy floats
-    included); any other field takes exactly its type. The message is the
-    config loader's, so a config built in code fails as a loaded one does.
+    A float field takes any real number but a bool that a float can hold (ints
+    and numpy floats included) and stores it as a float; with ``finite`` it
+    also rejects NaN and infinities. Any other field takes exactly its type.
+    The message is the config loader's, so a config built in code fails as a
+    loaded one does.
     """
-    number = kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (number or type(value) is kind):
-        raise ParameterError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+    if kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range is no float
+            number = float(value)
+            if math.isfinite(number) or not finite:
+                return number
+    elif type(value) is kind:
+        return value
+    raise ParameterError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
 
 
-def require_field_types(config) -> None:
-    """:func:`require_type` for each float and bool field of a config dataclass, in field order."""
-    for field in fields(config):
-        if field.type in ("float", "bool"):
-            require_type(field.name, getattr(config, field.name), float if field.type == "float" else bool)
+@cache
+def _typed_fields(cls: type) -> tuple[tuple[str, type], ...]:
+    """The float and bool fields of dataclass ``cls``, each with its resolved annotation."""
+    hints = get_type_hints(cls)
+    return tuple((field.name, hints[field.name]) for field in fields(cls) if hints[field.name] in (float, bool))
+
+
+def require_field_types(config) -> list[str]:
+    """:func:`require_type` for each float and bool field of a config dataclass, in field order.
+
+    Returns the names of the float fields, for a caller that also checks their values.
+    """
+    typed = _typed_fields(type(config))
+    for name, kind in typed:
+        require_type(name, getattr(config, name), kind)
+    return [name for name, kind in typed if kind is float]
 
 
 class ReferencePath:

@@ -23,6 +23,7 @@ from .controllers import (
     command_velocities,
     reachable_velocities,
     require_finite_command,
+    require_run_bounds,
     window_bounds,
 )
 from .errors import ParameterError, SimulationDivergedError
@@ -31,7 +32,6 @@ from .paths import (
     project_onto_path,
     require_field_types,
     require_finite_pose,
-    require_type,
     wrap_angle,
 )
 
@@ -120,7 +120,7 @@ class TrajectoryLog:
         Each distinct bit pattern among the log's float cells is formatted
         once, and every cell with those bits writes that string.
         """
-        floats = np.column_stack([getattr(self, name) for name in self._COLUMNS[:10]]).astype(np.float64)
+        floats = np.column_stack([getattr(self, name) for name in self._COLUMNS[:10]]).astype(np.float64, copy=False)
         bits, index = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
         texts = np.array([*map(repr, bits.view(np.float64).tolist()), *_FLAG_CELLS], dtype=object)
         flags = sum(getattr(self, name) * (8 >> bit) for bit, name in enumerate(self._COLUMNS[10:]))
@@ -213,12 +213,7 @@ def run_scenario(
     ``goal_tolerance`` raises :class:`ParameterError`. Identical inputs
     (including the noise seed) reproduce the log bit for bit.
     """
-    require_type("max_time", max_time, float)
-    require_type("goal_tolerance", goal_tolerance, float)
-    if not limits.dt <= max_time < math.inf:
-        raise ParameterError("max_time must be finite and at least limits.dt")
-    if not 0.0 < goal_tolerance < math.inf:
-        raise ParameterError("goal_tolerance must be positive and finite")
+    require_run_bounds(max_time, goal_tolerance, limits)
     if noise is None:
         noise = NoiseModel()
     sigma_v, sigma_omega = noise.sigma_v, noise.sigma_omega

@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import ModuleType
 from unittest import mock
@@ -214,15 +214,41 @@ class TestLoadConfig:
             ),
             (lambda: _run_corner(max_time=True), "max_time must be a finite number, got True"),
             (lambda: _run_corner(goal_tolerance=True), "goal_tolerance must be a finite number, got True"),
+            (lambda: KinodynamicLimits(v_max=10**400), f"v_max must be a finite number, got {10**400}"),
+            (lambda: KinodynamicLimits(dt=np.float32("nan")), "dt must be finite"),
+            (lambda: KinodynamicLimits(v_max=np.float32("nan")), "v_max must be finite"),
+            (lambda: LookaheadConfig(fixed_distance=np.float32("inf")), "fixed_distance must be finite"),
         ],
         ids=[
             "v_max_bool", "v_max_str", "fixed_distance", "enable_goal", "steering_time_constant", "sigma_v",
-            "segment_length", "lookahead_values", "max_time", "goal_tolerance",
+            "segment_length", "lookahead_values", "max_time", "goal_tolerance", "v_max_huge_int",
+            "dt_float32_nan", "v_max_float32_nan", "fixed_distance_float32_inf",
         ],
     )
     def test_library_config_rejects_what_the_loader_rejects(self, build, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            KinodynamicLimits(), LookaheadConfig(), RegulationConfig(), StabilityConfig(), NoiseModel(),
+            CornerPathSpec(3.0, 1.0), ExperimentConfig(),
+        ],
+        ids=lambda base: type(base).__name__,
+    )
+    def test_every_config_field_rejects_the_wrong_type(self, base):
+        # Fields are found by their values, not their annotations, so a field
+        # the type check skipped would show here.
+        checked = 0
+        for field in fields(base):
+            value = getattr(base, field.name)
+            if type(value) in (float, bool):
+                wrong, expected = (True, "a finite number") if type(value) is float else (0, "true or false")
+                with pytest.raises(ParameterError, match=f"^{field.name} must be {expected}, got {wrong}$"):
+                    replace(base, **{field.name: wrong})
+                checked += 1
+        assert checked
 
     def test_library_config_takes_ints_and_numpy_floats(self):
         limits = KinodynamicLimits(v_max=1, accel_max=np.float64(0.5), dt=np.float32(0.05))
