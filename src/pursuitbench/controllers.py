@@ -27,13 +27,6 @@ COMBINE_LOWER_BOUND = "lower_bound"
 # order that keeps their results on ties (0.0 against -0.0) and NaN.
 
 
-def _require_finite(config) -> None:
-    """Check the field types of a config dataclass, then reject its first float field that is NaN or infinite."""
-    for name in require_field_types(config):
-        if not math.isfinite(getattr(config, name)):
-            raise ParameterError(f"{name} must be finite")
-
-
 class ControllerKind(enum.Enum):
     """The four tracking laws the benchmark compares."""
 
@@ -66,7 +59,7 @@ class KinodynamicLimits:
     dt: float = 0.033
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_field_types(self)
         if self.v_max < 0.0:
             raise ParameterError("v_max must be non-negative")
         # Every run starts at rest, so the static limits must contain v = omega = 0.
@@ -90,13 +83,13 @@ def require_finite_command(v: float, omega: float) -> None:
 
 
 def require_run_bounds(max_time: float, goal_tolerance: float, limits: KinodynamicLimits) -> None:
-    """Reject a ``max_time`` not finite and at least ``limits.dt`` or a ``goal_tolerance`` not positive and finite."""
-    require_type("max_time", max_time, float)
-    require_type("goal_tolerance", goal_tolerance, float)
-    if not limits.dt <= max_time < math.inf:
-        raise ParameterError(f"max_time must be finite and at least limits.dt ({limits.dt:g} s), got {max_time!r}")
-    if not 0.0 < goal_tolerance < math.inf:
-        raise ParameterError(f"goal_tolerance must be positive and finite, got {goal_tolerance!r}")
+    """Reject a ``max_time`` or ``goal_tolerance`` that is no finite number, below ``limits.dt`` or not positive."""
+    max_time = require_type("max_time", max_time, float)
+    goal_tolerance = require_type("goal_tolerance", goal_tolerance, float)
+    if max_time < limits.dt:
+        raise ParameterError(f"max_time must be at least limits.dt ({limits.dt:g} s), got {max_time!r}")
+    if not goal_tolerance > 0.0:
+        raise ParameterError(f"goal_tolerance must be positive, got {goal_tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -115,11 +108,11 @@ class LookaheadConfig:
     projection_time: float = 1.4
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if self.mode not in (FIXED_LOOKAHEAD, VELOCITY_SCALED_LOOKAHEAD):
             raise ParameterError(
                 f"mode must be '{FIXED_LOOKAHEAD}' or '{VELOCITY_SCALED_LOOKAHEAD}'"
             )
-        _require_finite(self)
         if not 0.0 < self.min_distance <= self.max_distance:
             raise ParameterError("need 0 < min_distance <= max_distance")
         if not self.projection_time > 0.0:
@@ -152,7 +145,7 @@ class RegulationConfig:
     combination_mode: str = COMBINE_LOWER_BOUND
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_field_types(self)
         if not self.min_turn_radius > 0.0:
             raise ParameterError("min_turn_radius must be positive")
         if not self.proximity_threshold > 0.0:
@@ -176,7 +169,7 @@ class StabilityConfig:
     min_dimensionless_lookahead: float = 2.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_field_types(self)
         if not self.steering_time_constant > 0.0:
             raise ParameterError("steering_time_constant must be positive")
         if not self.min_dimensionless_lookahead > 0.0:

@@ -7,10 +7,11 @@ empty file equals ``ExperimentConfig()``, which is the shipped
 ``experiment_table1`` profile. A section mapping (``limits``, ``lookahead``,
 ``regulation``, ``stability``, ``noise``) is merged over the default instance
 of that section and a ``paths`` entry over ``_PATH_ENTRY``. Every given key
-must exist in those defaults, and its value must have the type of its
-default: a float default takes any finite int or float, while an int, bool or
-str default takes exactly that type, so a bool is never read as a number.
-The dataclasses then check the values themselves. ``load_config`` accepts
+must exist in those defaults, and ``paths.require_type`` checks its value
+against the type of its default, as every config dataclass checks its own
+fields: a float takes any finite int or float, while an int, bool or str
+takes exactly that type, so a bool is never read as a number. The
+dataclasses then check the ranges. ``load_config`` accepts
 either a file path or the name of a shipped profile (``experiment_table1``,
 ``simulation_table6``).
 """
@@ -42,7 +43,7 @@ from .controllers import (
 )
 from .errors import ConfigError, ParameterError, PursuitBenchError
 from .metrics import METRICS, ScenarioMetrics, cross_track_stats, mean_sd, scenario_metrics
-from .paths import CornerPathSpec, ReferencePath, generate_corner_path, require_type
+from .paths import CornerPathSpec, ReferencePath, generate_corner_path, require_field_types, require_type
 from .simulator import NoiseModel, ScenarioResult, run_scenario
 
 PROFILE_NAMES = ("experiment_table1", "simulation_table6")
@@ -84,10 +85,13 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if not (self.paths and self.controllers):
             raise ParameterError("paths and controllers must be non-empty")
         names = [name for name, _ in self.paths]
-        for position, name in enumerate(names):
+        for position, (name, spec) in enumerate(self.paths):
+            require_type(f"paths[{position}]: name", name, str)
+            require_type(f"paths[{position}]: spec", spec, CornerPathSpec)
             if not name:
                 raise ParameterError(f"paths[{position}]: name must be non-empty")
             if name in names[:position]:
@@ -102,10 +106,11 @@ class ExperimentConfig:
                 encoding = sys.getfilesystemencoding()
                 raise ParameterError(f"paths[{position}]: name {name!r} is not a file name in {encoding}") from None
         for position, kind in enumerate(self.controllers):
+            require_type(f"controllers[{position}]", kind, ControllerKind)
             if kind in self.controllers[:position]:
                 raise ParameterError(f"controllers[{position}]: duplicate controller '{kind.value}'")
-        if type(self.trials) is not int or self.trials < 1:
-            raise ParameterError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        if self.trials < 1:
+            raise ParameterError(f"trials must be at least 1, got {self.trials!r}")
         require_run_bounds(self.max_time, self.goal_tolerance, self.limits)
         if not self.output_dir:
             raise ParameterError("output_dir must be non-empty")
@@ -119,11 +124,12 @@ class SweepConfig:
     lookahead_values: tuple[float, ...] = (0.26, 0.39, 0.52, 0.65, 0.78, 0.91, 1.04)
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         values = self.lookahead_values
         for position, value in enumerate(values):
             require_type(f"lookahead_values[{position}]", value, float)
-        if not values or not all(a < b < math.inf for a, b in zip((0.0, *values), values)):
-            raise ParameterError("lookahead_values must be non-empty, finite, positive and strictly increasing")
+        if not values or not all(a < b for a, b in zip((0.0, *values), values)):
+            raise ParameterError("lookahead_values must be non-empty, positive and strictly increasing")
 
 
 # Every top-level key with a default of the type it takes in YAML: the fields
@@ -179,7 +185,7 @@ def _check(key: str, value, default):
             _build(label, _LIST_ENTRY[key], _check(label, item, default[0])) for label, item in zip(labels, value)
         )
     try:
-        return require_type(key, value, type(default), finite=True)
+        return require_type(key, value, type(default))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -16,6 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from pathlib import Path
+from types import GenericAlias
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -50,41 +51,36 @@ def require_finite_pose(x: float, y: float, theta: float) -> None:
         raise ParameterError("pose components must be finite")
 
 
-def require_type(name: str, value, kind: type, *, finite: bool = False):
+def require_type(name: str, value, kind: type):
     """``value`` as a config field ``name`` of type ``kind`` stores it, else :class:`ParameterError`.
 
-    A float field takes any real number but a bool that a float can hold (ints
-    and numpy floats included) and stores it as a float; with ``finite`` it
-    also rejects NaN and infinities. Any other field takes exactly its type.
-    The message is the config loader's, so a config built in code fails as a
-    loaded one does.
+    A float field takes any real number but a bool whose float value is
+    finite (ints and numpy floats included) and stores that float, so no
+    float field is NaN or infinite. Any other field, a nested config
+    included, takes exactly its type. The message is the config loader's, so
+    a config built in code fails as a loaded one does.
     """
     if kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an int beyond the float range is no float
             number = float(value)
-            if math.isfinite(number) or not finite:
+            if math.isfinite(number):
                 return number
     elif type(value) is kind:
         return value
-    raise ParameterError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+    raise ParameterError(f"{name} must be {_EXPECTED.get(kind, f'of type {kind.__name__}')}, got {value!r}")
 
 
 @cache
-def _typed_fields(cls: type) -> tuple[tuple[str, type], ...]:
-    """The float and bool fields of dataclass ``cls``, each with its resolved annotation."""
+def _typed_fields(cls: type) -> dict[str, type]:
+    """The resolved annotation of each field of dataclass ``cls`` but a tuple's, in field order."""
     hints = get_type_hints(cls)
-    return tuple((field.name, hints[field.name]) for field in fields(cls) if hints[field.name] in (float, bool))
+    return {field.name: hints[field.name] for field in fields(cls) if type(hints[field.name]) is not GenericAlias}
 
 
-def require_field_types(config) -> list[str]:
-    """:func:`require_type` for each float and bool field of a config dataclass, in field order.
-
-    Returns the names of the float fields, for a caller that also checks their values.
-    """
-    typed = _typed_fields(type(config))
-    for name, kind in typed:
-        require_type(name, getattr(config, name), kind)
-    return [name for name, kind in typed if kind is float]
+def require_field_types(config) -> None:
+    """:func:`require_type` for each field of a config dataclass but a tuple (its owner checks each entry)."""
+    for name, kind in _typed_fields(type(config)).items():
+        object.__setattr__(config, name, require_type(name, getattr(config, name), kind))
 
 
 class ReferencePath:
@@ -161,7 +157,7 @@ class ReferencePath:
 
     def to_csv(self, file: str | Path) -> None:
         """Write the waypoints under the header ``x,y``, as ``csv.writer`` writes ``repr`` of each."""
-        with open(file, "w", newline="") as handle:
+        with open(file, "w", newline="", encoding="utf-8") as handle:
             handle.write("x,y\r\n")
             handle.writelines(f"{x!r},{y!r}\r\n" for x, y in self._waypoints.tolist())
 
@@ -206,7 +202,7 @@ class CornerPathSpec:
 
     def __post_init__(self) -> None:
         require_field_types(self)
-        if not (math.isfinite(self.segment_length) and self.segment_length > 0.0):
+        if not self.segment_length > 0.0:
             raise ParameterError("segment_length must be positive")
         if not (0.0 < self.waypoint_spacing < self.segment_length):
             raise ParameterError("waypoint_spacing must be in (0, segment_length)")

@@ -60,9 +60,9 @@ class NoiseModel:
     def __post_init__(self) -> None:
         require_field_types(self)
         for name in ("sigma_v", "sigma_omega", "sigma_pose_init"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"noise sigmas must be finite and non-negative: {name}")
-        if type(self.seed) is not int or self.seed < 0:
+            if getattr(self, name) < 0.0:
+                raise ParameterError(f"noise sigmas must be non-negative: {name}")
+        if self.seed < 0:
             raise ParameterError("seed must be a non-negative integer")
 
 
@@ -125,7 +125,7 @@ class TrajectoryLog:
         texts = np.array([*map(repr, bits.view(np.float64).tolist()), *_FLAG_CELLS], dtype=object)
         flags = sum(getattr(self, name) * (8 >> bit) for bit, name in enumerate(self._COLUMNS[10:]))
         cells = texts[np.column_stack((index.reshape(floats.shape), flags + len(bits)))]
-        with open(file, "w", newline="") as handle:
+        with open(file, "w", newline="", encoding="utf-8") as handle:
             handle.writelines(",".join(row) + "\r\n" for row in [self._COLUMNS, *cells.tolist()])
 
 

@@ -160,7 +160,7 @@ class TestTypeValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("cls, name", SECTION_FLOATS)
     def test_section_config_rejects_non_finite_value(self, cls, name, value):
-        with pytest.raises(ParameterError, match=f"^{name} must be finite$"):
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite number, got {value!r}$"):
             cls(**{name: value})
 
     def test_stability_config_rejects_non_positive_values(self):

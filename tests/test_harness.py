@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from types import ModuleType
 from unittest import mock
@@ -69,6 +69,24 @@ def _run_corner(limits=KinodynamicLimits(), spec=CornerPathSpec(1.5, 1.0), max_t
         generate_corner_path(spec), ControllerKind.DYNAMIC_WINDOW, limits, LookaheadConfig(), RegulationConfig(),
         max_time=max_time, goal_tolerance=goal_tolerance,
     )
+
+
+# Each config section by its YAML key; "" is the top level.
+SECTIONS = {
+    "": ExperimentConfig, "limits": KinodynamicLimits, "lookahead": LookaheadConfig,
+    "regulation": RegulationConfig, "stability": StabilityConfig, "noise": NoiseModel,
+}
+# (section, field, value): NaN and inf in every float field, and a wrong type in an int or str field.
+LOADER_CASES = [
+    (section, field.name, value)
+    for section, cls in SECTIONS.items()
+    for field in fields(cls)
+    if type(getattr(cls(), field.name)) is float
+    for value in (math.nan, math.inf)
+] + [
+    ("", "trials", True), ("", "trials", 1.5), ("noise", "seed", True), ("noise", "seed", 1.5),
+    ("lookahead", "mode", 5), ("", "output_dir", 5),
+]
 
 
 @pytest.fixture
@@ -215,9 +233,18 @@ class TestLoadConfig:
             (lambda: _run_corner(max_time=True), "max_time must be a finite number, got True"),
             (lambda: _run_corner(goal_tolerance=True), "goal_tolerance must be a finite number, got True"),
             (lambda: KinodynamicLimits(v_max=10**400), f"v_max must be a finite number, got {10**400}"),
-            (lambda: KinodynamicLimits(dt=np.float32("nan")), "dt must be finite"),
-            (lambda: KinodynamicLimits(v_max=np.float32("nan")), "v_max must be finite"),
-            (lambda: LookaheadConfig(fixed_distance=np.float32("inf")), "fixed_distance must be finite"),
+            (
+                lambda: KinodynamicLimits(dt=np.float32("nan")),
+                f"dt must be a finite number, got {np.float32('nan')!r}",
+            ),
+            (
+                lambda: KinodynamicLimits(v_max=np.float32("nan")),
+                f"v_max must be a finite number, got {np.float32('nan')!r}",
+            ),
+            (
+                lambda: LookaheadConfig(fixed_distance=np.float32("inf")),
+                f"fixed_distance must be a finite number, got {np.float32('inf')!r}",
+            ),
         ],
         ids=[
             "v_max_bool", "v_max_str", "fixed_distance", "enable_goal", "steering_time_constant", "sigma_v",
@@ -233,25 +260,62 @@ class TestLoadConfig:
         "base",
         [
             KinodynamicLimits(), LookaheadConfig(), RegulationConfig(), StabilityConfig(), NoiseModel(),
-            CornerPathSpec(3.0, 1.0), ExperimentConfig(),
+            CornerPathSpec(3.0, 1.0), ExperimentConfig(), SweepConfig(),
         ],
         ids=lambda base: type(base).__name__,
     )
     def test_every_config_field_rejects_the_wrong_type(self, base):
         # Fields are found by their values, not their annotations, so a field
-        # the type check skipped would show here.
+        # the type check skipped would show here. A tuple's owner checks each
+        # entry; a nested config takes exactly its class.
+        wrong_values = {
+            float: (True, "a finite number"), bool: (0, "true or false"), int: (True, "an integer"),
+            str: (5, "a string"),
+        }
         checked = 0
         for field in fields(base):
             value = getattr(base, field.name)
-            if type(value) in (float, bool):
-                wrong, expected = (True, "a finite number") if type(value) is float else (0, "true or false")
-                with pytest.raises(ParameterError, match=f"^{field.name} must be {expected}, got {wrong}$"):
-                    replace(base, **{field.name: wrong})
-                checked += 1
+            if type(value) is tuple:
+                continue
+            if is_dataclass(value):
+                wrong, expected = None, f"of type {type(value).__name__}"
+            else:
+                wrong, expected = wrong_values[type(value)]
+            with pytest.raises(ParameterError, match=f"^{field.name} must be {expected}, got {wrong}$"):
+                replace(base, **{field.name: wrong})
+            checked += 1
         assert checked
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"output_dir": 5}, "output_dir must be a string, got 5"),
+            ({"limits": None}, "limits must be of type KinodynamicLimits, got None"),
+            ({"controllers": ("dwpp",)}, "controllers[0] must be of type ControllerKind, got 'dwpp'"),
+            ({"noise": None}, "noise must be of type NoiseModel, got None"),
+            ({"paths": (("A", None),)}, "paths[0]: spec must be of type CornerPathSpec, got None"),
+        ],
+        ids=["output_dir", "limits", "controllers", "noise", "paths_spec"],
+    )
+    def test_experiment_config_rejects_a_wrong_typed_section_or_entry(self, overrides, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize("section, name, value", LOADER_CASES, ids=lambda case: str(case) or "top")
+    def test_loader_and_library_reject_a_value_in_the_same_words(self, tmp_path, section, name, value):
+        with pytest.raises(ParameterError) as library:
+            SECTIONS[section](**{name: value})
+        file = tmp_path / "bad.yaml"
+        file.write_text(yaml.safe_dump({section: {name: value}} if section else {name: value}))
+        prefix = f"{section}: " if section else ""
+        with pytest.raises(ConfigError, match=f"^{re.escape(prefix + str(library.value))}$"):
+            load_config(file)
 
     def test_library_config_takes_ints_and_numpy_floats(self):
         limits = KinodynamicLimits(v_max=1, accel_max=np.float64(0.5), dt=np.float32(0.05))
+        # Each is stored as the Python float of the same value, as a loaded config's is.
+        assert [type(value) for value in (limits.v_max, limits.accel_max, limits.dt)] == [float] * 3
+        assert (limits.v_max, limits.dt) == (1.0, float(np.float32(0.05)))
         spec = CornerPathSpec(3, np.float64(1.0))
         SweepConfig(lookahead_values=(1, np.float64(2.0)))
         result = _run_corner(limits=limits, spec=spec, max_time=np.int64(30), goal_tolerance=np.float64(0.15))
@@ -433,7 +497,7 @@ class TestLoadConfig:
 
     def test_infinite_sweep_value_rejected_before_any_run(self):
         base = load_sweep_config("simulation_table6").base
-        with pytest.raises(ParameterError, match="^lookahead_values must be non-empty, finite,"):
+        with pytest.raises(ParameterError, match=r"^lookahead_values\[1\] must be a finite number, got inf$"):
             SweepConfig(base, (0.52, math.inf))
 
     def test_missing_source_rejected(self):
@@ -750,7 +814,7 @@ class TestCli:
             ["simulate", "--controller", "pp", "--path", "B", "--lookahead", value, "--out", str(tmp_path)]
         )
         assert code == 1
-        assert capsys.readouterr().err == "error: fixed_distance must be finite\n"
+        assert capsys.readouterr().err == f"error: fixed_distance must be a finite number, got {value}\n"
 
     def test_simulate_rejects_a_fixed_lookahead_for_app(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -876,6 +940,28 @@ class TestCli:
         done = compare(ascii_locale, tmp_path / "out_ascii_name")
         assert done.returncode == 1
         assert done.stderr.decode("utf-8") == "error: paths[0]: name 'Ä' is not a file name in ascii\n"
+
+    def test_no_file_is_opened_in_the_locale_encoding(self, tmp_path):
+        # Under these flags an open() that leaves its encoding to the locale raises.
+        config = tmp_path / "one.yaml"
+        config.write_text("paths:\n  - {name: A, segment_length: 1.5}\ncontrollers: [dwpp]\ntrials: 1\n")
+        src = str(Path(pursuitbench.__file__).resolve().parent.parent)
+        write_path = (
+            "import sys, pursuitbench as p\n"
+            "p.generate_corner_path(p.CornerPathSpec(1.0, 1.0)).to_csv(sys.argv[1] + '/corner.csv')"
+        )
+        commands = {
+            "simulate": ["-m", "pursuitbench.cli", "simulate", "--controller", "dwpp", "--path", "B", "--out"],
+            "compare": ["-m", "pursuitbench.cli", "compare", "--config", str(config), "--out"],
+            "path": ["-c", write_path],
+        }
+        for name, command in commands.items():
+            out = tmp_path / name
+            out.mkdir()
+            argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", *command, str(out)]
+            done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+            assert any(out.glob("*.csv"))
 
     def test_compare_to_an_ascii_stdout_escapes_the_report(self, tmp_path):
         # With PYTHONIOENCODING unset, stdout takes the locale's ASCII encoding.

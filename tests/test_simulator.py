@@ -96,12 +96,12 @@ class TestExecutionAndNoiseModels:
 
     @pytest.mark.parametrize("field", ["sigma_v", "sigma_omega", "sigma_pose_init"])
     def test_rejects_nan_sigma(self, field):
-        with pytest.raises(ParameterError, match="sigmas"):
+        with pytest.raises(ParameterError, match=f"^{field} must be a finite number, got nan$"):
             NoiseModel(**{field: math.nan})
 
     @pytest.mark.parametrize("field", ["sigma_v", "sigma_omega", "sigma_pose_init"])
     def test_rejects_infinite_sigma(self, field):
-        with pytest.raises(ParameterError, match=f"sigmas must be finite.*{field}"):
+        with pytest.raises(ParameterError, match=f"^{field} must be a finite number, got inf$"):
             NoiseModel(**{field: math.inf})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
