@@ -88,13 +88,15 @@ class ExperimentConfig:
         require_field_types(self)
         if not (self.paths and self.controllers):
             raise ParameterError("paths and controllers must be non-empty")
-        names = [name for name, _ in self.paths]
-        for position, (name, spec) in enumerate(self.paths):
+        for position, entry in enumerate(self.paths):
+            if type(entry) is not tuple or len(entry) != 2:
+                raise ParameterError(f"paths[{position}] must be a (name, spec) pair, got {entry!r}")
+            name, spec = entry
             require_type(f"paths[{position}]: name", name, str)
             require_type(f"paths[{position}]: spec", spec, CornerPathSpec)
             if not name:
                 raise ParameterError(f"paths[{position}]: name must be non-empty")
-            if name in names[:position]:
+            if name in [other for other, _ in self.paths[:position]]:
                 raise ParameterError(f"paths[{position}]: duplicate path name '{name}'")
             # A name becomes part of its output file names.
             for char in ("/", os.sep, os.altsep, "\0"):

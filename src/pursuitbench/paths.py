@@ -16,8 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from pathlib import Path
-from types import GenericAlias
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_origin, get_type_hints
 
 import numpy as np
 
@@ -72,13 +71,13 @@ def require_type(name: str, value, kind: type):
 
 @cache
 def _typed_fields(cls: type) -> dict[str, type]:
-    """The resolved annotation of each field of dataclass ``cls`` but a tuple's, in field order."""
+    """The resolved annotation of each field of dataclass ``cls``, ``tuple`` for a tuple's, in field order."""
     hints = get_type_hints(cls)
-    return {field.name: hints[field.name] for field in fields(cls) if type(hints[field.name]) is not GenericAlias}
+    return {field.name: get_origin(hints[field.name]) or hints[field.name] for field in fields(cls)}
 
 
 def require_field_types(config) -> None:
-    """:func:`require_type` for each field of a config dataclass but a tuple (its owner checks each entry)."""
+    """:func:`require_type` for each field of a config dataclass; a tuple's owner then checks each entry."""
     for name, kind in _typed_fields(type(config)).items():
         object.__setattr__(config, name, require_type(name, getattr(config, name), kind))
 

@@ -9,6 +9,7 @@ unchanged.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,6 +41,9 @@ _VIOLATION_TOL = 1e-9
 
 # The four violation-flag cells of a CSV row, indexed by the flags as a 4-bit number.
 _FLAG_CELLS = tuple(",".join(f"{code >> shift & 1}" for shift in (3, 2, 1, 0)) for code in range(16))
+
+# Rows per block of ``TrajectoryLog.to_csv``: each block is formatted and written before the next.
+_CSV_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -117,16 +121,23 @@ class TrajectoryLog:
     def to_csv(self, file: str | Path) -> None:
         """Write the CSV columns as ``csv.writer`` writes ``repr`` of each float and 0/1 flags.
 
-        Each distinct bit pattern among the log's float cells is formatted
+        The rows are formatted and written one block of ``_CSV_BLOCK_ROWS`` at
+        a time, so the writer's memory does not grow with the log. Within a
+        block, each distinct bit pattern among the float cells is formatted
         once, and every cell with those bits writes that string.
         """
-        floats = np.column_stack([getattr(self, name) for name in self._COLUMNS[:10]]).astype(np.float64, copy=False)
-        bits, index = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
-        texts = np.array([*map(repr, bits.view(np.float64).tolist()), *_FLAG_CELLS], dtype=object)
-        flags = sum(getattr(self, name) * (8 >> bit) for bit, name in enumerate(self._COLUMNS[10:]))
-        cells = texts[np.column_stack((index.reshape(floats.shape), flags + len(bits)))]
+        floats = [getattr(self, name) for name in self._COLUMNS[:10]]
+        flags = [getattr(self, name) for name in self._COLUMNS[10:]]
         with open(file, "w", newline="", encoding="utf-8") as handle:
-            handle.writelines(",".join(row) + "\r\n" for row in [self._COLUMNS, *cells.tolist()])
+            handle.write(",".join(self._COLUMNS) + "\r\n")
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                rows = slice(start, start + _CSV_BLOCK_ROWS)
+                block = np.column_stack([column[rows] for column in floats]).astype(np.float64, copy=False)
+                bits, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+                texts = np.array([*map(repr, bits.view(np.float64).tolist()), *_FLAG_CELLS], dtype=object)
+                codes = sum(column[rows] * (8 >> bit) for bit, column in enumerate(flags))
+                cells = texts[np.column_stack((index.reshape(block.shape), codes + len(bits)))]
+                handle.writelines(",".join(row) + "\r\n" for row in cells.tolist())
 
 
 @dataclass(frozen=True)
@@ -205,13 +216,15 @@ def run_scenario(
     Per step: project the pose onto the path once, compute the command from
     that projection, clip it to the dynamic window of ``limits`` (a
     dynamic-window command is inside it and comes back unchanged), add the
-    actuation noise and clip again, log the nine values the step computed,
-    then integrate. The time, state velocities and violation flags follow from
-    those nine columns once per run. The run ends as soon as the robot is within
-    ``goal_tolerance`` of the final waypoint, tested before each step and
-    after the last one; a start (after the pose noise) already within
-    ``goal_tolerance`` raises :class:`ParameterError`. Identical inputs
-    (including the noise seed) reproduce the log bit for bit.
+    actuation noise and clip again, append the nine values the step computed
+    to one flat ``array("d")``, then integrate. No per-step tuple or float
+    object is kept: the log's nine columns are views of that record, and the
+    time, state velocities and violation flags follow from them once per run.
+    The run ends as soon as the robot is within ``goal_tolerance`` of the
+    final waypoint, tested before each step and after the last one; a start
+    (after the pose noise) already within ``goal_tolerance`` raises
+    :class:`ParameterError`. Identical inputs (including the noise seed)
+    reproduce the log bit for bit.
     """
     require_run_bounds(max_time, goal_tolerance, limits)
     if noise is None:
@@ -238,7 +251,7 @@ def run_scenario(
     # velocities are then finite too, a clip of a finite command into a
     # finite window.
     dt = limits.dt
-    rows: list[tuple] = []
+    rows = array("d")  # the nine values of each step, back to back
     for step in range(int(round(max_time / dt))):
         if at_goal(x, y):
             break
@@ -256,7 +269,7 @@ def run_scenario(
                 omega_exec += rng.normal(0.0, sigma_omega) if sigma_omega > 0.0 else 0.0
                 require_finite_command(v_exec, omega_exec)
                 v_exec, omega_exec = clip_to_window(v_exec, omega_exec, window)
-            rows.append((x, y, theta, v_cmd, omega_cmd, v_exec, omega_exec, *projection[3:]))
+            rows.extend((x, y, theta, v_cmd, omega_cmd, v_exec, omega_exec, *projection[3:]))
             x, y, theta = arc_step(x, y, theta, v_exec, omega_exec, dt)
             require_finite_pose(x, y, theta)
             theta, v, omega = wrap_angle(theta), v_exec, omega_exec
@@ -265,11 +278,12 @@ def run_scenario(
 
     reached_goal = at_goal(x, y)
     # Never empty: max_time >= dt, and a start at the goal raises.
-    x, y, theta, v_cmd, omega_cmd, v_exec, omega_exec, cte, arc_length = np.array(rows).T
+    # The columns are views of the step record; nothing is copied.
+    x, y, theta, v_cmd, omega_cmd, v_exec, omega_exec, cte, arc_length = np.frombuffer(rows).reshape(-1, 9).T
     # Each step starts from the previous step's executed velocities, the first from rest.
     v, omega = (np.concatenate(([0.0], column[:-1])) for column in (v_exec, omega_exec))
     log = TrajectoryLog(
-        np.arange(len(rows)) * dt, x, y, theta, v, omega, v_cmd, omega_cmd, v_exec, omega_exec,
+        np.arange(x.size) * dt, x, y, theta, v, omega, v_cmd, omega_cmd, v_exec, omega_exec,
         *_violation_flags(v_cmd, omega_cmd, v, omega, limits), cte, arc_length,
     )
     return ScenarioResult(log, reached_goal, len(log) * dt)

@@ -266,17 +266,16 @@ class TestLoadConfig:
     )
     def test_every_config_field_rejects_the_wrong_type(self, base):
         # Fields are found by their values, not their annotations, so a field
-        # the type check skipped would show here. A tuple's owner checks each
-        # entry; a nested config takes exactly its class.
+        # the type check skipped would show here. A nested config takes exactly
+        # its class and a tuple field exactly a tuple, whose owner then checks
+        # each entry.
         wrong_values = {
             float: (True, "a finite number"), bool: (0, "true or false"), int: (True, "an integer"),
-            str: (5, "a string"),
+            str: (5, "a string"), tuple: (None, "of type tuple"),
         }
         checked = 0
         for field in fields(base):
             value = getattr(base, field.name)
-            if type(value) is tuple:
-                continue
             if is_dataclass(value):
                 wrong, expected = None, f"of type {type(value).__name__}"
             else:
@@ -300,6 +299,19 @@ class TestLoadConfig:
     def test_experiment_config_rejects_a_wrong_typed_section_or_entry(self, overrides, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ExperimentConfig(paths=(("A",),)), "paths[0] must be a (name, spec) pair, got ('A',)"),
+            (lambda: SweepConfig(lookahead_values=None), "lookahead_values must be of type tuple, got None"),
+            (lambda: ExperimentConfig(controllers="pp"), "controllers must be of type tuple, got 'pp'"),
+        ],
+        ids=["path_entry_not_a_pair", "lookahead_values_none", "controllers_str"],
+    )
+    def test_config_checks_a_tuple_field_before_its_entries(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
     @pytest.mark.parametrize("section, name, value", LOADER_CASES, ids=lambda case: str(case) or "top")
     def test_loader_and_library_reject_a_value_in_the_same_words(self, tmp_path, section, name, value):

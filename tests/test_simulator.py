@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -46,7 +47,7 @@ from pursuitbench.controllers import (
 )
 from pursuitbench.metrics import violation_ratio
 from pursuitbench.paths import project_onto_path, wrap_angle
-from pursuitbench.simulator import arc_step
+from pursuitbench.simulator import _CSV_BLOCK_ROWS, arc_step
 
 
 def euler_reference(x, y, theta, v, omega, dt, substeps=1000):
@@ -579,6 +580,7 @@ def test_noise_free_run_never_loads_numpy_random():
     # milliseconds and megabytes of peak memory that a noise-free run never uses.
     code = """
 import sys
+import tracemalloc
 from pursuitbench import ControllerKind, KinodynamicLimits, LookaheadConfig, RegulationConfig
 from pursuitbench import CornerPathSpec, NoiseModel, generate_corner_path, run_scenario
 if "numpy.random" in sys.modules:
@@ -678,22 +680,70 @@ class TestTrajectoryLogIO:
         max_examples=200, deadline=None, derandomize=True,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(n=st.integers(0, 8), data=st.data())
+    @given(
+        n=st.one_of(
+            st.integers(0, 8),
+            st.sampled_from([_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3]),
+        ),
+        data=st.data(),
+    )
     def test_csv_bytes_are_the_rowwise_writer_where_cells_repeat(self, tmp_path, n, data):
         # Every float cell is drawn from one small pool, so equal bits recur
-        # within and across rows and columns: the writer formats each distinct
-        # bit pattern once. The pool holds 0.0 and -0.0 (equal, with other
-        # bits), both infinities and NaNs of either sign with several
-        # payloads (unequal to themselves), beside a few arbitrary floats.
+        # within and across rows, columns and blocks: the writer formats each
+        # distinct bit pattern of a block once. The pool holds 0.0 and -0.0
+        # (equal, with other bits), both infinities and NaNs of either sign
+        # with several payloads (unequal to themselves), beside a few
+        # arbitrary floats. Logs of one row short of a block, one block, one
+        # row past it and two blocks plus a partial one cross block edges.
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001], np.uint64)
         pool = np.concatenate(
             (nans.view(np.float64), [0.0, -0.0, math.inf, -math.inf], data.draw(st.lists(st.floats(), max_size=5)))
         )
-        picks = st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
-        columns = {name: pool[np.array(data.draw(picks), dtype=int)] for name in TrajectoryLog._COLUMNS[:10]}
+        # One byte per cell, drawn at once: each picks a pool entry or a flag.
+        picks = st.binary(min_size=n, max_size=n).map(lambda raw: np.frombuffer(raw, np.uint8))
+        columns = {name: pool[data.draw(picks) % len(pool)] for name in TrajectoryLog._COLUMNS[:10]}
         for name in ("viol_v", "viol_w", "viol_a", "viol_alpha"):
-            columns[name] = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            columns[name] = (data.draw(picks) & 1).astype(bool)
         log = TrajectoryLog(**columns, cte=np.zeros(n), arc_length=np.zeros(n))
         log.to_csv(tmp_path / "columns.csv")
         write_log_rowwise(log, tmp_path / "rows.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def traced_peak(call):
+    """``(result, peak, kept)``: the bytes ``call`` held at its peak and after it returned, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, kept - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrajectoryMemory:
+    def test_csv_writer_memory_does_not_grow_with_the_log(self, tmp_path):
+        # Distinct random floats are the writer's worst case: no cell repeats.
+        rng = np.random.default_rng(0)
+
+        def random_log(rows):
+            return TrajectoryLog(
+                **{
+                    field.name: rng.random(rows) < 0.5 if field.name.startswith("viol_") else rng.standard_normal(rows)
+                    for field in fields(TrajectoryLog)
+                }
+            )
+
+        one_block, twenty_blocks = random_log(_CSV_BLOCK_ROWS), random_log(20 * _CSV_BLOCK_ROWS)
+        _, small, _ = traced_peak(lambda: one_block.to_csv(tmp_path / "one.csv"))
+        _, large, _ = traced_peak(lambda: twenty_blocks.to_csv(tmp_path / "twenty.csv"))
+        assert large < 3 * small
+
+    def test_run_holds_little_more_than_the_log_it_returns(self):
+        path = corner_path(90.0, segment_length=10.0)
+        # The first run builds the path's projection grid, which the path keeps.
+        run(path, ControllerKind.DYNAMIC_WINDOW, max_time=300.0)
+        result, peak, kept = traced_peak(lambda: run(path, ControllerKind.DYNAMIC_WINDOW, max_time=300.0))
+        assert len(result.log) > 1000  # long enough that what each step keeps dominates
+        assert peak < 2 * kept
