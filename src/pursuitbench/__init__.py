@@ -14,7 +14,6 @@ from .controllers import (
 )
 from .errors import (
     ConfigError,
-    DegenerateGeometryError,
     ParameterError,
     PursuitBenchError,
     SimulationDivergedError,

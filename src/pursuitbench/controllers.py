@@ -36,10 +36,8 @@ class ControllerKind(enum.Enum):
     DYNAMIC_WINDOW = "dwpp"
 
     @classmethod
-    def from_name(cls, name: str) -> "ControllerKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
+    def _missing_(cls, name: object) -> None:
+        """Reject a name that is no law's value, listing the valid ones."""
         valid = ", ".join(kind.value for kind in cls)
         raise ParameterError(f"unknown controller '{name}' (expected one of: {valid})")
 
@@ -250,15 +248,14 @@ def reachable_velocities(
     )
 
 
-def window_bounds(reachable: tuple, limits: KinodynamicLimits) -> tuple[float, float, float, float]:
-    """The dynamic window ``(v_lo, v_hi, omega_lo, omega_hi)`` from ``reachable_velocities(...)``.
+def window_bounds(v: float, omega: float, limits: KinodynamicLimits) -> tuple[float, float, float, float]:
+    """The dynamic window ``(v_lo, v_hi, omega_lo, omega_hi)`` of the state (v, omega).
 
-    These are the velocities reachable within one control period, clamped
-    into the static limits. A state outside the static limits cannot
-    re-enter them in one step; its window collapses to the nearest static
-    bound.
+    These are the :func:`reachable_velocities`, clamped into the static
+    limits. A state outside the static limits cannot re-enter them in one
+    step; its window collapses to the nearest static bound.
     """
-    v_lo, v_hi, omega_lo, omega_hi = reachable
+    v_lo, v_hi, omega_lo, omega_hi = reachable_velocities(v, omega, limits)
     return _clamp_range(v_lo, v_hi, limits.v_min, limits.v_max) + _clamp_range(
         omega_lo, omega_hi, limits.omega_min, limits.omega_max
     )

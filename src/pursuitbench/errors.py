@@ -9,10 +9,6 @@ class ParameterError(PursuitBenchError, ValueError):
     """A value violates a type invariant or an operation's contract."""
 
 
-class DegenerateGeometryError(PursuitBenchError, ValueError):
-    """Geometry that leaves a computation undefined (e.g. zero-length target ray)."""
-
-
 class ConfigError(PursuitBenchError, ValueError):
     """A configuration file failed to parse or validate."""
 

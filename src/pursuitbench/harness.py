@@ -145,7 +145,7 @@ _TOP_LEVEL = {
 }
 
 # How each entry of a top-level list becomes part of the config value.
-_LIST_ENTRY = {"paths": _corner, "controllers": ControllerKind.from_name, "lookahead_values": float}
+_LIST_ENTRY = {"paths": _corner, "controllers": ControllerKind, "lookahead_values": float}
 
 
 def _label(key: str, name) -> str:

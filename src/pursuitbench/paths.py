@@ -20,7 +20,7 @@ from typing import NamedTuple, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ParameterError
+from .errors import ParameterError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -421,13 +421,13 @@ def arc_curvature(x: float, y: float, theta: float, tx: float, ty: float) -> flo
     """Signed curvature of the circular arc from the pose (x, y, theta) to the target (tx, ty).
 
     Positive curvature turns counter-clockwise (target on the robot's left).
-    Raises :class:`DegenerateGeometryError` when the target coincides with
-    the robot position.
+    Raises :class:`ParameterError` when the target coincides with the robot
+    position.
     """
     dx = tx - x
     dy = ty - y
     distance = math.hypot(dx, dy)
     if distance == 0.0:
-        raise DegenerateGeometryError("lookahead target coincides with the robot position")
+        raise ParameterError("lookahead target coincides with the robot position")
     heading_to_target = math.atan2(dy, dx) - theta
     return 2.0 * math.sin(heading_to_target) / distance

@@ -103,12 +103,14 @@ class TrajectoryLog:
     )
 
     def __post_init__(self) -> None:
+        # Each column is a read-only view: the caller's arrays stay writable, and nothing is copied.
         size = self.t.size
         for field in fields(self):
-            column = getattr(self, field.name)
+            column = getattr(self, field.name).view()
             if column.size != size:
                 raise ParameterError("log columns must have equal length")
             column.setflags(write=False)
+            object.__setattr__(self, field.name, column)
 
     def __len__(self) -> int:
         return int(self.t.size)
@@ -257,7 +259,7 @@ def run_scenario(
             break
         try:
             projection = project_onto_path(path, x, y)
-            window = window_bounds(reachable_velocities(v, omega, limits), limits)
+            window = window_bounds(v, omega, limits)
             v_cmd, omega_cmd = command_velocities(
                 kind, x, y, theta, v, path, projection, window,
                 limits, lookahead, regulation,

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -37,7 +38,6 @@ from pursuitbench.controllers import (
     clip_to_window,
     command_velocities,
     min_stable_lookahead,
-    reachable_velocities,
     regulate_linear_velocity,
     regulated_range,
     require_finite_command,
@@ -181,9 +181,10 @@ class TestTypeValidation:
             cls(**{name: 0.0})
 
     def test_controller_kind_lookup(self):
-        assert ControllerKind.from_name("dwpp") is ControllerKind.DYNAMIC_WINDOW
-        with pytest.raises(ParameterError):
-            ControllerKind.from_name("mpc")
+        assert ControllerKind("dwpp") is ControllerKind.DYNAMIC_WINDOW
+        message = "unknown controller 'mpc' (expected one of: pp, app, rpp, dwpp)"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ControllerKind("mpc")
 
 
 class TestEffectiveLookahead:
@@ -217,7 +218,7 @@ class TestNominalCommand:
         regulated_speeds, curvatures = [], []
         for x, y, theta, v in [(2.8, 0.05, 0.3, 0.5), (3.2, 0.5, 2.0, 0.2), (2.0, -0.2, -0.4, 0.0)]:
             theta = wrap_angle(theta)
-            window = window_bounds(reachable_velocities(v, 0.0, bench_limits), bench_limits)
+            window = window_bounds(v, 0.0, bench_limits)
             for kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE, ControllerKind.REGULATED):
                 projection = project_onto_path(path, x, y)
                 distance = operative_lookahead(kind, bench_lookahead, v)
@@ -345,7 +346,7 @@ class TestRegulateLinearVelocity:
 class TestWindowBounds:
     def test_window_from_cruise_state(self):
         limits = KinodynamicLimits()
-        v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(0.4, 0.0, limits), limits)
+        v_lo, v_hi, omega_lo, omega_hi = window_bounds(0.4, 0.0, limits)
         assert v_lo == pytest.approx(0.3835, abs=1e-12)
         assert v_hi == pytest.approx(0.4165, abs=1e-12)
         assert omega_lo == pytest.approx(-0.033, abs=1e-12)
@@ -353,17 +354,17 @@ class TestWindowBounds:
 
     def test_saturates_at_v_max(self):
         limits = KinodynamicLimits()
-        _, v_hi, _, _ = window_bounds(reachable_velocities(0.5, 0.0, limits), limits)
+        _, v_hi, _, _ = window_bounds(0.5, 0.0, limits)
         assert v_hi == 0.5
 
     def test_lower_clamp_at_rest(self):
         limits = KinodynamicLimits()
-        v_lo, _, _, _ = window_bounds(reachable_velocities(0.0, 0.0, limits), limits)
+        v_lo, _, _, _ = window_bounds(0.0, 0.0, limits)
         assert v_lo == 0.0
 
     def test_state_beyond_limits_collapses_to_bound(self):
         limits = KinodynamicLimits()
-        v_lo, v_hi, _, _ = window_bounds(reachable_velocities(0.7, 0.0, limits), limits)
+        v_lo, v_hi, _, _ = window_bounds(0.7, 0.0, limits)
         assert v_lo == v_hi == 0.5
 
     def test_nested_in_static_limits(self):
@@ -371,14 +372,14 @@ class TestWindowBounds:
         rng = np.random.default_rng(2)
         for _ in range(300):
             v, omega = rng.uniform(0, 0.5), rng.uniform(-1, 1)
-            v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(v, omega, limits), limits)
+            v_lo, v_hi, omega_lo, omega_hi = window_bounds(v, omega, limits)
             assert limits.v_min <= v_lo <= v_hi <= limits.v_max
             assert limits.omega_min <= omega_lo <= omega_hi <= limits.omega_max
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(limits=any_limits(), state=any_state)
     def test_matches_the_old_rule_bit_for_bit(self, limits, state):
-        window = window_bounds(reachable_velocities(*state, limits), limits)
+        window = window_bounds(*state, limits)
         assert bits(window) == bits(dynamic_window_oracle(*state, limits))
 
 
@@ -478,7 +479,7 @@ class TestOptimalVelocity:
         limits = KinodynamicLimits()
         for _ in range(500):
             v, omega = rng.uniform(0, 0.5), rng.uniform(-1, 1)
-            v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(v, omega, limits), limits)
+            v_lo, v_hi, omega_lo, omega_hi = window_bounds(v, omega, limits)
             v_lo, v_hi = regulated_range(v_lo, v_hi, rng.uniform(0.0, 0.6))
             v_cmd, omega_cmd = select_velocity(v_lo, v_hi, omega_lo, omega_hi, rng.uniform(-20, 20))
             assert v_lo <= v_cmd <= v_hi
@@ -524,7 +525,7 @@ class TestOptimalVelocity:
         kappa=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
     )
     def test_dwpp_selection_is_reachable(self, limits, state, v_reg, kappa):
-        v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(*state, limits), limits)
+        v_lo, v_hi, omega_lo, omega_hi = window_bounds(*state, limits)
         v, omega = select_velocity(*regulated_range(v_lo, v_hi, v_reg), omega_lo, omega_hi, kappa)
         assert v_lo <= v <= v_hi
         assert omega_lo <= omega <= omega_hi
@@ -669,7 +670,7 @@ class TestComputeCommand:
 
     def test_straight_cruise_all_controllers(self):
         path = straight_path()
-        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
+        window = window_bounds(0.5, 0.0, self.limits)
         for kind in ControllerKind:
             v, omega = command_velocities(
                 kind, 1.0, 0.0, 0.0, 0.5, path, project_onto_path(path, 1.0, 0.0), window,
@@ -680,7 +681,7 @@ class TestComputeCommand:
 
     def test_pure_pursuit_corner_command_exceeds_window(self):
         path = corner_path(135.0)
-        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
+        window = window_bounds(0.5, 0.0, self.limits)
         v, omega = command_velocities(
             ControllerKind.PURE_PURSUIT, 2.9, 0.0, 0.0, 0.5,
             path, project_onto_path(path, 2.9, 0.0), window,
@@ -692,7 +693,7 @@ class TestComputeCommand:
 
     def test_dynamic_window_corner_command_stays_feasible(self):
         path = corner_path(135.0)
-        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
+        window = window_bounds(0.5, 0.0, self.limits)
         v, omega = command_velocities(
             ControllerKind.DYNAMIC_WINDOW, 2.9, 0.0, 0.0, 0.5,
             path, project_onto_path(path, 2.9, 0.0), window,
@@ -705,7 +706,7 @@ class TestComputeCommand:
     def test_regulated_slows_down_and_recomputes_omega(self):
         path = corner_path(135.0)
         projection = project_onto_path(path, 2.9, 0.0)
-        window = window_bounds(reachable_velocities(0.5, 0.0, self.limits), self.limits)
+        window = window_bounds(0.5, 0.0, self.limits)
         v, omega = command_velocities(
             ControllerKind.REGULATED, 2.9, 0.0, 0.0, 0.5, path, projection, window,
             self.limits, self.lookahead, self.regulation,
@@ -718,7 +719,7 @@ class TestComputeCommand:
 
     def test_pure_pursuit_ignores_scaled_mode(self):
         path = straight_path()
-        window = window_bounds(reachable_velocities(0.0, 0.0, self.limits), self.limits)
+        window = window_bounds(0.0, 0.0, self.limits)
         fixed_cfg = replace(self.lookahead, mode=FIXED_LOOKAHEAD)
         for cfg in (self.lookahead, fixed_cfg):
             command = command_velocities(
@@ -733,7 +734,7 @@ class TestComputeCommand:
         # aims 0.6 m ahead; on a curved approach the curvatures differ.
         path = corner_path(90.0)
         projection = project_onto_path(path, 2.75, 0.0)
-        window = window_bounds(reachable_velocities(0.0, 0.0, self.limits), self.limits)
+        window = window_bounds(0.0, 0.0, self.limits)
         adaptive, plain = (
             command_velocities(
                 kind, 2.75, 0.0, 0.0, 0.0, path, projection, window,

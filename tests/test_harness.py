@@ -805,36 +805,27 @@ class TestCli:
         assert (out / "traj_B_dwpp.csv").exists()
         assert "reached=True" in capsys.readouterr().out
 
-    def test_simulate_csv_path_with_fixed_lookahead(self, tmp_path, capsys):
-        waypoints = tmp_path / "line.csv"
-        xs = np.linspace(0.0, 2.0, 41)
-        waypoints.write_text("x,y\n" + "\n".join(f"{x},0.0" for x in xs))
+    @pytest.mark.parametrize(
+        "controller, encoding",
+        [("pp", "utf-8"), ("app", "utf-8"), ("rpp", "utf-8"), ("dwpp", "utf-8"), ("dwpp", "utf-8-sig")],
+        ids=["pp", "app", "rpp", "dwpp", "dwpp-bom"],
+    )
+    def test_simulate_every_law_on_a_u_turn_csv(self, tmp_path, capsys, controller, encoding):
+        # The legs are 0.3 m apart; pp and app cut the turn, so they drive the
+        # projection's full-scan fallback hardest. Spreadsheet programs save a
+        # CSV with a UTF-8 byte-order mark ("utf-8-sig").
+        rows = ["x,y", *(f"{i / 20},0.0" for i in range(41)), *(f"2.0,{i / 20}" for i in range(1, 7))]
+        rows += [f"{i / 20},0.3" for i in range(39, -1, -1)]
+        waypoints = tmp_path / "uturn.csv"
+        waypoints.write_text("\n".join(rows) + "\n", encoding=encoding)
+        assert waypoints.read_bytes().startswith(b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
         out = tmp_path / "out"
-        code = main(
-            ["simulate", "--controller", "pp", "--path", str(waypoints), "--lookahead", "0.4", "--out", str(out)]
-        )
-        assert code == 0
-        assert (out / "traj_line_pp.csv").exists()
+        assert main(["simulate", "--controller", controller, "--path", str(waypoints), "--out", str(out)]) == 0
+        assert (out / f"traj_uturn_{controller}.csv").stat().st_size > 0
 
     def test_simulate_unknown_path_fails(self, tmp_path, capsys):
         assert main(["simulate", "--controller", "pp", "--path", "Z", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_simulate_non_finite_lookahead_names_the_field(self, tmp_path, capsys, value):
-        code = main(
-            ["simulate", "--controller", "pp", "--path", "B", "--lookahead", value, "--out", str(tmp_path)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: fixed_distance must be a finite number, got {value}\n"
-
-    def test_simulate_rejects_a_fixed_lookahead_for_app(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        code = main(["simulate", "--controller", "app", "--path", "C", "--lookahead", "0.3", "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --lookahead ") and "controller app" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -857,19 +848,36 @@ class TestCli:
         assert main([*argv, "--out", str(file)]) == 1
         assert capsys.readouterr().err == f"error: {file}: cannot create output directory: File exists\n"
 
-    def test_simulate_rejects_a_segment_the_projection_cannot_measure(self, tmp_path, capsys):
-        # The middle waypoint is 1e-170 m from the first: that length squared underflows to 0.
-        waypoints = tmp_path / "tiny.csv"
-        waypoints.write_text("x,y\n0,0\n1e-170,0\n3,0\n")
+    @pytest.mark.parametrize(
+        "rows, segment",
+        [
+            # The middle waypoint is 1e-170 m from the first: that length squared underflows to 0.
+            ("0,0\n1e-170,0\n3,0\n", 0),
+            ("0,0\n1,0\n1,0\n2,0\n", 1),
+        ],
+        ids=["underflow", "repeated_row"],
+    )
+    def test_simulate_rejects_a_segment_the_projection_cannot_measure(self, tmp_path, capsys, rows, segment):
+        waypoints = tmp_path / "waypoints.csv"
+        waypoints.write_text("x,y\n" + rows)
         argv = ["simulate", "--controller", "dwpp", "--path", str(waypoints), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {waypoints}: segment 0 ")
+        assert capsys.readouterr().err.startswith(f"error: {waypoints}: segment {segment} ")
 
-    def test_bad_config_exits_nonzero(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("trials: 0\n", "trials must be at least 1, got 0"),
+            ("max_time: .inf\n", "max_time must be a finite number, got inf"),
+            ("trials: 1\ntrials: 2\n", "{file}: line 2: repeated key 'trials'"),
+        ],
+        ids=["zero_trials", "infinite_max_time", "repeated_key"],
+    )
+    def test_bad_config_exits_nonzero(self, tmp_path, capsys, text, message):
         config = tmp_path / "bad.yaml"
-        config.write_text("trials: 0\n")
+        config.write_text(text)
         assert main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 1
-        assert "trials" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message.format(file=config)}\n"
 
     def test_compare_rejects_a_path_that_starts_inside_the_goal(self, tmp_path, capsys):
         # Path A runs and writes its files before F fails; the failure removes them all.
@@ -911,17 +919,29 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(out.iterdir()) == []
 
-    def test_compare_reports_a_file_it_cannot_write_as_an_error(self, tmp_path, capsys):
-        # The file system's name limit is unknown when the config loads, so the write itself fails.
-        config = tmp_path / "long.yaml"
-        name = "a" * 300
+    @pytest.mark.parametrize(
+        "name, blocked, code",
+        [
+            # The file system's name limit is unknown when the config loads, so the write itself fails.
+            ("a" * 300, False, errno.ENAMETOOLONG),
+            # Every CSV is written as .partial; metrics.csv is renamed into place first.
+            ("A", True, errno.EISDIR),
+        ],
+        ids=["name_too_long", "metrics_csv_is_a_directory"],
+    )
+    def test_compare_reports_a_file_it_cannot_write_as_an_error(self, tmp_path, capsys, name, blocked, code):
+        config = tmp_path / "one.yaml"
         config.write_text(f"paths:\n  - {{name: {name}, segment_length: 1.5}}\ncontrollers: [dwpp]\ntrials: 1\n")
         out = tmp_path / "out"
+        if blocked:
+            (out / "metrics.csv").mkdir(parents=True)
         assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
+        assert err.startswith(f"error: [Errno {code}] ")
         assert err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert [file.name for file in out.iterdir()] == (["metrics.csv"] if blocked else [])
+        if blocked:
+            assert list((out / "metrics.csv").iterdir()) == []
 
     def test_compare_under_an_ascii_locale_writes_utf8_files(self, tmp_path):
         # The config's comment and the report's "±" are not ASCII.
@@ -962,18 +982,26 @@ class TestCli:
             "import sys, pursuitbench as p\n"
             "p.generate_corner_path(p.CornerPathSpec(1.0, 1.0)).to_csv(sys.argv[1] + '/corner.csv')"
         )
+        # Each command with the CSV files it must write.
         commands = {
-            "simulate": ["-m", "pursuitbench.cli", "simulate", "--controller", "dwpp", "--path", "B", "--out"],
-            "compare": ["-m", "pursuitbench.cli", "compare", "--config", str(config), "--out"],
-            "path": ["-c", write_path],
+            "simulate": (
+                ["-m", "pursuitbench.cli", "simulate", "--controller", "dwpp", "--path", "B", "--out"],
+                ["traj_B_dwpp.csv"],
+            ),
+            "compare": (
+                ["-m", "pursuitbench.cli", "compare", "--config", str(config), "--out"],
+                ["metrics.csv", "path_A.csv", "summary.csv", "traj_A_dwpp_trial0.csv"],
+            ),
+            "path": (["-c", write_path], ["corner.csv"]),
         }
-        for name, command in commands.items():
+        for name, (command, written) in commands.items():
             out = tmp_path / name
             out.mkdir()
             argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", *command, str(out)]
             done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120)
             assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
-            assert any(out.glob("*.csv"))
+            assert sorted(file.name for file in out.glob("*.csv")) == written
+            assert all((out / file).stat().st_size > 0 for file in written)
 
     def test_compare_to_an_ascii_stdout_escapes_the_report(self, tmp_path):
         # With PYTHONIOENCODING unset, stdout takes the locale's ASCII encoding.
@@ -991,6 +1019,7 @@ class TestCli:
         assert ascii_run.returncode == 0, ascii_run.stderr.decode("utf-8", "replace")
         assert b"Traceback" not in ascii_run.stderr
         assert b"(mean \\xb1 sd)" in ascii_run.stdout
+        assert "(mean ± sd)".encode() in (ascii_out / "summary.txt").read_bytes()
         assert (ascii_out / "summary.txt").read_bytes() == (utf8_out / "summary.txt").read_bytes()
 
     @pytest.mark.parametrize(
@@ -1016,11 +1045,11 @@ def test_package_root_exports_exactly_the_library_api():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert exported == {
-        "ConfigError", "ControllerKind", "CornerPathSpec", "DegenerateGeometryError",
-        "ExperimentConfig", "KinodynamicLimits", "LookaheadConfig", "NoiseModel",
-        "ParameterError", "PursuitBenchError", "ReferencePath", "RegulationConfig",
-        "ScenarioMetrics", "ScenarioResult", "SimulationDivergedError", "StabilityConfig",
-        "SweepConfig", "TrajectoryLog", "emit_report", "generate_corner_path", "load_config",
+        "ConfigError", "ControllerKind", "CornerPathSpec", "ExperimentConfig",
+        "KinodynamicLimits", "LookaheadConfig", "NoiseModel", "ParameterError",
+        "PursuitBenchError", "ReferencePath", "RegulationConfig", "ScenarioMetrics",
+        "ScenarioResult", "SimulationDivergedError", "StabilityConfig", "SweepConfig",
+        "TrajectoryLog", "emit_report", "generate_corner_path", "load_config",
         "load_sweep_config", "operative_lookahead", "run_comparison", "run_lookahead_sweep",
         "run_scenario", "scenario_metrics",
     }
@@ -1046,7 +1075,8 @@ def test_shipped_profiles_match_golden_digests(tmp_path):
     and ``compare``'s trajectory and path CSVs the bytes pinned in golden_trajectories.json."""
     golden = json.loads(GOLDEN.read_text())
     assert main(["compare", "--config", "experiment_table1", "--out", str(tmp_path / "table1")]) == 0
-    assert main(["sweep", "--config", "simulation_table6", "--out", str(tmp_path / "sweep6")]) == 0
+    # sweep's default config is the simulation_table6 profile.
+    assert main(["sweep", "--out", str(tmp_path / "sweep6")]) == 0
     for workload in ("table1", "sweep6"):
         for file, digest in golden[workload].items():
             written = hashlib.sha256((tmp_path / workload / file).read_bytes()).hexdigest()

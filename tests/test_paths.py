@@ -20,7 +20,6 @@ from conftest import (
 )
 from pursuitbench import (
     CornerPathSpec,
-    DegenerateGeometryError,
     ParameterError,
     ReferencePath,
     generate_corner_path,
@@ -456,7 +455,7 @@ class TestCurvature:
         assert arc_curvature(0.0, 0.0, 0.0, 1.0, -1.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_coincident_target_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(ParameterError, match="^lookahead target coincides with the robot position$"):
             arc_curvature(1.0, 2.0, 0.3, 1.0, 2.0)
 
     def test_reflection_across_heading_axis_negates_curvature(self):

@@ -42,7 +42,6 @@ from pursuitbench.controllers import (
     FIXED_LOOKAHEAD,
     VELOCITY_SCALED_LOOKAHEAD,
     clip_to_window,
-    reachable_velocities,
     window_bounds,
 )
 from pursuitbench.metrics import violation_ratio
@@ -116,16 +115,16 @@ class TestClipToFeasible:
         self.limits = KinodynamicLimits()
 
     def test_command_inside_window_unchanged(self):
-        window = window_bounds(reachable_velocities(0.4, 0.0, self.limits), self.limits)
+        window = window_bounds(0.4, 0.0, self.limits)
         assert clip_to_window(0.41, 0.01, window) == (0.41, 0.01)
 
     def test_linear_velocity_clamped_to_window(self):
-        window = window_bounds(reachable_velocities(0.4, 0.0, self.limits), self.limits)
+        window = window_bounds(0.4, 0.0, self.limits)
         v, _ = clip_to_window(0.5, 0.0, window)
         assert v == pytest.approx(0.4165, abs=1e-12)
 
     def test_angular_velocity_clamped_to_window(self):
-        window = window_bounds(reachable_velocities(0.0, 0.0, self.limits), self.limits)
+        window = window_bounds(0.0, 0.0, self.limits)
         _, omega = clip_to_window(0.0, 1.0, window)
         assert omega == pytest.approx(0.033, abs=1e-12)
 
@@ -571,7 +570,7 @@ class TestStressCells:
                 assert violation_ratio(log) == 0.0
             executed = (getattr(log, name).tolist() for name in self.EXECUTED)
             for v, omega, v_exec, omega_exec in zip(*executed):
-                v_lo, v_hi, omega_lo, omega_hi = window_bounds(reachable_velocities(v, omega, limits), limits)
+                v_lo, v_hi, omega_lo, omega_hi = window_bounds(v, omega, limits)
                 assert v_lo <= v_exec <= v_hi and omega_lo <= omega_exec <= omega_hi
 
 
@@ -645,6 +644,19 @@ class TestTrajectoryLogIO:
         columns = {field.name: np.zeros(2, dtype=float) for field in fields(TrajectoryLog)}
         columns[name] = np.zeros(1)
         with pytest.raises(ParameterError):
+            TrajectoryLog(**columns)
+
+    def test_columns_are_read_only_views_of_the_callers_arrays(self):
+        columns = {field.name: np.zeros(2) for field in fields(TrajectoryLog)}
+        log = TrajectoryLog(**columns)
+        columns["x"][0] = 1.0
+        assert log.x[0] == 1.0  # a view, not a copy
+        for name, array in columns.items():
+            assert array.flags.writeable and not getattr(log, name).flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            log.x[0] = 2.0
+        columns["y"] = np.zeros(3)
+        with pytest.raises(ParameterError, match="^log columns must have equal length$"):
             TrajectoryLog(**columns)
 
     @settings(
