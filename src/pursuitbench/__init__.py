@@ -12,12 +12,7 @@ from .controllers import (
     StabilityConfig,
     operative_lookahead,
 )
-from .errors import (
-    ConfigError,
-    ParameterError,
-    PursuitBenchError,
-    SimulationDivergedError,
-)
+from .errors import ParameterError
 from .harness import (
     ExperimentConfig,
     SweepConfig,

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .controllers import ControllerKind
-from .errors import ConfigError, PursuitBenchError
+from .errors import ParameterError
 from .harness import (
     _output_dir, _run, emit_report, load_config, load_sweep_config, run_comparison, run_lookahead_sweep,
 )
@@ -41,7 +41,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         reference = ReferencePath.from_csv(args.path)
         label = Path(args.path).stem
     else:
-        raise ConfigError(
+        raise ParameterError(
             f"--path '{args.path}' is neither a configured path name {sorted(named)} nor a CSV file"
         )
     kind = ControllerKind(args.controller)
@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(errors="backslashreplace")
     try:
         return args.func(args)
-    except (PursuitBenchError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

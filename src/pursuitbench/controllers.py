@@ -81,11 +81,16 @@ def require_finite_command(v: float, omega: float) -> None:
 
 
 def require_run_bounds(max_time: float, goal_tolerance: float, limits: KinodynamicLimits) -> None:
-    """Reject a ``max_time`` or ``goal_tolerance`` that is no finite number, below ``limits.dt`` or not positive."""
+    """Reject a ``max_time`` or ``goal_tolerance`` that is no finite number, below ``limits.dt`` or not positive.
+
+    ``max_time / limits.dt``, the run's step count, must be finite too.
+    """
     max_time = require_type("max_time", max_time, float)
     goal_tolerance = require_type("goal_tolerance", goal_tolerance, float)
     if max_time < limits.dt:
         raise ParameterError(f"max_time must be at least limits.dt ({limits.dt:g} s), got {max_time!r}")
+    if not math.isfinite(max_time / limits.dt):
+        raise ParameterError(f"max_time / limits.dt must be finite, got {max_time!r} / {limits.dt!r}")
     if not goal_tolerance > 0.0:
         raise ParameterError(f"goal_tolerance must be positive, got {goal_tolerance!r}")
 

@@ -1,17 +1,5 @@
-"""Exception types shared across the package."""
+"""The one exception type the package raises."""
 
 
-class PursuitBenchError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class ParameterError(PursuitBenchError, ValueError):
-    """A value violates a type invariant or an operation's contract."""
-
-
-class ConfigError(PursuitBenchError, ValueError):
-    """A configuration file failed to parse or validate."""
-
-
-class SimulationDivergedError(PursuitBenchError, RuntimeError):
-    """The simulated state stopped being finite."""
+class ParameterError(ValueError):
+    """A value outside a contract, a config that does not load, or a run whose state stopped being finite."""

@@ -41,7 +41,7 @@ from .controllers import (
     operative_lookahead,
     require_run_bounds,
 )
-from .errors import ConfigError, ParameterError, PursuitBenchError
+from .errors import ParameterError
 from .metrics import METRICS, ScenarioMetrics, cross_track_stats, mean_sd, scenario_metrics
 from .paths import CornerPathSpec, ReferencePath, generate_corner_path, require_field_types, require_type
 from .simulator import NoiseModel, ScenarioResult, run_scenario
@@ -153,10 +153,11 @@ def _label(key: str, name) -> str:
 
 
 def _build(key: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``; a ``ParameterError`` it raises is re-raised with ``key`` in front."""
     try:
         return factory(*args, **kwargs)
     except ParameterError as exc:
-        raise ConfigError(_label(key, exc)) from exc
+        raise ParameterError(_label(key, exc)) from exc
 
 
 def _check(key: str, value, default):
@@ -174,22 +175,19 @@ def _check(key: str, value, default):
         if value is None:
             value = {}
         if not isinstance(value, Mapping):
-            raise ConfigError(f"{key} must be a mapping")
+            raise ParameterError(f"{key} must be a mapping")
         for name in value:
             if name not in default:
-                raise ConfigError(_label(key, f"unknown key '{name}'"))
+                raise ParameterError(_label(key, f"unknown key '{name}'"))
         return {name: _check(_label(key, name), item, default[name]) for name, item in value.items()}
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{key} must be a non-empty list")
+            raise ParameterError(f"{key} must be a non-empty list")
         labels = [f"{key}[{position}]" for position in range(len(value))]
         return tuple(
             _build(label, _LIST_ENTRY[key], _check(label, item, default[0])) for label, item in zip(labels, value)
         )
-    try:
-        return require_type(key, value, type(default))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return require_type(key, value, type(default))
 
 
 def _read_config_text(source: str | Path) -> str:
@@ -198,11 +196,11 @@ def _read_config_text(source: str | Path) -> str:
         try:
             return path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{source}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+            raise ParameterError(f"{source}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     resource = importlib.resources.files("pursuitbench").joinpath("profiles", f"{source}.yaml")
     if resource.is_file():
         return resource.read_text(encoding="utf-8")
-    raise ConfigError(f"'{source}' is neither a config file nor a shipped profile {PROFILE_NAMES}")
+    raise ParameterError(f"'{source}' is neither a config file nor a shipped profile {PROFILE_NAMES}")
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -222,7 +220,7 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                 if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
                     key = self.construct_object(key_node)
                     if key in seen:
-                        raise ConfigError(f"line {key_node.start_mark.line + 1}: repeated key '{key_node.value}'")
+                        raise ParameterError(f"line {key_node.start_mark.line + 1}: repeated key '{key_node.value}'")
                     seen.add(key)
         super().flatten_mapping(node)
 
@@ -232,10 +230,10 @@ def _parse(source: str | Path) -> dict:
     text = _read_config_text(source)
     try:
         raw = yaml.load(text, _UniqueKeyLoader)
-    except (yaml.YAMLError, ConfigError) as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    except (yaml.YAMLError, ParameterError) as exc:
+        raise ParameterError(f"{source}: {exc}") from exc
     if raw is not None and not isinstance(raw, Mapping):
-        raise ConfigError(f"{source}: top level must be a mapping")
+        raise ParameterError(f"{source}: top level must be a mapping")
     return _check("", raw, _TOP_LEVEL)
 
 
@@ -261,18 +259,11 @@ def _run(
     config: ExperimentConfig, reference: ReferencePath, kind: ControllerKind, label: str,
     noise: NoiseModel = NoiseModel(),
 ) -> ScenarioResult:
-    """One scenario under ``config``'s limits, lookahead, regulation and stop rule.
-
-    A ``PursuitBenchError`` the run raises is re-raised, of the same type,
-    with ``label`` in front of its message.
-    """
-    try:
-        return run_scenario(
-            reference, kind, config.limits, config.lookahead, config.regulation,
-            noise=noise, max_time=config.max_time, goal_tolerance=config.goal_tolerance,
-        )
-    except PursuitBenchError as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
+    """One scenario under ``config``'s limits, lookahead, regulation and stop rule; errors carry ``label``."""
+    return _build(
+        label, run_scenario, reference, kind, config.limits, config.lookahead, config.regulation,
+        noise=noise, max_time=config.max_time, goal_tolerance=config.goal_tolerance,
+    )
 
 
 def _output_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
@@ -280,8 +271,9 @@ def _output_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{out}: cannot create output directory: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # a path holding a NUL byte raises ValueError, which has no strerror
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParameterError(f"{out}: cannot create output directory: {reason}") from exc
     return out
 
 
@@ -305,7 +297,7 @@ def run_comparison(
     is written as ``<name>.partial`` and, once every scenario has run and
     ``metrics.csv.partial`` is written, renamed into place, ``metrics.csv``
     first. A run that raises before that first rename succeeds, whether a
-    scenario's ``PursuitBenchError`` (labelled with its path, controller and
+    scenario's ``ParameterError`` (labelled with its path, controller and
     trial), an ``OSError`` or an interrupt, leaves ``out`` as it was.
     """
     out = _output_dir(config, out_dir)

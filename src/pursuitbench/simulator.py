@@ -27,7 +27,7 @@ from .controllers import (
     require_run_bounds,
     window_bounds,
 )
-from .errors import ParameterError, SimulationDivergedError
+from .errors import ParameterError
 from .paths import (
     ReferencePath,
     project_onto_path,
@@ -276,7 +276,7 @@ def run_scenario(
             require_finite_pose(x, y, theta)
             theta, v, omega = wrap_angle(theta), v_exec, omega_exec
         except ParameterError as exc:
-            raise SimulationDivergedError(f"step {step}: {exc}") from exc
+            raise ParameterError(f"step {step}: {exc}") from exc
 
     reached_goal = at_goal(x, y)
     # Never empty: max_time >= dt, and a start at the goal raises.

@@ -15,7 +15,6 @@ from pursuitbench import (
     ReferencePath,
     RegulationConfig,
     ScenarioResult,
-    SimulationDivergedError,
     TrajectoryLog,
     generate_corner_path,
 )
@@ -334,7 +333,7 @@ def run_scenario_oracle(
             require_finite_pose(x, y, theta)
             pose, velocity = (x, y, wrap_angle(theta)), executed
         except ParameterError as exc:
-            raise SimulationDivergedError(f"step {step}: {exc}") from exc
+            raise ParameterError(f"step {step}: {exc}") from exc
 
     names = [field.name for field in fields(TrajectoryLog)]
     columns = list(zip(*rows)) if rows else [[] for _ in names]

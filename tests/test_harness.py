@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import hashlib
@@ -19,7 +20,6 @@ import yaml
 
 import pursuitbench
 from pursuitbench import (
-    ConfigError,
     ControllerKind,
     CornerPathSpec,
     ExperimentConfig,
@@ -177,13 +177,13 @@ class TestLoadConfig:
     def test_mistyped_or_non_finite_value_rejected(self, tmp_path, text, key):
         file = tmp_path / "bad.yaml"
         file.write_text(text + "\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+        with pytest.raises(ParameterError, match=f"^{re.escape(key)} must be "):
             load_config(file)
 
     def test_zero_trials_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("trials: 0\n")
-        with pytest.raises(ConfigError, match="trials"):
+        with pytest.raises(ParameterError, match="trials"):
             load_config(file)
 
     @pytest.mark.parametrize("trials", [2.0, True])
@@ -320,7 +320,7 @@ class TestLoadConfig:
         file = tmp_path / "bad.yaml"
         file.write_text(yaml.safe_dump({section: {name: value}} if section else {name: value}))
         prefix = f"{section}: " if section else ""
-        with pytest.raises(ConfigError, match=f"^{re.escape(prefix + str(library.value))}$"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(prefix + str(library.value))}$"):
             load_config(file)
 
     def test_library_config_takes_ints_and_numpy_floats(self):
@@ -336,20 +336,20 @@ class TestLoadConfig:
     def test_unknown_top_level_key_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("lookahed: {}\n")
-        with pytest.raises(ConfigError, match="lookahed"):
+        with pytest.raises(ParameterError, match="lookahed"):
             load_config(file)
 
     @pytest.mark.parametrize("section", ["limits", "lookahead", "regulation", "stability", "noise"])
     def test_unknown_nested_key_rejected(self, tmp_path, section):
         file = tmp_path / "bad.yaml"
         file.write_text(f"{section}: {{vmax: 0.5}}\n")
-        with pytest.raises(ConfigError, match=f"{section}: unknown key 'vmax'"):
+        with pytest.raises(ParameterError, match=f"{section}: unknown key 'vmax'"):
             load_config(file)
 
     def test_invalid_value_names_section(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("limits: {dt: -1.0}\n")
-        with pytest.raises(ConfigError, match="limits"):
+        with pytest.raises(ParameterError, match="limits"):
             load_config(file)
 
     @pytest.mark.parametrize(
@@ -364,7 +364,7 @@ class TestLoadConfig:
     def test_repeated_key_rejected_with_its_line(self, tmp_path, text, message):
         file = tmp_path / "twice.yaml"
         file.write_text(text)
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'{file}: {message}')}$"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(f'{file}: {message}')}$"):
             load_config(file)
 
     def test_merge_key_yields_to_the_mapping_own_keys(self, tmp_path):
@@ -400,13 +400,13 @@ class TestLoadConfig:
     def test_malformed_file_rejected_with_its_message(self, tmp_path, text, message):
         file = tmp_path / "bad.yaml"
         file.write_text(text)
-        with pytest.raises(ConfigError, match=f"^{re.escape(message.replace('{file}', str(file)))}$"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message.replace('{file}', str(file)))}$"):
             load_config(file)
 
     def test_unknown_controller_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("controllers: [pp, teb]\n")
-        with pytest.raises(ConfigError, match="teb"):
+        with pytest.raises(ParameterError, match="teb"):
             load_config(file)
 
     @pytest.mark.parametrize(
@@ -433,7 +433,7 @@ class TestLoadConfig:
     def test_list_entry_error_message(self, tmp_path, text, message):
         file = tmp_path / "bad.yaml"
         file.write_text(text)
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             load_sweep_config(file)
 
     def test_list_entries_load_as_tuples_of_config_values(self, tmp_path):
@@ -466,7 +466,7 @@ class TestLoadConfig:
         }
         file = tmp_path / "bad.yaml"
         file.write_text("".join(text[section] for section in sections))
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             load_config(file)
 
     def test_duplicate_path_name_rejected(self, tmp_path):
@@ -474,17 +474,17 @@ class TestLoadConfig:
         file.write_text(
             "paths:\n  - {name: A, corner_angle_deg: 45}\n  - {name: A, corner_angle_deg: 90}\n"
         )
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ParameterError, match="duplicate"):
             load_config(file)
 
     def test_duplicate_controller_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("controllers: [dwpp, pp, dwpp]\n")
-        with pytest.raises(ConfigError, match=r"^controllers\[2\]: duplicate controller 'dwpp'$"):
+        with pytest.raises(ParameterError, match=r"^controllers\[2\]: duplicate controller 'dwpp'$"):
             load_config(file)
 
     def test_directory_source_rejected_by_name(self, tmp_path):
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
             load_config(tmp_path)
 
     def test_unreadable_source_rejected_by_name(self, tmp_path, monkeypatch):
@@ -492,19 +492,19 @@ class TestLoadConfig:
         file.write_text("trials: 2\n")
         denied = PermissionError(13, "Permission denied")
         monkeypatch.setattr(Path, "read_text", mock.Mock(side_effect=denied))
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(file))}: cannot read: Permission denied$"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(file))}: cannot read: Permission denied$"):
             load_config(file)
 
     def test_undecodable_source_rejected_by_name(self, tmp_path):
         file = tmp_path / "cfg.yaml"
         file.write_bytes(b"trials: \xff\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(file))}: cannot read"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(file))}: cannot read"):
             load_config(file)
 
     def test_non_increasing_sweep_values_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("lookahead_values: [0.5, 0.4]\n")
-        with pytest.raises(ConfigError, match="lookahead_values"):
+        with pytest.raises(ParameterError, match="lookahead_values"):
             load_sweep_config(file)
 
     def test_infinite_sweep_value_rejected_before_any_run(self):
@@ -513,7 +513,7 @@ class TestLoadConfig:
             SweepConfig(base, (0.52, math.inf))
 
     def test_missing_source_rejected(self):
-        with pytest.raises(ConfigError, match="neither"):
+        with pytest.raises(ParameterError, match="neither"):
             load_config("no_such_profile")
 
     @pytest.mark.parametrize(
@@ -528,13 +528,13 @@ class TestLoadConfig:
     def test_negative_speed_ceiling_rejected(self, tmp_path, text, message):
         file = tmp_path / "bad.yaml"
         file.write_text(text)
-        with pytest.raises(ConfigError, match=f"^{message} must be non-negative$"):
+        with pytest.raises(ParameterError, match=f"^{message} must be non-negative$"):
             load_config(file)
 
     def test_removed_combination_mode_rejected(self, tmp_path):
         file = tmp_path / "bad.yaml"
         file.write_text("regulation: {combination_mode: hard_cap}\n")
-        with pytest.raises(ConfigError, match="^regulation: combination_mode must be 'lower_bound'$"):
+        with pytest.raises(ParameterError, match="^regulation: combination_mode must be 'lower_bound'$"):
             load_config(file)
 
     @pytest.mark.parametrize(
@@ -551,7 +551,7 @@ class TestLoadConfig:
         # dwpp's first command could not be reached in one step.
         file = tmp_path / "bad.yaml"
         file.write_text(text)
-        with pytest.raises(ConfigError, match=f"^{message} \\(runs start at rest\\)$"):
+        with pytest.raises(ParameterError, match=f"^{message} \\(runs start at rest\\)$"):
             load_config(file)
 
     def test_sweep_config_reads_its_file_once(self, monkeypatch):
@@ -580,6 +580,10 @@ class TestRunComparison:
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + |paths|*|controllers|*trials
         assert lines[0].startswith("path,controller,trial,seed,")
+
+    def test_output_dir_holding_a_nul_byte_is_a_parameter_error(self, small_config):
+        with pytest.raises(ParameterError, match="^a\x00b: cannot create output directory: embedded null byte$"):
+            run_comparison(small_config, "a\0b")
 
     def test_trial_seeds_offset_from_base(self, small_config, tmp_path):
         run_comparison(small_config, tmp_path / "out")
@@ -848,6 +852,14 @@ class TestCli:
         assert main([*argv, "--out", str(file)]) == 1
         assert capsys.readouterr().err == f"error: {file}: cannot create output directory: File exists\n"
 
+    def test_output_dir_holding_a_nul_byte_fails_with_a_named_error(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "nul.yaml"
+        config.write_text(SMALL_CONFIG + 'output_dir: "a\\0b"\n')
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: a\0b: cannot create output directory: embedded null byte\n"
+        assert sorted(file.name for file in tmp_path.iterdir()) == ["nul.yaml"]
+
     @pytest.mark.parametrize(
         "rows, segment",
         [
@@ -870,8 +882,9 @@ class TestCli:
             ("trials: 0\n", "trials must be at least 1, got 0"),
             ("max_time: .inf\n", "max_time must be a finite number, got inf"),
             ("trials: 1\ntrials: 2\n", "{file}: line 2: repeated key 'trials'"),
+            ("max_time: 1.0e+308\n", "max_time / limits.dt must be finite, got 1e+308 / 0.033"),
         ],
-        ids=["zero_trials", "infinite_max_time", "repeated_key"],
+        ids=["zero_trials", "infinite_max_time", "repeated_key", "overflowing_step_count"],
     )
     def test_bad_config_exits_nonzero(self, tmp_path, capsys, text, message):
         config = tmp_path / "bad.yaml"
@@ -1045,14 +1058,26 @@ def test_package_root_exports_exactly_the_library_api():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert exported == {
-        "ConfigError", "ControllerKind", "CornerPathSpec", "ExperimentConfig",
+        "ControllerKind", "CornerPathSpec", "ExperimentConfig",
         "KinodynamicLimits", "LookaheadConfig", "NoiseModel", "ParameterError",
-        "PursuitBenchError", "ReferencePath", "RegulationConfig", "ScenarioMetrics",
-        "ScenarioResult", "SimulationDivergedError", "StabilityConfig", "SweepConfig",
+        "ReferencePath", "RegulationConfig", "ScenarioMetrics",
+        "ScenarioResult", "StabilityConfig", "SweepConfig",
         "TrajectoryLog", "emit_report", "generate_corner_path", "load_config",
         "load_sweep_config", "operative_lookahead", "run_comparison", "run_lookahead_sweep",
         "run_scenario", "scenario_metrics",
     }
+
+
+def test_package_raises_only_parameter_error():
+    # Every raise in the package either re-raises or raises ParameterError(...).
+    others = []
+    for file in sorted(Path(pursuitbench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                func = node.exc.func if isinstance(node.exc, ast.Call) else None
+                if not (isinstance(func, ast.Name) and func.id == "ParameterError"):
+                    others.append(f"{file.name}:{node.lineno}: {ast.unparse(node)}")
+    assert others == []
 
 
 def trajectory_digest(out: Path) -> tuple[int, str]:

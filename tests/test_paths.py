@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 from unittest import mock
@@ -572,8 +573,12 @@ class TestCsvRoundTrip:
             ("x,y\n", "a path needs at least two planar waypoints"),
             ("x,y\n0,0\nnan,1\n2,0\n", "waypoint 1 is (nan, 1.0); waypoints must be finite"),
             ("x,y\n0,0\n\n1,0,\n2,0\n", "line 4: malformed waypoint row '1,0,'"),
+            (
+                f"x,y\n0,0\n{'1' * (csv.field_size_limit() + 1)},0\n",
+                f"cannot read: field larger than field limit ({csv.field_size_limit()})",
+            ),
         ],
-        ids=["repeated", "header_only", "nan", "trailing_cell"],
+        ids=["repeated", "header_only", "nan", "trailing_cell", "cell_beyond_the_csv_field_limit"],
     )
     def test_rejection_names_the_file_and_the_bad_row(self, tmp_path, text, message):
         file = tmp_path / "trail.csv"

@@ -31,10 +31,8 @@ from pursuitbench import (
     LookaheadConfig,
     NoiseModel,
     ParameterError,
-    PursuitBenchError,
     ReferencePath,
     RegulationConfig,
-    SimulationDivergedError,
     TrajectoryLog,
     run_scenario,
 )
@@ -75,7 +73,7 @@ def outcome(simulate, *args, **kwargs):
     """The exact bits of a run: every log column, the goal flag and travel time, or the error."""
     try:
         result = simulate(*args, **kwargs)
-    except PursuitBenchError as exc:
+    except ParameterError as exc:
         return type(exc), str(exc)
     columns = {}
     for field in fields(TrajectoryLog):
@@ -270,7 +268,7 @@ class TestRunScenario:
         # the projection overflows on the way there.
         limits = KinodynamicLimits(v_max=1.7e308, accel_max=1.7e308, decel_max=1.7e308, dt=1.0)
         message = "step 1: pose components must be finite"
-        with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError, match=message):
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match=message):
             run(straight_path(), ControllerKind.DYNAMIC_WINDOW, limits=limits)
 
     def test_command_overflow_diverges_at_its_step(self):
@@ -278,7 +276,7 @@ class TestRunScenario:
         limits = KinodynamicLimits(v_max=1.7e308)
         message = "step 94: command velocities must be finite"
         for simulate in (run_scenario, run_scenario_oracle):
-            with pytest.raises(SimulationDivergedError) as error:
+            with pytest.raises(ParameterError) as error:
                 run(corner_path(90.0), ControllerKind.PURE_PURSUIT, simulate, limits=limits)
             assert str(error.value) == message
 
@@ -293,7 +291,7 @@ class TestRunScenario:
     def test_actuation_noise_overflow_diverges_at_its_step(self, noise, message):
         # dwpp's own commands are finite; the noise added to them overflows.
         for simulate in (run_scenario, run_scenario_oracle):
-            with pytest.raises(SimulationDivergedError) as error:
+            with pytest.raises(ParameterError) as error:
                 run(straight_path(), ControllerKind.DYNAMIC_WINDOW, simulate, noise=noise)
             assert str(error.value) == message
 
@@ -387,10 +385,11 @@ class TestRunScenario:
             ({"max_time": 0.02}, "max_time"),
             ({"goal_tolerance": math.nan}, "goal_tolerance"),
             ({"goal_tolerance": math.inf}, "goal_tolerance"),
+            ({"max_time": 1e10, "limits": KinodynamicLimits(dt=1e-300)}, r"^max_time / limits\.dt must be finite"),
         ],
         ids=[
             "inf_max_time", "nan_max_time", "max_time_below_dt", "nan_goal_tolerance",
-            "inf_goal_tolerance",
+            "inf_goal_tolerance", "max_time_overflows_the_step_count",
         ],
     )
     def test_rejects_non_finite_or_too_short_run(self, overrides, message):
@@ -560,7 +559,7 @@ class TestStressCells:
                     path, kind, limits=limits, lookahead=lookahead, noise=noise,
                     max_time=30.0, goal_tolerance=self.TOLERANCE,
                 )
-            except PursuitBenchError as exc:
+            except ParameterError as exc:
                 assert type(exc) is ParameterError and self.START_IN_GOAL.fullmatch(str(exc)), exc
                 assert gap < self.TOLERANCE + 6.0 * self.SIGMA
                 continue
