@@ -4,18 +4,12 @@ and a benchmark harness comparing them on corner paths.
 The root exports the library API; helpers used only inside the package stay
 in their modules."""
 
-from .controllers import (
-    ControllerKind,
-    KinodynamicLimits,
-    LookaheadConfig,
-    RegulationConfig,
-    StabilityConfig,
-    operative_lookahead,
+from .config import (
+    ControllerKind, CornerPathSpec, ExperimentConfig, KinodynamicLimits, LookaheadConfig, NoiseModel,
+    ParameterError, RegulationConfig, StabilityConfig, SweepConfig,
 )
-from .errors import ParameterError
+from .controllers import operative_lookahead
 from .harness import (
-    ExperimentConfig,
-    SweepConfig,
     emit_report,
     load_config,
     load_sweep_config,
@@ -23,7 +17,7 @@ from .harness import (
     run_lookahead_sweep,
 )
 from .metrics import ScenarioMetrics, scenario_metrics
-from .paths import CornerPathSpec, ReferencePath, generate_corner_path
-from .simulator import NoiseModel, ScenarioResult, TrajectoryLog, run_scenario
+from .paths import ReferencePath, generate_corner_path
+from .simulator import ScenarioResult, TrajectoryLog, run_scenario
 
 __version__ = "0.1.0"

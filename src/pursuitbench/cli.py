@@ -6,8 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .controllers import ControllerKind
-from .errors import ParameterError
+from .config import ControllerKind, ParameterError
 from .harness import (
     _output_dir, _run, emit_report, load_config, load_sweep_config, run_comparison, run_lookahead_sweep,
 )
@@ -94,7 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParameterError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A path or name in the message may hold control characters: each is written as its escape.
+        message = "".join(char if char.isprintable() or char == "\n" else repr(char)[1:-1] for char in str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

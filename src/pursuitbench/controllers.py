@@ -10,173 +10,22 @@ actually reachable in one control period.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
-from .errors import ParameterError
-from .paths import ReferencePath, arc_curvature, lookahead_point, require_field_types, require_type
-
-FIXED_LOOKAHEAD = "fixed"
-VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
-
-COMBINE_LOWER_BOUND = "lower_bound"
+from .config import (
+    FIXED_LOOKAHEAD, ControllerKind, KinodynamicLimits, LookaheadConfig, ParameterError, RegulationConfig,
+)
+from .paths import ReferencePath, arc_curvature, lookahead_point
 
 # The per-step clamps spell out the builtins, saving a call each: max(a, b) is
 # ``b if b > a else a`` and min(a, b) is ``b if b < a else a``, an operand
 # order that keeps their results on ties (0.0 against -0.0) and NaN.
 
 
-class ControllerKind(enum.Enum):
-    """The four tracking laws the benchmark compares."""
-
-    PURE_PURSUIT = "pp"
-    ADAPTIVE = "app"
-    REGULATED = "rpp"
-    DYNAMIC_WINDOW = "dwpp"
-
-    @classmethod
-    def _missing_(cls, name: object) -> None:
-        """Reject a name that is no law's value, listing the valid ones."""
-        valid = ", ".join(kind.value for kind in cls)
-        raise ParameterError(f"unknown controller '{name}' (expected one of: {valid})")
-
-
-@dataclass(frozen=True)
-class KinodynamicLimits:
-    """Velocity and acceleration envelope plus the control period."""
-
-    v_max: float = 0.5
-    v_min: float = 0.0
-    omega_max: float = 1.0
-    omega_min: float = -1.0
-    accel_max: float = 0.5
-    decel_max: float = 0.5
-    ang_accel_max: float = 1.0
-    ang_decel_max: float = 1.0
-    dt: float = 0.033
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        if self.v_max < 0.0:
-            raise ParameterError("v_max must be non-negative")
-        # Every run starts at rest, so the static limits must contain v = omega = 0.
-        if self.v_min > 0.0:
-            raise ParameterError("v_min must not be positive (runs start at rest)")
-        if self.omega_min > 0.0:
-            raise ParameterError("omega_min must not be positive (runs start at rest)")
-        if self.omega_max < 0.0:
-            raise ParameterError("omega_max must not be negative (runs start at rest)")
-        for name in ("accel_max", "decel_max", "ang_accel_max", "ang_decel_max"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be positive")
-        if self.dt <= 0.0:
-            raise ParameterError("dt must be positive")
-
-
 def require_finite_command(v: float, omega: float) -> None:
     """Raise :class:`ParameterError` unless both command velocities are finite."""
     if not (math.isfinite(v) and math.isfinite(omega)):
         raise ParameterError("command velocities must be finite")
-
-
-def require_run_bounds(max_time: float, goal_tolerance: float, limits: KinodynamicLimits) -> None:
-    """Reject a ``max_time`` or ``goal_tolerance`` that is no finite number, below ``limits.dt`` or not positive.
-
-    ``max_time / limits.dt``, the run's step count, must be finite too.
-    """
-    max_time = require_type("max_time", max_time, float)
-    goal_tolerance = require_type("goal_tolerance", goal_tolerance, float)
-    if max_time < limits.dt:
-        raise ParameterError(f"max_time must be at least limits.dt ({limits.dt:g} s), got {max_time!r}")
-    if not math.isfinite(max_time / limits.dt):
-        raise ParameterError(f"max_time / limits.dt must be finite, got {max_time!r} / {limits.dt!r}")
-    if not goal_tolerance > 0.0:
-        raise ParameterError(f"goal_tolerance must be positive, got {goal_tolerance!r}")
-
-
-@dataclass(frozen=True)
-class LookaheadConfig:
-    """How the lookahead distance is chosen.
-
-    ``velocity_scaled`` projects the current speed ``projection_time`` seconds
-    ahead and clamps the result to [min_distance, max_distance]; ``fixed``
-    always uses ``fixed_distance``.
-    """
-
-    mode: str = VELOCITY_SCALED_LOOKAHEAD
-    fixed_distance: float = 0.6
-    min_distance: float = 0.3
-    max_distance: float = 0.7
-    projection_time: float = 1.4
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        if self.mode not in (FIXED_LOOKAHEAD, VELOCITY_SCALED_LOOKAHEAD):
-            raise ParameterError(
-                f"mode must be '{FIXED_LOOKAHEAD}' or '{VELOCITY_SCALED_LOOKAHEAD}'"
-            )
-        if not 0.0 < self.min_distance <= self.max_distance:
-            raise ParameterError("need 0 < min_distance <= max_distance")
-        if not self.projection_time > 0.0:
-            raise ParameterError("projection_time must be positive")
-        if not self.fixed_distance > 0.0:
-            raise ParameterError("fixed_distance must be positive")
-
-
-@dataclass(frozen=True)
-class RegulationConfig:
-    """Linear-velocity regulation heuristics.
-
-    ``min_regulated_speed`` and ``min_approach_speed`` are floors under the
-    curvature- and goal-scaled velocities. ``combination_mode`` names that
-    rule and must be ``lower_bound``; it is kept so that configs which spell
-    it out still load. The benchmark has no obstacles, so
-    ``enable_proximity``, ``proximity_threshold`` and ``proximity_gain`` are
-    checked but have no effect.
-    """
-
-    enable_curvature: bool = True
-    min_turn_radius: float = 0.9
-    enable_proximity: bool = False
-    proximity_threshold: float = 1.0
-    proximity_gain: float = 0.5
-    enable_goal: bool = True
-    goal_slowdown_distance: float = 1.0
-    min_regulated_speed: float = 0.25
-    min_approach_speed: float = 0.05
-    combination_mode: str = COMBINE_LOWER_BOUND
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        if not self.min_turn_radius > 0.0:
-            raise ParameterError("min_turn_radius must be positive")
-        if not self.proximity_threshold > 0.0:
-            raise ParameterError("proximity_threshold must be positive")
-        if not 0.0 < self.proximity_gain <= 1.0:
-            raise ParameterError("proximity_gain must be in (0, 1]")
-        if not self.goal_slowdown_distance > 0.0:
-            raise ParameterError("goal_slowdown_distance must be positive")
-        for name in ("min_regulated_speed", "min_approach_speed"):
-            if not getattr(self, name) >= 0.0:
-                raise ParameterError(f"{name} must be non-negative")
-        if self.combination_mode != COMBINE_LOWER_BOUND:
-            raise ParameterError(f"combination_mode must be '{COMBINE_LOWER_BOUND}'")
-
-
-@dataclass(frozen=True)
-class StabilityConfig:
-    """Advisory stability threshold on the lookahead distance."""
-
-    steering_time_constant: float = 0.4
-    min_dimensionless_lookahead: float = 2.0
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        if not self.steering_time_constant > 0.0:
-            raise ParameterError("steering_time_constant must be positive")
-        if not self.min_dimensionless_lookahead > 0.0:
-            raise ParameterError("min_dimensionless_lookahead must be positive")
 
 
 def operative_lookahead(kind: ControllerKind, cfg: LookaheadConfig, v: float) -> float:
@@ -317,11 +166,6 @@ def select_velocity(
     v = v_lo if v_lo > v else v
     v = v_hi if v_hi < v else v
     return clip_to_window(v, curvature * v, window)
-
-
-def min_stable_lookahead(v: float, cfg: StabilityConfig) -> float:
-    """Smallest lookahead distance the stability advisory accepts at speed ``v``."""
-    return v * cfg.steering_time_constant * cfg.min_dimensionless_lookahead
 
 
 def command_velocities(

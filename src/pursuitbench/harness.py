@@ -7,7 +7,7 @@ empty file equals ``ExperimentConfig()``, which is the shipped
 ``experiment_table1`` profile. A section mapping (``limits``, ``lookahead``,
 ``regulation``, ``stability``, ``noise``) is merged over the default instance
 of that section and a ``paths`` entry over ``_PATH_ENTRY``. Every given key
-must exist in those defaults, and ``paths.require_type`` checks its value
+must exist in those defaults, and ``config.require_type`` checks its value
 against the type of its default, as every config dataclass checks its own
 fields: a float takes any finite int or float, while an int, bool or str
 takes exactly that type, so a bool is never read as a number. The
@@ -22,37 +22,29 @@ import contextlib
 import csv
 import importlib.resources
 import math
-import os
-import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+import re
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import yaml
 
-from .controllers import (
-    FIXED_LOOKAHEAD,
-    ControllerKind,
-    KinodynamicLimits,
-    LookaheadConfig,
-    RegulationConfig,
-    StabilityConfig,
-    min_stable_lookahead,
-    operative_lookahead,
-    require_run_bounds,
+from .config import (
+    FIXED_LOOKAHEAD, ControllerKind, CornerPathSpec, ExperimentConfig, NoiseModel, ParameterError, SweepConfig,
+    require_type,
 )
-from .errors import ParameterError
+from .controllers import operative_lookahead
 from .metrics import METRICS, ScenarioMetrics, cross_track_stats, mean_sd, scenario_metrics
-from .paths import CornerPathSpec, ReferencePath, generate_corner_path, require_field_types, require_type
-from .simulator import NoiseModel, ScenarioResult, run_scenario
+from .paths import ReferencePath, generate_corner_path
+from .simulator import ScenarioResult, run_scenario
 
 PROFILE_NAMES = ("experiment_table1", "simulation_table6")
 
 # One ``paths`` entry as written in YAML; a missing key takes its value here.
 _PATH_ENTRY = {
     "name": "",
-    "corner_angle_deg": 90.0,
-    "segment_length": 3.0,
+    "corner_angle_deg": math.degrees(CornerPathSpec.corner_angle),
+    "segment_length": CornerPathSpec.segment_length,
     "waypoint_spacing": CornerPathSpec.waypoint_spacing,
 }
 
@@ -62,76 +54,6 @@ def _corner(entry: Mapping) -> tuple[str, CornerPathSpec]:
     merged = {**_PATH_ENTRY, **entry}
     angle = math.radians(merged["corner_angle_deg"])
     return merged["name"], CornerPathSpec(merged["segment_length"], angle, merged["waypoint_spacing"])
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One fully validated experiment; the defaults are ``experiment_table1``."""
-
-    limits: KinodynamicLimits = KinodynamicLimits()
-    lookahead: LookaheadConfig = LookaheadConfig()
-    regulation: RegulationConfig = RegulationConfig()
-    stability: StabilityConfig = StabilityConfig()
-    paths: tuple[tuple[str, CornerPathSpec], ...] = tuple(
-        _corner({"name": name, "corner_angle_deg": angle})
-        for name, angle in (("A", 45.0), ("B", 90.0), ("C", 135.0))
-    )
-    controllers: tuple[ControllerKind, ...] = tuple(ControllerKind)
-    trials: int = 5
-    # Experiments perturb the initial pose; a bare ``NoiseModel()`` is noise-free.
-    noise: NoiseModel = NoiseModel(sigma_pose_init=0.01, seed=7)
-    goal_tolerance: float = 0.15
-    max_time: float = 60.0
-    output_dir: str = "results"
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        if not (self.paths and self.controllers):
-            raise ParameterError("paths and controllers must be non-empty")
-        for position, entry in enumerate(self.paths):
-            if type(entry) is not tuple or len(entry) != 2:
-                raise ParameterError(f"paths[{position}] must be a (name, spec) pair, got {entry!r}")
-            name, spec = entry
-            require_type(f"paths[{position}]: name", name, str)
-            require_type(f"paths[{position}]: spec", spec, CornerPathSpec)
-            if not name:
-                raise ParameterError(f"paths[{position}]: name must be non-empty")
-            if name in [other for other, _ in self.paths[:position]]:
-                raise ParameterError(f"paths[{position}]: duplicate path name '{name}'")
-            # A name becomes part of its output file names.
-            for char in ("/", os.sep, os.altsep, "\0"):
-                if char and char in name:
-                    raise ParameterError(f"paths[{position}]: name {name!r} must not contain {char!r}")
-            try:
-                os.fsencode(name)
-            except UnicodeEncodeError:
-                encoding = sys.getfilesystemencoding()
-                raise ParameterError(f"paths[{position}]: name {name!r} is not a file name in {encoding}") from None
-        for position, kind in enumerate(self.controllers):
-            require_type(f"controllers[{position}]", kind, ControllerKind)
-            if kind in self.controllers[:position]:
-                raise ParameterError(f"controllers[{position}]: duplicate controller '{kind.value}'")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be at least 1, got {self.trials!r}")
-        require_run_bounds(self.max_time, self.goal_tolerance, self.limits)
-        if not self.output_dir:
-            raise ParameterError("output_dir must be non-empty")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """A base experiment plus the fixed lookahead values to sweep over."""
-
-    base: ExperimentConfig = ExperimentConfig()
-    lookahead_values: tuple[float, ...] = (0.26, 0.39, 0.52, 0.65, 0.78, 0.91, 1.04)
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        values = self.lookahead_values
-        for position, value in enumerate(values):
-            require_type(f"lookahead_values[{position}]", value, float)
-        if not values or not all(a < b for a, b in zip((0.0, *values), values)):
-            raise ParameterError("lookahead_values must be non-empty, positive and strictly increasing")
 
 
 # Every top-level key with a default of the type it takes in YAML: the fields
@@ -204,7 +126,10 @@ def _read_config_text(source: str | Path) -> str:
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that rejects a mapping whose own keys repeat; ``<<`` merges still yield to them."""
+    """``yaml.SafeLoader`` that rejects a mapping whose own keys repeat; ``<<`` merges still yield to them.
+
+    Unlike YAML 1.1, it reads ``5e-2``, ``1e3`` and ``1.5e3`` as floats, as YAML 1.2 does.
+    """
 
     def __init__(self, stream) -> None:
         super().__init__(stream)
@@ -223,6 +148,13 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                         raise ParameterError(f"line {key_node.start_mark.line + 1}: repeated key '{key_node.value}'")
                     seen.add(key)
         super().flatten_mapping(node)
+
+
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 def _parse(source: str | Path) -> dict:
@@ -406,12 +338,12 @@ def emit_report(
             lines.append(path_name.ljust(8) + row)
         lines.append("")
 
-    v_max = config.limits.v_max
-    threshold = min_stable_lookahead(v_max, config.stability)
+    v_max, stability = config.limits.v_max, config.stability
+    threshold = v_max * stability.steering_time_constant * stability.min_dimensionless_lookahead
     lines.append(
         "Stability advisory"
-        f" (steering time constant {config.stability.steering_time_constant:g} s,"
-        f" dimensionless-lookahead floor {config.stability.min_dimensionless_lookahead:g}):"
+        f" (steering time constant {stability.steering_time_constant:g} s,"
+        f" dimensionless-lookahead floor {stability.min_dimensionless_lookahead:g}):"
     )
     lines.append(f"  minimum stable lookahead at v_max={v_max:g} m/s: {threshold:.3f} m")
     for kind in config.controllers:

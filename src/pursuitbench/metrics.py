@@ -7,7 +7,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .config import ParameterError
 from .simulator import ScenarioResult, TrajectoryLog
 
 

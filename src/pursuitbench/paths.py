@@ -7,20 +7,17 @@ distance queries include segment interiors, not just the waypoints.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
-import numbers
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, get_origin, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .config import CornerPathSpec, ParameterError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -31,9 +28,6 @@ _CELL_SEGMENTS = 4.0
 _CELL_BUDGET = 32
 # The grid is built from this many segments at a time.
 _CHUNK_SEGMENTS = 64
-
-# How an error names what a config field of each type takes.
-_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 def wrap_angle(theta: float) -> float:
@@ -48,38 +42,6 @@ def require_finite_pose(x: float, y: float, theta: float) -> None:
     """Raise :class:`ParameterError` unless every pose component is finite."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
         raise ParameterError("pose components must be finite")
-
-
-def require_type(name: str, value, kind: type):
-    """``value`` as a config field ``name`` of type ``kind`` stores it, else :class:`ParameterError`.
-
-    A float field takes any real number but a bool whose float value is
-    finite (ints and numpy floats included) and stores that float, so no
-    float field is NaN or infinite. Any other field, a nested config
-    included, takes exactly its type. The message is the config loader's, so
-    a config built in code fails as a loaded one does.
-    """
-    if kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an int beyond the float range is no float
-            number = float(value)
-            if math.isfinite(number):
-                return number
-    elif type(value) is kind:
-        return value
-    raise ParameterError(f"{name} must be {_EXPECTED.get(kind, f'of type {kind.__name__}')}, got {value!r}")
-
-
-@cache
-def _typed_fields(cls: type) -> dict[str, type]:
-    """The resolved annotation of each field of dataclass ``cls``, ``tuple`` for a tuple's, in field order."""
-    hints = get_type_hints(cls)
-    return {field.name: get_origin(hints[field.name]) or hints[field.name] for field in fields(cls)}
-
-
-def require_field_types(config) -> None:
-    """:func:`require_type` for each field of a config dataclass; a tuple's owner then checks each entry."""
-    for name, kind in _typed_fields(type(config)).items():
-        object.__setattr__(config, name, require_type(name, getattr(config, name), kind))
 
 
 class ReferencePath:
@@ -184,29 +146,6 @@ class ReferencePath:
             return cls(points)
         except ParameterError as exc:
             raise ParameterError(f"{file}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class CornerPathSpec:
-    """Two equal straight legs joined at a single corner.
-
-    ``corner_angle`` is the counter-clockwise heading change between the legs
-    and must stay strictly inside (0, pi); 0 would be a straight line and pi a
-    fold back onto the first leg.
-    """
-
-    segment_length: float
-    corner_angle: float
-    waypoint_spacing: float = 0.05
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        if not self.segment_length > 0.0:
-            raise ParameterError("segment_length must be positive")
-        if not (0.0 < self.waypoint_spacing < self.segment_length):
-            raise ParameterError("waypoint_spacing must be in (0, segment_length)")
-        if not (0.0 < self.corner_angle < math.pi):
-            raise ParameterError("corner_angle must be strictly inside (0, pi)")
 
 
 def generate_corner_path(spec: CornerPathSpec) -> ReferencePath:

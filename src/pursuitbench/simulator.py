@@ -15,26 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .controllers import (
-    ControllerKind,
-    KinodynamicLimits,
-    LookaheadConfig,
-    RegulationConfig,
-    clip_to_window,
-    command_velocities,
-    reachable_velocities,
-    require_finite_command,
+from .config import (
+    ControllerKind, KinodynamicLimits, LookaheadConfig, NoiseModel, ParameterError, RegulationConfig,
     require_run_bounds,
-    window_bounds,
 )
-from .errors import ParameterError
-from .paths import (
-    ReferencePath,
-    project_onto_path,
-    require_field_types,
-    require_finite_pose,
-    wrap_angle,
+from .controllers import (
+    clip_to_window, command_velocities, reachable_velocities, require_finite_command, window_bounds,
 )
+from .paths import ReferencePath, project_onto_path, require_finite_pose, wrap_angle
 
 # Commands are flagged as violations only beyond this absolute slack.
 _VIOLATION_TOL = 1e-9
@@ -44,30 +32,6 @@ _FLAG_CELLS = tuple(",".join(f"{code >> shift & 1}" for shift in (3, 2, 1, 0)) f
 
 # Rows per block of ``TrajectoryLog.to_csv``: each block is formatted and written before the next.
 _CSV_BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Optional seeded disturbances; all-zero sigmas give a deterministic run.
-
-    ``sigma_pose_init`` perturbs the initial x/y (meters) and heading
-    (radians). ``sigma_v``/``sigma_omega`` model actuation noise added to the
-    executed command; the noisy velocities are re-projected onto the
-    reachable window.
-    """
-
-    sigma_v: float = 0.0
-    sigma_omega: float = 0.0
-    sigma_pose_init: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        for name in ("sigma_v", "sigma_omega", "sigma_pose_init"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"noise sigmas must be non-negative: {name}")
-        if self.seed < 0:
-            raise ParameterError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from pursuitbench import (
     TrajectoryLog,
     generate_corner_path,
 )
-from pursuitbench.controllers import FIXED_LOOKAHEAD, require_finite_command
+from pursuitbench.config import FIXED_LOOKAHEAD
+from pursuitbench.controllers import require_finite_command
 from pursuitbench.paths import arc_curvature, require_finite_pose, wrap_angle
 from pursuitbench.simulator import arc_step
 

@@ -31,13 +31,11 @@ from pursuitbench import (
     StabilityConfig,
     operative_lookahead,
 )
+from pursuitbench.config import FIXED_LOOKAHEAD, VELOCITY_SCALED_LOOKAHEAD
 from pursuitbench.controllers import (
-    FIXED_LOOKAHEAD,
-    VELOCITY_SCALED_LOOKAHEAD,
     _clamp_range,
     clip_to_window,
     command_velocities,
-    min_stable_lookahead,
     regulate_linear_velocity,
     regulated_range,
     require_finite_command,
@@ -648,18 +646,6 @@ class TestKernelsAreTheirMinMaxForms:
     @given(v=edge_floats, omega=edge_floats, window=st.tuples(*[edge_floats] * 4))
     def test_clip_to_window(self, v, omega, window):
         assert outcome(clip_to_window, v, omega, window) == outcome(clip_to_window_oracle, v, omega, window)
-
-
-class TestMinStableLookahead:
-    def test_zero_speed(self):
-        assert min_stable_lookahead(0.0, StabilityConfig()) == 0.0
-
-    def test_reference_product(self):
-        assert min_stable_lookahead(0.5, StabilityConfig()) == pytest.approx(0.4)
-
-    def test_linear_in_speed(self):
-        cfg = StabilityConfig()
-        assert min_stable_lookahead(0.8, cfg) == pytest.approx(2 * min_stable_lookahead(0.4, cfg))
 
 
 class TestComputeCommand:

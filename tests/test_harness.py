@@ -373,6 +373,27 @@ class TestLoadConfig:
         spec = CornerPathSpec(3.0, math.radians(45.0))
         assert load_config(file).paths == (("A", spec), ("B", spec))
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("noise: {sigma_v: 5e-2}\n", NoiseModel(sigma_v=0.05, sigma_pose_init=0.01, seed=7)),
+            ("max_time: 1E3\n", 1000.0),
+            ("limits: {dt: 3.3e-2, v_max: .5e0}\n", KinodynamicLimits(v_max=0.5, dt=0.033)),
+            ("lookahead_values: [2.6e-1, 5.2E-1, 1e0]\n", (0.26, 0.52, 1.0)),
+            ('output_dir: "1e3"\n', "1e3"),
+        ],
+        ids=["section", "top_level", "dotted", "list", "quoted_string"],
+    )
+    def test_number_in_exponent_form_loads_as_a_float(self, tmp_path, text, value):
+        file = tmp_path / "exponent.yaml"
+        file.write_text(text)
+        sweep = load_sweep_config(file)
+        key = text.split(":")[0]
+        loaded = sweep.lookahead_values if key == "lookahead_values" else getattr(sweep.base, key)
+        assert loaded == value and type(loaded) is type(value)
+        # The global loader keeps YAML 1.1's reading.
+        assert yaml.safe_load("5e-2") == "5e-2"
+
     @pytest.mark.parametrize("profile", harness.PROFILE_NAMES)
     def test_shipped_profile_parses_as_the_safe_loader_reads_it(self, profile):
         text = harness._read_config_text(profile)
@@ -857,8 +878,14 @@ class TestCli:
         config.write_text(SMALL_CONFIG + 'output_dir: "a\\0b"\n')
         monkeypatch.chdir(tmp_path)
         assert main(["compare", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "error: a\0b: cannot create output directory: embedded null byte\n"
+        assert capsys.readouterr().err == "error: a\\x00b: cannot create output directory: embedded null byte\n"
         assert sorted(file.name for file in tmp_path.iterdir()) == ["nul.yaml"]
+
+    def test_control_character_in_an_argument_is_escaped_in_the_error(self, tmp_path, capsys):
+        assert main(["simulate", "--controller", "pp", "--path", "a\x01b", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --path 'a\\x01b' is neither a configured path name ['A', 'B', 'C'] nor a CSV file\n"
+        )
 
     @pytest.mark.parametrize(
         "rows, segment",
@@ -883,8 +910,14 @@ class TestCli:
             ("max_time: .inf\n", "max_time must be a finite number, got inf"),
             ("trials: 1\ntrials: 2\n", "{file}: line 2: repeated key 'trials'"),
             ("max_time: 1.0e+308\n", "max_time / limits.dt must be finite, got 1e+308 / 0.033"),
+            # A number in exponent form loads as a float, also where a string is due.
+            ("max_time: 1e-3\n", "max_time must be at least limits.dt (0.033 s), got 0.001"),
+            ("output_dir: 1e3\n", "output_dir must be a string, got 1000.0"),
         ],
-        ids=["zero_trials", "infinite_max_time", "repeated_key", "overflowing_step_count"],
+        ids=[
+            "zero_trials", "infinite_max_time", "repeated_key", "overflowing_step_count",
+            "exponent_form_number", "exponent_form_for_a_string",
+        ],
     )
     def test_bad_config_exits_nonzero(self, tmp_path, capsys, text, message):
         config = tmp_path / "bad.yaml"
@@ -920,8 +953,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "yaml_name, message",
         [("b/c", "paths[1]: name 'b/c' must not contain '/'"),
-         ('"b\\0c"', "paths[1]: name 'b\\x00c' must not contain '\\x00'")],
-        ids=["slash", "nul"],
+         ('"b\\0c"', "paths[1]: name 'b\\x00c' must not contain '\\x00'"),
+         ('"\\ud800"', "paths[1]: name '\\ud800' is not a file name in utf-8")],
+        ids=["slash", "nul", "lone_surrogate"],
     )
     def test_compare_rejects_a_path_name_that_is_not_a_file_name(self, tmp_path, capsys, yaml_name, message):
         config = tmp_path / "names.yaml"
@@ -1078,6 +1112,34 @@ def test_package_raises_only_parameter_error():
                 if not (isinstance(func, ast.Name) and func.id == "ParameterError"):
                     others.append(f"{file.name}:{node.lineno}: {ast.unparse(node)}")
     assert others == []
+
+
+def test_config_module_holds_the_config_contract():
+    # config.py imports no other module of the package, and no other module
+    # defines a class that checks its field types with require_field_types.
+    package = Path(pursuitbench.__file__).parent
+    trees = {file.name: ast.parse(file.read_text(encoding="utf-8")) for file in sorted(package.glob("*.py"))}
+    assert "config.py" in trees
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(trees["config.py"])
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "pursuitbench")
+        or isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "pursuitbench" for alias in node.names)
+    ]
+    assert imports == []
+    checked = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "require_field_types"
+    }
+    assert {name for name, _ in checked} == {"config.py"}
+    assert {cls for _, cls in checked} == {
+        "CornerPathSpec", "ExperimentConfig", "KinodynamicLimits", "LookaheadConfig",
+        "NoiseModel", "RegulationConfig", "StabilityConfig", "SweepConfig",
+    }
 
 
 def trajectory_digest(out: Path) -> tuple[int, str]:

@@ -36,9 +36,8 @@ from pursuitbench import (
     TrajectoryLog,
     run_scenario,
 )
+from pursuitbench.config import FIXED_LOOKAHEAD, VELOCITY_SCALED_LOOKAHEAD
 from pursuitbench.controllers import (
-    FIXED_LOOKAHEAD,
-    VELOCITY_SCALED_LOOKAHEAD,
     clip_to_window,
     window_bounds,
 )
