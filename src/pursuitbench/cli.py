@@ -8,10 +8,11 @@ from pathlib import Path
 
 from .config import ControllerKind, ParameterError
 from .harness import (
-    _output_dir, _run, emit_report, load_config, load_sweep_config, run_comparison, run_lookahead_sweep,
+    _build, _output_dir, emit_report, load_config, load_sweep_config, run_comparison, run_lookahead_sweep,
 )
 from .metrics import scenario_metrics
 from .paths import ReferencePath, generate_corner_path
+from .simulator import run_scenario
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -45,7 +46,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     kind = ControllerKind(args.controller)
     out = _output_dir(config, args.out)
-    result = _run(config, reference, kind, f"path {label}, controller {kind.value}")
+    result = _build(f"path {label}, controller {kind.value}", run_scenario, reference, kind, config)
     trajectory_file = out / f"traj_{label}_{kind.value}.csv"
     result.log.to_csv(trajectory_file)
     metrics = scenario_metrics(result)

@@ -110,21 +110,6 @@ class KinodynamicLimits:
             raise ParameterError("dt must be positive")
 
 
-def require_run_bounds(max_time: float, goal_tolerance: float, limits: KinodynamicLimits) -> None:
-    """Reject a ``max_time`` or ``goal_tolerance`` that is no finite number, below ``limits.dt`` or not positive.
-
-    ``max_time / limits.dt``, the run's step count, must be finite too.
-    """
-    max_time = require_type("max_time", max_time, float)
-    goal_tolerance = require_type("goal_tolerance", goal_tolerance, float)
-    if max_time < limits.dt:
-        raise ParameterError(f"max_time must be at least limits.dt ({limits.dt:g} s), got {max_time!r}")
-    if not math.isfinite(max_time / limits.dt):
-        raise ParameterError(f"max_time / limits.dt must be finite, got {max_time!r} / {limits.dt!r}")
-    if not goal_tolerance > 0.0:
-        raise ParameterError(f"goal_tolerance must be positive, got {goal_tolerance!r}")
-
-
 @dataclass(frozen=True)
 class LookaheadConfig:
     """How the lookahead distance is chosen.
@@ -290,22 +275,29 @@ class ExperimentConfig:
                 raise ParameterError(f"paths[{position}]: name must be non-empty")
             if name in [other for other, _ in self.paths[:position]]:
                 raise ParameterError(f"paths[{position}]: duplicate path name '{name}'")
-            # A name becomes part of its output file names.
-            for char in ("/", os.sep, os.altsep, "\0"):
-                if char and char in name:
-                    raise ParameterError(f"paths[{position}]: name {name!r} must not contain {char!r}")
+            # A name becomes part of its output file names and of the report.
             try:
                 os.fsencode(name)
             except UnicodeEncodeError:
                 encoding = sys.getfilesystemencoding()
                 raise ParameterError(f"paths[{position}]: name {name!r} is not a file name in {encoding}") from None
+            for char in name:
+                if char in ("/", os.sep, os.altsep) or not char.isprintable():
+                    raise ParameterError(f"paths[{position}]: name {name!r} must not contain {char!r}")
         for position, kind in enumerate(self.controllers):
             require_type(f"controllers[{position}]", kind, ControllerKind)
             if kind in self.controllers[:position]:
                 raise ParameterError(f"controllers[{position}]: duplicate controller '{kind.value}'")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials!r}")
-        require_run_bounds(self.max_time, self.goal_tolerance, self.limits)
+        # A run takes round(max_time / dt) steps: at least one, and finitely many.
+        max_time, dt = self.max_time, self.limits.dt
+        if max_time < dt:
+            raise ParameterError(f"max_time must be at least limits.dt ({dt:g} s), got {max_time!r}")
+        if not math.isfinite(max_time / dt):
+            raise ParameterError(f"max_time / limits.dt must be finite, got {max_time!r} / {dt!r}")
+        if not self.goal_tolerance > 0.0:
+            raise ParameterError(f"goal_tolerance must be positive, got {self.goal_tolerance!r}")
         if not self.output_dir:
             raise ParameterError("output_dir must be non-empty")
 

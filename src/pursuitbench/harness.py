@@ -35,8 +35,8 @@ from .config import (
 )
 from .controllers import operative_lookahead
 from .metrics import METRICS, ScenarioMetrics, cross_track_stats, mean_sd, scenario_metrics
-from .paths import ReferencePath, generate_corner_path
-from .simulator import ScenarioResult, run_scenario
+from .paths import generate_corner_path
+from .simulator import run_scenario
 
 PROFILE_NAMES = ("experiment_table1", "simulation_table6")
 
@@ -187,17 +187,6 @@ def _trial_noise(config: ExperimentConfig, trial: int) -> NoiseModel:
     return replace(config.noise, sigma_pose_init=sigma_pose, seed=config.noise.seed + trial)
 
 
-def _run(
-    config: ExperimentConfig, reference: ReferencePath, kind: ControllerKind, label: str,
-    noise: NoiseModel = NoiseModel(),
-) -> ScenarioResult:
-    """One scenario under ``config``'s limits, lookahead, regulation and stop rule; errors carry ``label``."""
-    return _build(
-        label, run_scenario, reference, kind, config.limits, config.lookahead, config.regulation,
-        noise=noise, max_time=config.max_time, goal_tolerance=config.goal_tolerance,
-    )
-
-
 def _output_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
     """``out_dir``, or the config's ``output_dir`` when it is None; created if missing."""
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
@@ -244,7 +233,7 @@ def run_comparison(
                 trials = results[(name, kind.value)] = []
                 for trial in range(config.trials):
                     label = f"path {name}, controller {kind.value}, trial {trial}"
-                    result = _run(config, reference, kind, label, _trial_noise(config, trial))
+                    result = _build(label, run_scenario, reference, kind, config, _trial_noise(config, trial))
                     written.append(out / f"traj_{name}_{kind.value}_trial{trial}.csv.partial")
                     result.log.to_csv(written[-1])
                     trials.append(scenario_metrics(result))
@@ -289,7 +278,8 @@ def run_lookahead_sweep(
     for value in sweep.lookahead_values:
         lookahead = replace(config.lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=value)
         fixed = replace(config, lookahead=lookahead, regulation=regulation)
-        result = _run(fixed, reference, ControllerKind.DYNAMIC_WINDOW, f"path {name}, lookahead {value}")
+        label = f"path {name}, lookahead {value}"
+        result = _build(label, run_scenario, reference, ControllerKind.DYNAMIC_WINDOW, fixed)
         mean_cte, _ = cross_track_stats(result.log)
         rows.append((value, mean_cte, result.travel_time))
     header = ("lookahead", "mean_cte", "travel_time")

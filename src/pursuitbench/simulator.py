@@ -15,10 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ControllerKind, KinodynamicLimits, LookaheadConfig, NoiseModel, ParameterError, RegulationConfig,
-    require_run_bounds,
-)
+from .config import ControllerKind, ExperimentConfig, KinodynamicLimits, NoiseModel, ParameterError
 from .controllers import (
     clip_to_window, command_velocities, reachable_velocities, require_finite_command, window_bounds,
 )
@@ -167,17 +164,14 @@ def _initial_pose(
 
 
 def run_scenario(
-    path: ReferencePath,
-    kind: ControllerKind,
-    limits: KinodynamicLimits,
-    lookahead: LookaheadConfig,
-    regulation: RegulationConfig,
-    noise: NoiseModel | None = None,
-    *,
-    max_time: float,
-    goal_tolerance: float,
+    path: ReferencePath, kind: ControllerKind, config: ExperimentConfig, noise: NoiseModel | None = None
 ) -> ScenarioResult:
-    """Run one tracking scenario until the goal is reached or time runs out.
+    """Run one tracking scenario under ``config`` until the goal is reached or time runs out.
+
+    It reads the config's ``limits``, ``lookahead``, ``regulation``,
+    ``max_time`` and ``goal_tolerance``, each validated when the config was
+    built. It does not read ``config.noise``, the experiment's base model:
+    the run's disturbances are ``noise``, none by default.
 
     Per step: project the pose onto the path once, compute the command from
     that projection, clip it to the dynamic window of ``limits`` (a
@@ -192,7 +186,8 @@ def run_scenario(
     :class:`ParameterError`. Identical inputs (including the noise seed)
     reproduce the log bit for bit.
     """
-    require_run_bounds(max_time, goal_tolerance, limits)
+    limits, lookahead, regulation = config.limits, config.lookahead, config.regulation
+    max_time, goal_tolerance = config.max_time, config.goal_tolerance
     if noise is None:
         noise = NoiseModel()
     sigma_v, sigma_omega = noise.sigma_v, noise.sigma_omega

@@ -279,9 +279,9 @@ def _clip_oracle(command, velocity, limits) -> tuple[float, float]:
     return clip_to_window_oracle(*command, dynamic_window_oracle(*velocity, limits))
 
 
-def run_scenario_oracle(
-    path, kind, limits, lookahead, regulation, noise=None, *, max_time, goal_tolerance,
-) -> ScenarioResult:
+def run_scenario_oracle(path, kind, config, noise=None) -> ScenarioResult:
+    limits, lookahead, regulation = config.limits, config.lookahead, config.regulation
+    max_time, goal_tolerance = config.max_time, config.goal_tolerance
     if noise is None:
         noise = NoiseModel()
     rng = np.random.default_rng(noise.seed)

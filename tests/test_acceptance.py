@@ -6,9 +6,12 @@ PASS/FAIL line (visible with ``pytest tests/test_acceptance.py -v -s``).
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from conftest import distance_point_to_line, straight_path
@@ -23,6 +26,7 @@ from pursuitbench import (
     scenario_metrics,
 )
 from pursuitbench.cli import main
+from pursuitbench.config import FIXED_LOOKAHEAD
 from pursuitbench.controllers import select_velocity
 from pursuitbench.metrics import violation_ratio
 from pursuitbench.paths import wrap_angle
@@ -46,16 +50,7 @@ def comparison_runs(bench_profile):
     for name, spec in bench_profile.paths:
         reference = generate_corner_path(spec)
         for kind in bench_profile.controllers:
-            result = run_scenario(
-                reference,
-                kind,
-                bench_profile.limits,
-                bench_profile.lookahead,
-                bench_profile.regulation,
-                noise=NoiseModel(seed=bench_profile.noise.seed),
-                max_time=bench_profile.max_time,
-                goal_tolerance=bench_profile.goal_tolerance,
-            )
+            result = run_scenario(reference, kind, bench_profile, NoiseModel(seed=bench_profile.noise.seed))
             runs[(name, kind)] = (reference, result)
     return runs
 
@@ -71,16 +66,8 @@ def test_criterion_1_dynamic_window_zero_violations(bench_profile):
     ratios = {}
     for name, spec in bench_profile.paths:
         reference = generate_corner_path(spec)
-        result = run_scenario(
-            reference,
-            ControllerKind.DYNAMIC_WINDOW,
-            bench_profile.limits,
-            bench_profile.lookahead,
-            bench_profile.regulation,
-            noise=NoiseModel(seed=bench_profile.noise.seed),
-            max_time=bench_profile.max_time,
-            goal_tolerance=bench_profile.goal_tolerance,
-        )
+        noise = NoiseModel(seed=bench_profile.noise.seed)
+        result = run_scenario(reference, ControllerKind.DYNAMIC_WINDOW, bench_profile, noise)
         ratios[name] = violation_ratio(result.log)
     elapsed = time.monotonic() - start
     ok = all(ratio == 0.0 for ratio in ratios.values()) and elapsed < 10.0
@@ -260,4 +247,53 @@ def test_criterion_9_arc_integration_matches_fine_euler():
         "criterion 9: exact-arc step within 1e-6 m of 1000-substep Euler",
         ok,
         f"worst error={worst:.2e} over {n} samples",
+    )
+
+
+def linear_theory_gap(log, lookahead: float) -> float:
+    """Largest gap between ``log.y`` and linear pure-pursuit theory over s = x - x0 < 4 L.
+
+    On a straight path along +x, the target lies L ahead of the projection,
+    so the arc curvature to it is -2 (e + L psi) / L^2 to first order in the
+    cross-track error e and heading error psi. With de/ds = psi and
+    dpsi/ds = curvature, L^2 e'' + 2 L e' + 2 e = 0, whose roots are
+    (-1 +- i) / L: e(s) = exp(-s/L) (e0 cos(s/L) + (L psi0 + e0) sin(s/L)).
+    The start (x0, e0, psi0) is the log's first row, and the gap is relative
+    to max(|e0|, L |psi0|).
+    """
+    x0, e0, psi0 = log.x[0], log.y[0], log.theta[0]
+    u = (log.x - x0) / lookahead
+    within = u < 4.0
+    u = u[within]
+    theory = np.exp(-u) * (e0 * np.cos(u) + (lookahead * psi0 + e0) * np.sin(u))
+    return float(np.max(np.abs(log.y[within] - theory))) / max(abs(e0), lookahead * abs(psi0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(lookahead=st.floats(0.3, 1.0), seed=st.integers(0, 2**16))
+def test_criterion_10_dwpp_follows_linear_pure_pursuit_theory(bench_profile, lookahead, seed):
+    # The theory is in arc length, so it holds for any speed profile that keeps
+    # the commanded curvature. dwpp's window selection keeps it: only the 1 cm
+    # waypoint snap and the control period part dwpp from the theory (at most
+    # 0.50 % over 150 random draws of L and seed). pp's commands are clipped
+    # from rest, which bends its path off the curvature it asked for (0.27 %
+    # to 40 % over the same draws, and in each more than 4 times dwpp's), so
+    # its gap is reported, not bounded.
+    config = replace(
+        bench_profile,
+        lookahead=replace(bench_profile.lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=lookahead),
+        regulation=replace(bench_profile.regulation, enable_curvature=False, enable_goal=False),
+    )
+    path = straight_path(6.0, spacing=0.01)
+    noise = NoiseModel(sigma_pose_init=0.01, seed=seed)
+    dwpp = run_scenario(path, ControllerKind.DYNAMIC_WINDOW, config, noise).log
+    pp = run_scenario(path, ControllerKind.PURE_PURSUIT, config, noise).log
+    dwpp_gap, pp_gap = linear_theory_gap(dwpp, lookahead), linear_theory_gap(pp, lookahead)
+    pp_clipped = bool(np.all(pp.v_exec[:10] != pp.v_cmd[:10]))
+    ok = dwpp_gap <= 0.01 and pp_clipped and pp_gap > dwpp_gap
+    report(
+        "criterion 10: dwpp follows linear pure-pursuit theory on a straight path within 1 %",
+        ok,
+        f"L={lookahead:.3f} m, seed={seed}: dwpp gap={dwpp_gap:.3%}, pp gap={pp_gap:.3%},"
+        f" pp clipped on its first 10 steps: {pp_clipped}",
     )

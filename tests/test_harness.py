@@ -65,10 +65,8 @@ noise: {sigma_pose_init: 0.01, seed: 3}
 
 
 def _run_corner(limits=KinodynamicLimits(), spec=CornerPathSpec(1.5, 1.0), max_time=30.0, goal_tolerance=0.15):
-    return run_scenario(
-        generate_corner_path(spec), ControllerKind.DYNAMIC_WINDOW, limits, LookaheadConfig(), RegulationConfig(),
-        max_time=max_time, goal_tolerance=goal_tolerance,
-    )
+    config = ExperimentConfig(limits=limits, max_time=max_time, goal_tolerance=goal_tolerance)
+    return run_scenario(generate_corner_path(spec), ControllerKind.DYNAMIC_WINDOW, config)
 
 
 # Each config section by its YAML key; "" is the top level.
@@ -658,7 +656,7 @@ class TestRunComparison:
 
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt(), OSError(28, "No space left on device")])
     def test_any_exception_mid_run_leaves_out_as_it_was(self, small_config, tmp_path, monkeypatch, interrupt):
-        run = harness._run
+        run = harness.run_scenario
         calls = []
 
         def run_then_fail(*args, **kwargs):
@@ -667,7 +665,7 @@ class TestRunComparison:
                 raise interrupt
             return run(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "_run", run_then_fail)
+        monkeypatch.setattr(harness, "run_scenario", run_then_fail)
         out = tmp_path / "out"
         with pytest.raises(type(interrupt)):
             run_comparison(small_config, out)
@@ -677,7 +675,7 @@ class TestRunComparison:
     def test_cleanup_removes_the_rest_when_one_partial_file_cannot_be_removed(
         self, small_config, tmp_path, monkeypatch
     ):
-        run = harness._run
+        run = harness.run_scenario
         calls = []
         failure = OSError(28, "No space left on device")
 
@@ -694,7 +692,7 @@ class TestRunComparison:
                 raise PermissionError(13, "Permission denied")
             return unlink(file, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "_run", run_then_fail)
+        monkeypatch.setattr(harness, "run_scenario", run_then_fail)
         monkeypatch.setattr(Path, "unlink", unlink_except_path_file)
         out = tmp_path / "out"
         with pytest.raises(OSError) as raised:
@@ -954,8 +952,9 @@ class TestCli:
         "yaml_name, message",
         [("b/c", "paths[1]: name 'b/c' must not contain '/'"),
          ('"b\\0c"', "paths[1]: name 'b\\x00c' must not contain '\\x00'"),
+         ('"b\\x01c"', "paths[1]: name 'b\\x01c' must not contain '\\x01'"),
          ('"\\ud800"', "paths[1]: name '\\ud800' is not a file name in utf-8")],
-        ids=["slash", "nul", "lone_surrogate"],
+        ids=["slash", "nul", "control", "lone_surrogate"],
     )
     def test_compare_rejects_a_path_name_that_is_not_a_file_name(self, tmp_path, capsys, yaml_name, message):
         config = tmp_path / "names.yaml"
@@ -1112,6 +1111,39 @@ def test_package_raises_only_parameter_error():
                 if not (isinstance(func, ast.Name) and func.id == "ParameterError"):
                     others.append(f"{file.name}:{node.lineno}: {ast.unparse(node)}")
     assert others == []
+
+
+def test_package_imports_no_unused_name():
+    # The package root's imports are its exports; every other module uses each name it imports.
+    unused = []
+    for file in sorted(Path(pursuitbench.__file__).parent.glob("*.py")):
+        if file.name == "__init__.py":
+            continue
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{file.name}:{node.lineno}: {name}")
+    assert unused == []
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch):
+    # Every python block under "## Library use", in order, in one namespace, from an empty directory.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    start = text.index("\n## Library use\n")
+    block = re.compile(r"^```python\n(.*?)^```$", re.MULTILINE | re.DOTALL)
+    blocks = list(block.finditer(text, start, text.index("\n## ", start + 1)))
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for match in blocks:
+        # Leading newlines make a traceback name the README's own line.
+        source = "\n" * text.count("\n", 0, match.start(1)) + match[1]
+        exec(compile(source, str(readme), "exec"), namespace)
 
 
 def test_config_module_holds_the_config_contract():

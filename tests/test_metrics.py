@@ -6,10 +6,8 @@ import pytest
 from conftest import corner_path, polyline_distances, straight_path
 from pursuitbench import (
     ControllerKind,
-    KinodynamicLimits,
-    LookaheadConfig,
+    ExperimentConfig,
     ParameterError,
-    RegulationConfig,
     ScenarioMetrics,
     TrajectoryLog,
     run_scenario,
@@ -49,10 +47,7 @@ def empty_log():
 
 
 def run(path, kind):
-    return run_scenario(
-        path, kind, KinodynamicLimits(), LookaheadConfig(), RegulationConfig(),
-        max_time=60.0, goal_tolerance=0.15,
-    )
+    return run_scenario(path, kind, ExperimentConfig())
 
 
 class TestViolationRatio:

@@ -27,6 +27,7 @@ from conftest import (
 )
 from pursuitbench import (
     ControllerKind,
+    ExperimentConfig,
     KinodynamicLimits,
     LookaheadConfig,
     NoiseModel,
@@ -56,16 +57,9 @@ def euler_reference(x, y, theta, v, omega, dt, substeps=1000):
     return x, y
 
 
-def run(path, kind, simulate=run_scenario, **overrides):
-    defaults = dict(
-        limits=KinodynamicLimits(),
-        lookahead=LookaheadConfig(),
-        regulation=RegulationConfig(),
-        max_time=60.0,
-        goal_tolerance=0.15,
-    )
-    defaults.update(overrides)
-    return simulate(path, kind, **defaults)
+def run(path, kind, simulate=run_scenario, noise=None, **settings):
+    """``simulate(path, kind, ExperimentConfig(**settings), noise)``; unset settings are table1's."""
+    return simulate(path, kind, ExperimentConfig(**settings), noise)
 
 
 def outcome(simulate, *args, **kwargs):
@@ -432,8 +426,8 @@ class TestFloatLoopIsTheObjectLoop:
             max_time=12.0,
             goal_tolerance=0.15,
         )
-        expected = outcome(run_scenario_oracle, path, kind, **arguments)
-        assert outcome(run_scenario, path, kind, **arguments) == expected
+        expected = outcome(run, path, kind, run_scenario_oracle, **arguments)
+        assert outcome(run, path, kind, run_scenario, **arguments) == expected
 
 
 @st.composite
@@ -578,16 +572,12 @@ def test_noise_free_run_never_loads_numpy_random():
     code = """
 import sys
 import tracemalloc
-from pursuitbench import ControllerKind, KinodynamicLimits, LookaheadConfig, RegulationConfig
-from pursuitbench import CornerPathSpec, NoiseModel, generate_corner_path, run_scenario
+from pursuitbench import ControllerKind, CornerPathSpec, ExperimentConfig, NoiseModel, generate_corner_path, run_scenario
 if "numpy.random" in sys.modules:
     print("preloaded")
     sys.exit()
 path = generate_corner_path(CornerPathSpec(1.5, 1.5, 0.05))
-result = run_scenario(
-    path, ControllerKind.DYNAMIC_WINDOW, KinodynamicLimits(), LookaheadConfig(), RegulationConfig(),
-    NoiseModel(seed=3), max_time=12.0, goal_tolerance=0.15,
-)
+result = run_scenario(path, ControllerKind.DYNAMIC_WINDOW, ExperimentConfig(max_time=12.0), NoiseModel(seed=3))
 print(len(result.log) > 0, "numpy.random" in sys.modules)
 """
     src = str(Path(simulator.__file__).resolve().parent.parent)
