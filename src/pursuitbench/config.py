@@ -237,6 +237,10 @@ class CornerPathSpec:
             raise ParameterError("segment_length must be positive")
         if not (0.0 < self.waypoint_spacing < self.segment_length):
             raise ParameterError("waypoint_spacing must be in (0, segment_length)")
+        # Each leg has round(segment_length / waypoint_spacing) intervals: finitely many.
+        if not math.isfinite(self.segment_length / self.waypoint_spacing):
+            ratio = f"{self.segment_length!r} / {self.waypoint_spacing!r}"
+            raise ParameterError(f"segment_length / waypoint_spacing must be finite, got {ratio}")
         if not (0.0 < self.corner_angle < math.pi):
             raise ParameterError("corner_angle must be strictly inside (0, pi)")
 

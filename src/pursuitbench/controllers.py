@@ -115,19 +115,6 @@ def window_bounds(v: float, omega: float, limits: KinodynamicLimits) -> tuple[fl
     )
 
 
-def regulated_range(v_lo: float, v_hi: float, v_reg: float) -> tuple[float, float]:
-    """Clamp the admissible linear range [0, v_reg] into the window's [v_lo, v_hi].
-
-    The result never leaves the window. When the two ranges do not overlap
-    (the regulated ceiling is unreachable this step, or the robot is reversing
-    faster than it can stop), the linear range collapses to the window bound
-    nearest to them: the robot brakes as hard as the window allows.
-    """
-    if v_reg < 0.0:
-        raise ParameterError("regulated velocity must be non-negative")
-    return _clamp_range(0.0, v_reg, v_lo, v_hi)
-
-
 def clip_to_window(v: float, omega: float, window: tuple) -> tuple[float, float]:
     """Project (v, omega) onto the dynamic window ``window_bounds(...)``, one axis at a time.
 
@@ -141,21 +128,26 @@ def clip_to_window(v: float, omega: float, window: tuple) -> tuple[float, float]
     return (v_hi if v_hi < v else v), (omega_hi if omega_hi < omega else omega)
 
 
-def select_velocity(
-    v_lo: float, v_hi: float, omega_lo: float, omega_hi: float, curvature: float
-) -> tuple[float, float]:
-    """The dynamic-window law's command: the point of the window closest to omega = curvature * v.
+def select_velocity(window: tuple, v_reg: float, curvature: float) -> tuple[float, float]:
+    """DWPP's command: the point of the window, capped to v in [0, v_reg], closest to omega = curvature * v.
 
-    This is DWPP's rule: in the (v, omega) plane, select the command as the
-    point within the dynamic window [v_lo, v_hi] x [omega_lo, omega_hi] that
-    is closest to the tracking line omega = curvature * v. Ties go to the
-    larger v. With omega clamped into the window the distance is
-    piecewise linear in v, so the optimum is one clamp: v is where the line
-    leaves through the omega bound it heads for, clamped into [v_lo, v_hi],
-    and omega is the line at that v, clipped into the window by
-    :func:`clip_to_window`. Zero curvature takes v_hi and the feasible omega
-    nearest zero. So the clip returns every selection unchanged.
+    ``window`` is the robot's ``window_bounds`` and ``v_reg``, which must be
+    non-negative, the regulated speed. :func:`_clamp_range` first clamps
+    [0, v_reg] into the window's [v_lo, v_hi]; if they do not overlap (the
+    ceiling is unreachable this step, or the robot reverses faster than it
+    can stop), the range collapses to the nearest window bound, so the robot
+    brakes as hard as the window allows. With omega clamped into the window
+    the distance to the line is piecewise linear in v, so the optimum is one
+    clamp: v is where the line leaves through the omega bound it heads for,
+    clamped into the capped range, and omega is the line at that v, clipped
+    by :func:`clip_to_window`. Ties go to the larger v; zero curvature takes
+    the capped v_hi and the feasible omega nearest zero. So the clip returns
+    every selection unchanged.
     """
+    if v_reg < 0.0:
+        raise ParameterError("regulated velocity must be non-negative")
+    v_lo, v_hi, omega_lo, omega_hi = window
+    v_lo, v_hi = _clamp_range(0.0, v_reg, v_lo, v_hi)
     window = (v_lo, v_hi, omega_lo, omega_hi)
     if curvature == 0.0:
         return clip_to_window(v_hi, 0.0, window)
@@ -192,20 +184,16 @@ def command_velocities(
     other laws may command velocities the execution layer has to clip. The
     result is not checked for finiteness.
     """
-    px, py, segment_index, _, arc_length = projection
     lookahead = operative_lookahead(kind, lookahead_cfg, v)
-    curvature = arc_curvature(
-        x, y, theta, *lookahead_point(path, px, py, segment_index, arc_length, lookahead)
-    )
+    curvature = arc_curvature(x, y, theta, *lookahead_point(path, projection, lookahead))
     v_des = limits.v_max
     if kind is ControllerKind.PURE_PURSUIT or kind is ControllerKind.ADAPTIVE:
         return v_des, curvature * v_des
 
-    goal_distance = path.length - arc_length
+    goal_distance = path.length - projection[4]
     goal_distance = goal_distance if goal_distance > 0.0 else 0.0
     v_reg = regulate_linear_velocity(v_des, curvature, goal_distance, regulation_cfg)
     if kind is ControllerKind.REGULATED:
         return v_reg, curvature * v_reg
 
-    v_lo, v_hi, omega_lo, omega_hi = window
-    return select_velocity(*regulated_range(v_lo, v_hi, v_reg), omega_lo, omega_hi, curvature)
+    return select_velocity(window, v_reg, curvature)

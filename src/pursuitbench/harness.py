@@ -294,17 +294,20 @@ def emit_report(
 ) -> str:
     """Write the four mean +/- SD summary tables plus stability advisories.
 
-    ``results`` maps each (path name, controller name) to its per-trial
-    metrics, as ``run_comparison`` returns them; each cell is their
+    ``results`` maps each configured (path name, controller name) to its
+    per-trial metrics, as ``run_comparison`` returns them; each cell is their
     ``mean_sd``. Produces ``summary.txt`` (UTF-8 plain text, one table per
     metric, paths as rows and controllers as columns) and ``summary.csv``
     alongside. Returns the report text.
     """
-    if not results:
-        raise ParameterError("no results to report")
-    out = _output_dir(config, out_dir)
     path_names = [name for name, _ in config.paths]
     controller_names = [kind.value for kind in config.controllers]
+    # Each (path, controller) in config order: both files render its mean_sd per metric.
+    keys = [(path_name, controller) for path_name in path_names for controller in controller_names]
+    missing = next((key for key in keys if key not in results), None)
+    if missing is not None:
+        raise ParameterError(f"no results for path '{missing[0]}' and controller '{missing[1]}'")
+    out = _output_dir(config, out_dir)
 
     lines = [
         "Controller comparison summary",
@@ -314,8 +317,6 @@ def emit_report(
         "repeatability of the deterministic simulator, not real-world variability.",
         "",
     ]
-    # Each (path, controller)'s mean_sd per metric, in config order: both files render these.
-    keys = [(path_name, controller) for path_name in path_names for controller in controller_names]
     cells = {key: [mean_sd(results[key], metric.name) for metric in METRICS] for key in keys}
     cell_width = 16
     for index, metric in enumerate(METRICS):

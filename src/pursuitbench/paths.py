@@ -328,19 +328,18 @@ def _nearest_by_scan(path: ReferencePath, x: float, y: float) -> tuple[float, fl
     return sx + fraction * dx, sy + fraction * dy, index, math.sqrt(float(dist_sq[index])), arc
 
 
-def lookahead_point(
-    path: ReferencePath, px: float, py: float, segment_index: int, arc_length: float, lookahead: float
-) -> tuple[float, float]:
-    """Lookahead target from the projection ``project_onto_path(path, x, y)``.
+def lookahead_point(path: ReferencePath, projection: tuple, lookahead: float) -> tuple[float, float]:
+    """Lookahead target from ``projection = project_onto_path(path, x, y)``.
 
-    ``(px, py)``, ``segment_index`` and ``arc_length`` are that projection's
-    point, segment and arc length. Returns, as ``(x, y)``, the first waypoint
-    after the projection's segment whose distance from the projected point
-    reaches ``lookahead`` (which must be positive) while the waypoint before
-    it is nearer, or the goal if none does.
+    Of that projection it reads the point, the segment and the arc length.
+    Returns, as ``(x, y)``, the first waypoint after the projection's segment
+    whose distance from the projected point reaches ``lookahead`` (which must
+    be positive) while the waypoint before it is nearer, or the goal if none
+    does.
     """
     if not lookahead > 0.0:
         raise ParameterError("lookahead must be positive")
+    px, py, segment_index, _, arc_length = projection
     xs, ys = path._xs, path._ys
     # A waypoint less than ``lookahead`` further along the path is nearer than
     # ``lookahead`` in a straight line too, since a chord is never longer than

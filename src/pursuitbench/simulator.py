@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ControllerKind, ExperimentConfig, KinodynamicLimits, NoiseModel, ParameterError
+from .config import ControllerKind, ExperimentConfig, KinodynamicLimits, NoiseModel, ParameterError, require_type
 from .controllers import (
     clip_to_window, command_velocities, reachable_velocities, require_finite_command, window_bounds,
 )
@@ -171,7 +171,8 @@ def run_scenario(
     It reads the config's ``limits``, ``lookahead``, ``regulation``,
     ``max_time`` and ``goal_tolerance``, each validated when the config was
     built. It does not read ``config.noise``, the experiment's base model:
-    the run's disturbances are ``noise``, none by default.
+    the run's disturbances are ``noise``, none by default. ``kind`` must be
+    a :class:`ControllerKind`.
 
     Per step: project the pose onto the path once, compute the command from
     that projection, clip it to the dynamic window of ``limits`` (a
@@ -188,6 +189,7 @@ def run_scenario(
     """
     limits, lookahead, regulation = config.limits, config.lookahead, config.regulation
     max_time, goal_tolerance = config.max_time, config.goal_tolerance
+    require_type("kind", kind, ControllerKind)
     if noise is None:
         noise = NoiseModel()
     sigma_v, sigma_omega = noise.sigma_v, noise.sigma_omega

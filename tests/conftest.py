@@ -228,6 +228,12 @@ def select_velocity_oracle(v_lo, v_hi, omega_lo, omega_hi, curvature) -> tuple[f
     return v, min(max(curvature * v, omega_lo), omega_hi)
 
 
+def dwpp_selection_oracle(window: tuple, v_reg: float, curvature: float) -> tuple[float, float]:
+    """DWPP's command: the window's linear range capped to [0, v_reg], then the selection in it."""
+    v_lo, v_hi, omega_lo, omega_hi = window
+    return select_velocity_oracle(*regulated_range_oracle(v_lo, v_hi, v_reg), omega_lo, omega_hi, curvature)
+
+
 def clip_to_window_oracle(v: float, omega: float, window: tuple) -> tuple[float, float]:
     v_lo, v_hi, omega_lo, omega_hi = window
     return min(max(v, v_lo), v_hi), min(max(omega, omega_lo), omega_hi)
@@ -267,10 +273,7 @@ def _command_oracle(kind, pose, velocity, path, projection, limits, lookahead, r
         if kind is ControllerKind.REGULATED:
             command = v_reg, curvature * v_reg
         else:
-            v_lo, v_hi, omega_lo, omega_hi = dynamic_window_oracle(*velocity, limits)
-            command = select_velocity_oracle(
-                *regulated_range_oracle(v_lo, v_hi, v_reg), omega_lo, omega_hi, curvature
-            )
+            command = dwpp_selection_oracle(dynamic_window_oracle(*velocity, limits), v_reg, curvature)
     require_finite_command(*command)
     return command
 

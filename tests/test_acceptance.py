@@ -120,7 +120,7 @@ def test_criterion_4_closed_form_matches_grid_oracle():
     for _ in range(10_000):
         v_lo, v_hi, omega_lo, omega_hi = sample_window(rng)
         kappa = rng.uniform(-20.0, 20.0)
-        v, omega = select_velocity(v_lo, v_hi, omega_lo, omega_hi, kappa)
+        v, omega = select_velocity((v_lo, v_hi, omega_lo, omega_hi), v_hi, kappa)
         analytic = distance_point_to_line(v, omega, kappa)
         vs = np.linspace(v_lo, v_hi, 201)
         ws = np.linspace(omega_lo, omega_hi, 201)
@@ -152,7 +152,7 @@ def test_criterion_5_on_line_whenever_line_crosses_window():
         if not (lo <= omega_hi and hi >= omega_lo):
             continue
         crossing += 1
-        v, omega = select_velocity(v_lo, v_hi, omega_lo, omega_hi, kappa)
+        v, omega = select_velocity((v_lo, v_hi, omega_lo, omega_hi), v_hi, kappa)
         if abs(kappa * v - omega) <= 1e-9:
             on_line += 1
     ok = crossing > 1000 and on_line == crossing

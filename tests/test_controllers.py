@@ -14,10 +14,10 @@ from conftest import (
     clip_to_window_oracle,
     corner_path,
     distance_point_to_line,
+    dwpp_selection_oracle,
     dynamic_window_oracle,
     operative_lookahead_oracle,
     regulate_linear_velocity_oracle,
-    regulated_range_oracle,
     regulated_window_oracle,
     select_velocity_oracle,
     straight_path,
@@ -37,7 +37,6 @@ from pursuitbench.controllers import (
     clip_to_window,
     command_velocities,
     regulate_linear_velocity,
-    regulated_range,
     require_finite_command,
     select_velocity,
     window_bounds,
@@ -220,7 +219,7 @@ class TestNominalCommand:
             for kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE, ControllerKind.REGULATED):
                 projection = project_onto_path(path, x, y)
                 distance = operative_lookahead(kind, bench_lookahead, v)
-                target = lookahead_point(path, *projection[:3], projection[4], distance)
+                target = lookahead_point(path, projection, distance)
                 kappa = arc_curvature(x, y, theta, *target)
                 v_cmd, omega_cmd = command_velocities(
                     kind, x, y, theta, v, path, projection, window,
@@ -382,52 +381,54 @@ class TestWindowBounds:
 
 
 class TestApplyRegulation:
+    # ``select_velocity`` caps the window's linear range to [0, v_reg] before
+    # it selects; at zero curvature it takes the capped range's top.
     def test_caps_upper_bound(self):
-        assert regulated_range(0.38, 0.42, 0.40) == (0.38, 0.40)
+        assert select_velocity((0.38, 0.42, -1.0, 1.0), 0.40, 0.0) == (0.40, 0.0)
 
     def test_no_op_when_regulation_above_window(self):
-        assert regulated_range(0.38, 0.42, 0.5) == (0.38, 0.42)
+        assert select_velocity((0.38, 0.42, -1.0, 1.0), 0.5, 0.0) == (0.42, 0.0)
 
     def test_empty_intersection_collapses_to_lower_bound(self):
-        assert regulated_range(0.38, 0.42, 0.10) == (0.38, 0.38)
+        assert select_velocity((0.38, 0.42, -1.0, 1.0), 0.10, 0.0) == (0.38, 0.0)
 
     def test_reversing_window_brakes_instead_of_leaving_it(self):
         # Reversing at -0.03 m/s with v_min = -0.5: the reachable range lies
         # below zero, so [0, v_reg] collapses to its nearest end, not to 0.
-        assert regulated_range(-0.0465, -0.0135, 0.5) == (-0.0135, -0.0135)
+        assert select_velocity((-0.0465, -0.0135, -1.0, 1.0), 0.5, 0.0) == (-0.0135, 0.0)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
         v_bounds=bounds(-2.0, 2.0),
         omega_bounds=bounds(-2.0, 2.0),
         v_reg=st.floats(-0.0, 3.0),
+        kappa=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
     )
-    @example(v_bounds=(-0.0, -0.0), omega_bounds=(0.0, 0.0), v_reg=0.0)
-    @example(v_bounds=(-1.0, -0.0), omega_bounds=(0.0, 0.0), v_reg=-0.0)
-    @example(v_bounds=(-0.0, 0.0), omega_bounds=(0.0, 0.0), v_reg=0.0)
-    def test_matches_the_old_rule_unless_the_window_is_all_reverse(self, v_bounds, omega_bounds, v_reg):
+    @example(v_bounds=(-0.0, -0.0), omega_bounds=(0.0, 0.0), v_reg=0.0, kappa=0.0)
+    @example(v_bounds=(-1.0, -0.0), omega_bounds=(0.0, 0.0), v_reg=-0.0, kappa=0.0)
+    @example(v_bounds=(-0.0, 0.0), omega_bounds=(0.0, 0.0), v_reg=0.0, kappa=0.0)
+    def test_matches_the_old_rule_unless_the_window_is_all_reverse(self, v_bounds, omega_bounds, v_reg, kappa):
         window = (*v_bounds, *omega_bounds)
-        regulated = (*regulated_range(*v_bounds, v_reg), *omega_bounds)
+        selection = select_velocity(window, v_reg, kappa)
         if v_bounds[1] >= 0.0:
-            assert bits(regulated) == bits(regulated_window_oracle(window, v_reg))
+            assert bits(selection) == bits(select_velocity_oracle(*regulated_window_oracle(window, v_reg), kappa))
         else:
             # The old rule returned v = 0 here, outside the window.
-            assert regulated[0] == regulated[1] == v_bounds[1]
+            assert selection[0] == v_bounds[1]
 
     def test_rejects_negative_regulation(self):
-        with pytest.raises(ParameterError):
-            regulated_range(0, 1, -0.1)
+        with pytest.raises(ParameterError, match="regulated velocity must be non-negative"):
+            select_velocity((0.0, 1.0, -1.0, 1.0), -0.1, 0.0)
 
-    def test_idempotent_and_monotone(self):
+    def test_speed_is_monotone_in_the_cap_and_the_cap_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            v_lo, v_hi, _, _ = random_window(rng)
+            window = random_window(rng)
+            kappa = rng.uniform(-20, 20)
             small, large = sorted(rng.uniform(0.0, 0.6, size=2))
-            once = regulated_range(v_lo, v_hi, small)
-            assert regulated_range(*once, small) == once
-            wider = regulated_range(v_lo, v_hi, large)
-            assert wider[0] <= once[0] or wider[1] >= once[1]
-            assert once[1] - once[0] <= wider[1] - wider[0] + 1e-15
+            v_small = select_velocity(window, small, kappa)[0]
+            assert v_small <= select_velocity(window, large, kappa)[0]
+            assert select_velocity(window, v_small, kappa)[0] == v_small
 
 
 class TestDistancePointToLine:
@@ -445,23 +446,23 @@ class TestDistancePointToLine:
 
 class TestOptimalVelocity:
     def test_line_through_window_picks_fastest_crossing(self):
-        assert select_velocity(0.0, 0.5, -1.0, 1.0, 1.0) == (0.5, 0.5)
+        assert select_velocity((0.0, 0.5, -1.0, 1.0), 0.5, 1.0) == (0.5, 0.5)
 
     def test_steep_line_misses_window_picks_nearest_vertex(self):
-        assert select_velocity(0.2, 0.5, -1.0, 1.0, 10.0) == (0.2, 1.0)
+        assert select_velocity((0.2, 0.5, -1.0, 1.0), 0.5, 10.0) == (0.2, 1.0)
 
     def test_zero_curvature_outside_band(self):
-        assert select_velocity(0.3, 0.4, 0.2, 0.6, 0.0) == (0.4, 0.2)
+        assert select_velocity((0.3, 0.4, 0.2, 0.6), 0.4, 0.0) == (0.4, 0.2)
 
     def test_zero_curvature_inside_band(self):
-        assert select_velocity(0.3, 0.4, -0.2, 0.2, 0.0) == (0.4, 0.0)
+        assert select_velocity((0.3, 0.4, -0.2, 0.2), 0.4, 0.0) == (0.4, 0.0)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(500):
             window = random_window(rng)
             kappa = rng.uniform(-20, 20)
-            v, omega = select_velocity(*window, kappa)
+            v, omega = select_velocity(window, window[1], kappa)
             analytic = distance_point_to_line(v, omega, kappa)
             vs, ws, dists = grid_distances(window, kappa)
             assert analytic <= dists.min() + 1e-9
@@ -477,11 +478,12 @@ class TestOptimalVelocity:
         limits = KinodynamicLimits()
         for _ in range(500):
             v, omega = rng.uniform(0, 0.5), rng.uniform(-1, 1)
-            v_lo, v_hi, omega_lo, omega_hi = window_bounds(v, omega, limits)
-            v_lo, v_hi = regulated_range(v_lo, v_hi, rng.uniform(0.0, 0.6))
-            v_cmd, omega_cmd = select_velocity(v_lo, v_hi, omega_lo, omega_hi, rng.uniform(-20, 20))
+            window = v_lo, v_hi, omega_lo, omega_hi = window_bounds(v, omega, limits)
+            v_reg = rng.uniform(0.0, 0.6)
+            v_cmd, omega_cmd = select_velocity(window, v_reg, rng.uniform(-20, 20))
             assert v_lo <= v_cmd <= v_hi
             assert omega_lo <= omega_cmd <= omega_hi
+            assert v_cmd <= v_reg or v_cmd == v_lo
 
     def test_exact_line_membership_when_crossing(self):
         rng = np.random.default_rng(6)
@@ -491,7 +493,7 @@ class TestOptimalVelocity:
             kappa = rng.uniform(-20, 20)
             if not line_crosses_window(window, kappa):
                 continue
-            v, omega = select_velocity(*window, kappa)
+            v, omega = select_velocity(window, window[1], kappa)
             assert abs(kappa * v - omega) <= 1e-9
             checked += 1
         assert checked > 50
@@ -501,19 +503,19 @@ class TestOptimalVelocity:
         for _ in range(200):
             v_lo, v_hi, omega_lo, omega_hi = random_window(rng)
             kappa = rng.uniform(-20, 20)
-            v, omega = select_velocity(v_lo, v_hi, omega_lo, omega_hi, kappa)
-            mirrored_v, mirrored_omega = select_velocity(v_lo, v_hi, -omega_hi, -omega_lo, -kappa)
+            v, omega = select_velocity((v_lo, v_hi, omega_lo, omega_hi), v_hi, kappa)
+            mirrored_v, mirrored_omega = select_velocity((v_lo, v_hi, -omega_hi, -omega_lo), v_hi, -kappa)
             assert mirrored_v == pytest.approx(v, abs=1e-12)
             assert mirrored_omega == pytest.approx(-omega, abs=1e-12)
 
     def test_degenerate_window_single_point(self):
-        assert select_velocity(0.3, 0.3, 0.1, 0.1, -5.0) == (0.3, 0.1)
+        assert select_velocity((0.3, 0.3, 0.1, 0.1), 0.3, -5.0) == (0.3, 0.1)
 
     def test_crossing_next_to_v_hi_stays_on_the_line(self):
         # The omega_hi crossing lies 5e-10 below v_hi: the command must be
         # that crossing, not the nearby vertex (0.4, 0.5) off the line.
         kappa = 0.5 / (0.4 - 5e-10)
-        assert select_velocity(0.1, 0.4, -0.5, 0.5, kappa) == (0.5 / kappa, 0.5)
+        assert select_velocity((0.1, 0.4, -0.5, 0.5), 0.4, kappa) == (0.5 / kappa, 0.5)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
@@ -523,8 +525,8 @@ class TestOptimalVelocity:
         kappa=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
     )
     def test_dwpp_selection_is_reachable(self, limits, state, v_reg, kappa):
-        v_lo, v_hi, omega_lo, omega_hi = window_bounds(*state, limits)
-        v, omega = select_velocity(*regulated_range(v_lo, v_hi, v_reg), omega_lo, omega_hi, kappa)
+        window = v_lo, v_hi, omega_lo, omega_hi = window_bounds(*state, limits)
+        v, omega = select_velocity(window, v_reg, kappa)
         assert v_lo <= v <= v_hi
         assert omega_lo <= omega <= omega_hi
 
@@ -538,7 +540,7 @@ class TestOptimalVelocity:
     @example(v_bounds=(0.3, 0.4), omega_bounds=(0.2, 0.6), kappa=0.0)
     def test_selection_is_feasible_and_optimal(self, v_bounds, omega_bounds, kappa):
         (v_lo, v_hi), (omega_lo, omega_hi) = v_bounds, omega_bounds
-        v_cmd, omega_cmd = select_velocity(v_lo, v_hi, omega_lo, omega_hi, kappa)
+        v_cmd, omega_cmd = select_velocity((v_lo, v_hi, omega_lo, omega_hi), v_hi, kappa)
         assert v_lo <= v_cmd <= v_hi
         assert omega_lo <= omega_cmd <= omega_hi
         distance = distance_point_to_line(v_cmd, omega_cmd, kappa)
@@ -562,16 +564,17 @@ class TestOptimalVelocity:
     @given(
         v_bounds=ordered_pairs(signed_bound),
         omega_bounds=ordered_pairs(signed_bound),
+        v_reg=st.one_of(st.sampled_from([0.0, -0.0, math.inf, math.nan]), st.floats(0.0)),
         kappa=st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats()),
     )
-    @example(v_bounds=(0.0, -0.0), omega_bounds=(0.0, -0.0), kappa=1.0)
-    @example(v_bounds=(-0.0, 0.0), omega_bounds=(-0.0, 0.0), kappa=-1.0)
-    @example(v_bounds=(0.1, 0.4), omega_bounds=(-0.5, 0.5), kappa=math.inf)
-    @example(v_bounds=(0.1, 0.4), omega_bounds=(-0.5, 0.5), kappa=math.nan)
-    def test_selection_comes_back_from_the_clip_unchanged(self, v_bounds, omega_bounds, kappa):
+    @example(v_bounds=(0.0, -0.0), omega_bounds=(0.0, -0.0), v_reg=0.0, kappa=1.0)
+    @example(v_bounds=(-0.0, 0.0), omega_bounds=(-0.0, 0.0), v_reg=-0.0, kappa=-1.0)
+    @example(v_bounds=(0.1, 0.4), omega_bounds=(-0.5, 0.5), v_reg=0.4, kappa=math.inf)
+    @example(v_bounds=(0.1, 0.4), omega_bounds=(-0.5, 0.5), v_reg=0.4, kappa=math.nan)
+    def test_selection_comes_back_from_the_clip_unchanged(self, v_bounds, omega_bounds, v_reg, kappa):
         # DWPP's command lies in the window, so the execution clip is the identity on it.
         window = (*v_bounds, *omega_bounds)
-        selection = select_velocity(*window, kappa)
+        selection = select_velocity(window, v_reg, kappa)
         assert bits(clip_to_window(*selection, window)) == bits(selection)
 
 
@@ -632,15 +635,11 @@ class TestKernelsAreTheirMinMaxForms:
     def test_clamp_range(self, args):
         assert outcome(_clamp_range, *args) == outcome(clamp_range_oracle, *args)
 
-    @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(args=st.tuples(*[edge_floats] * 3))
-    def test_regulated_range(self, args):
-        assert outcome(regulated_range, *args) == outcome(regulated_range_oracle, *args)
-
     @settings(max_examples=1000, deadline=None, derandomize=True)
-    @given(args=st.tuples(*[edge_floats] * 5))
-    def test_select_velocity(self, args):
-        assert outcome(select_velocity, *args) == outcome(select_velocity_oracle, *args)
+    @given(window=st.tuples(*[edge_floats] * 4), v_reg=edge_floats, kappa=edge_floats)
+    def test_select_velocity(self, window, v_reg, kappa):
+        expected = outcome(dwpp_selection_oracle, window, v_reg, kappa)
+        assert outcome(select_velocity, window, v_reg, kappa) == expected
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(v=edge_floats, omega=edge_floats, window=st.tuples(*[edge_floats] * 4))
@@ -699,7 +698,7 @@ class TestComputeCommand:
         )
         assert v < 0.5
         lookahead = operative_lookahead(ControllerKind.REGULATED, self.lookahead, 0.5)
-        target = lookahead_point(path, *projection[:3], projection[4], lookahead)
+        target = lookahead_point(path, projection, lookahead)
         kappa = arc_curvature(2.9, 0.0, 0.0, *target)
         assert omega == pytest.approx(kappa * v, abs=1e-12)
 

@@ -787,6 +787,12 @@ class TestEmitReport:
         with pytest.raises(ParameterError):
             emit_report({}, small_config, tmp_path / "out")
 
+    def test_partial_results_name_the_first_missing_pair(self, tmp_path):
+        trials = [ScenarioMetrics(1.0, 0.05, 0.2, 20.0, reached_goal=True)]
+        with pytest.raises(ParameterError, match=r"^no results for path 'A' and controller 'app'$"):
+            emit_report({("A", "pp"): trials}, ExperimentConfig(), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_summary_counts_trials_and_reached_goals(self, small_config, tmp_path):
         config = replace(small_config, controllers=small_config.controllers[:1])
         trials = [
@@ -911,10 +917,14 @@ class TestCli:
             # A number in exponent form loads as a float, also where a string is due.
             ("max_time: 1e-3\n", "max_time must be at least limits.dt (0.033 s), got 0.001"),
             ("output_dir: 1e3\n", "output_dir must be a string, got 1000.0"),
+            (
+                "paths:\n  - {name: A, segment_length: 1.0e300, waypoint_spacing: 1.0e-10}\n",
+                "paths[0]: segment_length / waypoint_spacing must be finite, got 1e+300 / 1e-10",
+            ),
         ],
         ids=[
             "zero_trials", "infinite_max_time", "repeated_key", "overflowing_step_count",
-            "exponent_form_number", "exponent_form_for_a_string",
+            "exponent_form_number", "exponent_form_for_a_string", "overflowing_waypoint_count",
         ],
     )
     def test_bad_config_exits_nonzero(self, tmp_path, capsys, text, message):
@@ -1114,10 +1124,11 @@ def test_package_raises_only_parameter_error():
 
 
 def test_package_imports_no_unused_name():
-    # The package root's imports are its exports; every other module uses each name it imports.
+    # The package root's imports are its exports; every other module, tests included, uses each name it imports.
+    package = Path(pursuitbench.__file__).parent
     unused = []
-    for file in sorted(Path(pursuitbench.__file__).parent.glob("*.py")):
-        if file.name == "__init__.py":
+    for file in [*sorted(package.glob("*.py")), *sorted(Path(__file__).parent.glob("*.py"))]:
+        if file == package / "__init__.py":
             continue
         tree = ast.parse(file.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -335,7 +335,7 @@ class TestKernelsMatchOracles:
     def test_lookahead_is_the_numpy_scan(self, points, x, y, lookahead):
         path = ReferencePath(points)
         projection = project_onto_path(path, x, y)
-        target = lookahead_point(path, *projection[:3], projection[4], lookahead)
+        target = lookahead_point(path, projection, lookahead)
         assert bits(target) == bits(lookahead_oracle(path, projection, lookahead))
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -368,7 +368,7 @@ class TestKernelsMatchOracles:
             ),
             label="lookahead",
         )
-        target = lookahead_point(path, *projection[:3], projection[4], lookahead)
+        target = lookahead_point(path, projection, lookahead)
         assert bits(target) == bits(lookahead_oracle(path, projection, lookahead))
 
     def test_long_diagonal_segment_widens_the_cells(self):
@@ -387,8 +387,7 @@ class TestKernelsMatchOracles:
 
 
 def find_lookahead_point(path, x, y, lookahead):
-    projection = project_onto_path(path, x, y)
-    return lookahead_point(path, *projection[:3], projection[4], lookahead)
+    return lookahead_point(path, project_onto_path(path, x, y), lookahead)
 
 
 def remaining_distance(path, x, y):

@@ -182,6 +182,11 @@ class TestRunScenario:
         clipped = (log.v_exec != log.v_cmd) | (log.omega_exec != log.omega_cmd)
         assert clipped.any()
 
+    def test_kind_that_is_not_a_controller_kind_is_rejected(self):
+        # command_velocities takes any kind it does not name for dwpp.
+        with pytest.raises(ParameterError, match=r"^kind must be of type ControllerKind, got 'pp'$"):
+            run(corner_path(90.0), "pp")
+
     def test_corner_dynamic_window_never_violates(self):
         result = run(corner_path(135.0), ControllerKind.DYNAMIC_WINDOW)
         assert result.reached_goal
