@@ -35,7 +35,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     named = dict(config.paths)
     if args.path in named:
-        reference = generate_corner_path(named[args.path])
+        reference = _build(f"path {args.path}", generate_corner_path, named[args.path])
         label = args.path
     elif Path(args.path).exists():
         reference = ReferencePath.from_csv(args.path)

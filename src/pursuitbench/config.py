@@ -27,6 +27,9 @@ VELOCITY_SCALED_LOOKAHEAD = "velocity_scaled"
 
 COMBINE_LOWER_BOUND = "lower_bound"
 
+# The most waypoints a corner path may have: with its projection grid, a path takes about 870 bytes per waypoint.
+MAX_CORNER_WAYPOINTS = 1_000_000
+
 # How an error names what a config field of each type takes.
 _EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
 
@@ -237,10 +240,16 @@ class CornerPathSpec:
             raise ParameterError("segment_length must be positive")
         if not (0.0 < self.waypoint_spacing < self.segment_length):
             raise ParameterError("waypoint_spacing must be in (0, segment_length)")
-        # Each leg has round(segment_length / waypoint_spacing) intervals: finitely many.
+        # Each leg has round(segment_length / waypoint_spacing) intervals: finitely many, and few enough.
+        ratio = f"{self.segment_length!r} / {self.waypoint_spacing!r}"
         if not math.isfinite(self.segment_length / self.waypoint_spacing):
-            ratio = f"{self.segment_length!r} / {self.waypoint_spacing!r}"
             raise ParameterError(f"segment_length / waypoint_spacing must be finite, got {ratio}")
+        waypoints = 2 * max(1, round(self.segment_length / self.waypoint_spacing)) + 1
+        if waypoints > MAX_CORNER_WAYPOINTS:
+            raise ParameterError(
+                f"segment_length / waypoint_spacing = {ratio} makes {waypoints} waypoints;"
+                f" a corner path takes at most {MAX_CORNER_WAYPOINTS}"
+            )
         if not (0.0 < self.corner_angle < math.pi):
             raise ParameterError("corner_angle must be strictly inside (0, pi)")
 

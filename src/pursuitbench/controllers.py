@@ -1,11 +1,11 @@
 """Command-velocity laws for path tracking.
 
-Four variants share the same geometric core (lookahead point and arc
-curvature): plain pure pursuit with a fixed lookahead, the adaptive variant
-that scales the lookahead with speed, the regulated variant that additionally
-caps the linear velocity with curvature and goal heuristics, and the
+Four variants map the curvature of the arc to the lookahead point to a
+command: plain pure pursuit with a fixed lookahead, the adaptive variant that
+scales the lookahead with speed, the regulated variant that additionally caps
+the linear velocity with curvature and goal heuristics, and the
 dynamic-window variant that selects the command inside the set of velocities
-actually reachable in one control period.
+actually reachable in one control period. The simulator finds the curvature.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from .config import (
     FIXED_LOOKAHEAD, ControllerKind, KinodynamicLimits, LookaheadConfig, ParameterError, RegulationConfig,
 )
-from .paths import ReferencePath, arc_curvature, lookahead_point
 
 # The per-step clamps spell out the builtins, saving a call each: max(a, b) is
 # ``b if b > a else a`` and min(a, b) is ``b if b < a else a``, an operand
@@ -162,37 +161,24 @@ def select_velocity(window: tuple, v_reg: float, curvature: float) -> tuple[floa
 
 def command_velocities(
     kind: ControllerKind,
-    x: float,
-    y: float,
-    theta: float,
-    v: float,
-    path: ReferencePath,
-    projection: tuple,
+    curvature: float,
+    goal_distance: float,
     window: tuple,
-    limits: KinodynamicLimits,
-    lookahead_cfg: LookaheadConfig,
+    v_max: float,
     regulation_cfg: RegulationConfig,
 ) -> tuple[float, float]:
     """One control step of the selected tracking law, as ``(v, omega)``.
 
-    The robot is at (x, y) with heading ``theta`` and speed ``v``;
-    ``projection`` is ``project_onto_path(path, x, y)`` and ``window`` the
-    robot's ``window_bounds``, which only the dynamic-window law reads. The
-    lookahead distance comes from :func:`operative_lookahead` and the
-    nominal linear command is ``limits.v_max``. Only the dynamic-window
-    variant guarantees its output is reachable within one control period; the
-    other laws may command velocities the execution layer has to clip. The
-    result is not checked for finiteness.
+    ``curvature`` is that of the arc to the lookahead target, ``goal_distance``
+    the non-negative arc length left to the goal (read by ``rpp`` and ``dwpp``)
+    and ``window`` the robot's ``window_bounds`` (read by ``dwpp`` only); the
+    nominal linear command is ``v_max``. Only ``dwpp`` guarantees its output is
+    reachable within one control period; the others may command velocities the
+    execution layer has to clip. The result is not checked for finiteness.
     """
-    lookahead = operative_lookahead(kind, lookahead_cfg, v)
-    curvature = arc_curvature(x, y, theta, *lookahead_point(path, projection, lookahead))
-    v_des = limits.v_max
     if kind is ControllerKind.PURE_PURSUIT or kind is ControllerKind.ADAPTIVE:
-        return v_des, curvature * v_des
-
-    goal_distance = path.length - projection[4]
-    goal_distance = goal_distance if goal_distance > 0.0 else 0.0
-    v_reg = regulate_linear_velocity(v_des, curvature, goal_distance, regulation_cfg)
+        return v_max, curvature * v_max
+    v_reg = regulate_linear_velocity(v_max, curvature, goal_distance, regulation_cfg)
     if kind is ControllerKind.REGULATED:
         return v_reg, curvature * v_reg
 

@@ -226,7 +226,7 @@ def run_comparison(
     written: list[Path] = []
     try:
         for name, spec in config.paths:
-            reference = generate_corner_path(spec)
+            reference = _build(f"path {name}", generate_corner_path, spec)
             written.append(out / f"path_{name}.csv.partial")
             reference.to_csv(written[-1])
             for kind in config.controllers:
@@ -272,7 +272,7 @@ def run_lookahead_sweep(
     config = sweep.base
     out = _output_dir(config, out_dir)
     name, spec = config.paths[0]
-    reference = generate_corner_path(spec)
+    reference = _build(f"path {name}", generate_corner_path, spec)
     regulation = replace(config.regulation, enable_curvature=False, enable_goal=False)
     rows = []
     for value in sweep.lookahead_values:

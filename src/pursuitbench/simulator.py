@@ -17,9 +17,10 @@ import numpy as np
 
 from .config import ControllerKind, ExperimentConfig, KinodynamicLimits, NoiseModel, ParameterError, require_type
 from .controllers import (
-    clip_to_window, command_velocities, reachable_velocities, require_finite_command, window_bounds,
+    clip_to_window, command_velocities, operative_lookahead, reachable_velocities, require_finite_command,
+    window_bounds,
 )
-from .paths import ReferencePath, project_onto_path, require_finite_pose, wrap_angle
+from .paths import ReferencePath, arc_curvature, lookahead_point, project_onto_path, require_finite_pose, wrap_angle
 
 # Commands are flagged as violations only beyond this absolute slack.
 _VIOLATION_TOL = 1e-9
@@ -174,18 +175,19 @@ def run_scenario(
     the run's disturbances are ``noise``, none by default. ``kind`` must be
     a :class:`ControllerKind`.
 
-    Per step: project the pose onto the path once, compute the command from
-    that projection, clip it to the dynamic window of ``limits`` (a
-    dynamic-window command is inside it and comes back unchanged), add the
-    actuation noise and clip again, append the nine values the step computed
-    to one flat ``array("d")``, then integrate. No per-step tuple or float
-    object is kept: the log's nine columns are views of that record, and the
-    time, state velocities and violation flags follow from them once per run.
-    The run ends as soon as the robot is within ``goal_tolerance`` of the
-    final waypoint, tested before each step and after the last one; a start
-    (after the pose noise) already within ``goal_tolerance`` raises
-    :class:`ParameterError`. Identical inputs (including the noise seed)
-    reproduce the log bit for bit.
+    Per step: project the pose onto the path once; from that projection find
+    the curvature of the arc to the lookahead target and the arc length left to
+    the goal; compute the law's command from them and the dynamic window of
+    ``limits``; clip the command to the window (a dynamic-window command is
+    inside it and comes back unchanged), add the actuation noise and clip
+    again, append the nine values the step computed to one flat ``array("d")``,
+    then integrate. No per-step tuple or float object is kept: the log's nine
+    columns are views of that record, and the time, state velocities and
+    violation flags follow from them once per run. The run ends as soon as the
+    robot is within ``goal_tolerance`` of the final waypoint, tested before
+    each step and after the last one; a start (after the pose noise) already
+    within ``goal_tolerance`` raises :class:`ParameterError`. Identical inputs
+    (including the noise seed) reproduce the log bit for bit.
     """
     limits, lookahead, regulation = config.limits, config.lookahead, config.regulation
     max_time, goal_tolerance = config.max_time, config.goal_tolerance
@@ -213,18 +215,19 @@ def run_scenario(
     # and after the actuation noise) and the new pose are finite; the state
     # velocities are then finite too, a clip of a finite command into a
     # finite window.
-    dt = limits.dt
+    dt, v_max, path_length = limits.dt, limits.v_max, path.length
     rows = array("d")  # the nine values of each step, back to back
     for step in range(int(round(max_time / dt))):
         if at_goal(x, y):
             break
         try:
             projection = project_onto_path(path, x, y)
+            target = lookahead_point(path, projection, operative_lookahead(kind, lookahead, v))
+            curvature = arc_curvature(x, y, theta, *target)
+            goal_distance = path_length - projection[4]
+            goal_distance = goal_distance if goal_distance > 0.0 else 0.0
             window = window_bounds(v, omega, limits)
-            v_cmd, omega_cmd = command_velocities(
-                kind, x, y, theta, v, path, projection, window,
-                limits, lookahead, regulation,
-            )
+            v_cmd, omega_cmd = command_velocities(kind, curvature, goal_distance, window, v_max, regulation)
             require_finite_command(v_cmd, omega_cmd)
             v_exec, omega_exec = clip_to_window(v_cmd, omega_cmd, window)
             if velocity_noise:

@@ -234,6 +234,16 @@ def dwpp_selection_oracle(window: tuple, v_reg: float, curvature: float) -> tupl
     return select_velocity_oracle(*regulated_range_oracle(v_lo, v_hi, v_reg), omega_lo, omega_hi, curvature)
 
 
+def command_velocities_oracle(kind, curvature, goal_distance, window, v_max, regulation) -> tuple[float, float]:
+    """Each law's command from the curvature, the goal distance and the window, composed of the oracles above."""
+    if kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE):
+        return v_max, curvature * v_max
+    v_reg = regulate_linear_velocity_oracle(v_max, curvature, goal_distance, regulation)
+    if kind is ControllerKind.REGULATED:
+        return v_reg, curvature * v_reg
+    return dwpp_selection_oracle(window, v_reg, curvature)
+
+
 def clip_to_window_oracle(v: float, omega: float, window: tuple) -> tuple[float, float]:
     v_lo, v_hi, omega_lo, omega_hi = window
     return min(max(v, v_lo), v_hi), min(max(omega, omega_lo), omega_hi)
@@ -264,16 +274,9 @@ def _violation_flags_oracle(command, velocity, limits) -> tuple[bool, bool, bool
 def _command_oracle(kind, pose, velocity, path, projection, limits, lookahead, regulation):
     target = lookahead_oracle(path, projection, operative_lookahead_oracle(kind, lookahead, velocity[0]))
     curvature = arc_curvature(*pose, *target)
-    v_des = limits.v_max
-    if kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE):
-        command = v_des, curvature * v_des
-    else:
-        goal_distance = max(0.0, path.length - projection[4])
-        v_reg = regulate_linear_velocity_oracle(v_des, curvature, goal_distance, regulation)
-        if kind is ControllerKind.REGULATED:
-            command = v_reg, curvature * v_reg
-        else:
-            command = dwpp_selection_oracle(dynamic_window_oracle(*velocity, limits), v_reg, curvature)
+    goal_distance = max(0.0, path.length - projection[4])
+    window = dynamic_window_oracle(*velocity, limits)
+    command = command_velocities_oracle(kind, curvature, goal_distance, window, limits.v_max, regulation)
     require_finite_command(*command)
     return command
 

@@ -12,7 +12,7 @@ from conftest import (
     bits,
     clamp_range_oracle,
     clip_to_window_oracle,
-    corner_path,
+    command_velocities_oracle,
     distance_point_to_line,
     dwpp_selection_oracle,
     dynamic_window_oracle,
@@ -20,7 +20,6 @@ from conftest import (
     regulate_linear_velocity_oracle,
     regulated_window_oracle,
     select_velocity_oracle,
-    straight_path,
 )
 from pursuitbench import (
     ControllerKind,
@@ -41,7 +40,6 @@ from pursuitbench.controllers import (
     select_velocity,
     window_bounds,
 )
-from pursuitbench.paths import arc_curvature, lookahead_point, project_onto_path, wrap_angle
 
 # A window is ``(v_lo, v_hi, omega_lo, omega_hi)``, as ``window_bounds`` returns it.
 
@@ -209,27 +207,20 @@ class TestEffectiveLookahead:
 
 
 class TestNominalCommand:
-    def test_command_lies_on_tracking_line(self, bench_limits, bench_lookahead, bench_regulation):
-        # pp, app and rpp drive along the arc to their lookahead point: omega = kappa * v exactly.
-        path = corner_path(90.0)
-        regulated_speeds, curvatures = [], []
-        for x, y, theta, v in [(2.8, 0.05, 0.3, 0.5), (3.2, 0.5, 2.0, 0.2), (2.0, -0.2, -0.4, 0.0)]:
-            theta = wrap_angle(theta)
+    def test_command_lies_on_tracking_line(self, bench_limits, bench_regulation):
+        # pp, app and rpp drive along the arc of the given curvature: omega = kappa * v exactly.
+        regulated_speeds = []
+        for kappa, goal_distance, v in [(0.37, 3.0, 0.5), (-1.9, 0.4, 0.2), (2.6, 0.0, 0.0), (0.0, 5.0, 0.3)]:
             window = window_bounds(v, 0.0, bench_limits)
             for kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE, ControllerKind.REGULATED):
-                projection = project_onto_path(path, x, y)
-                distance = operative_lookahead(kind, bench_lookahead, v)
-                target = lookahead_point(path, projection, distance)
-                kappa = arc_curvature(x, y, theta, *target)
                 v_cmd, omega_cmd = command_velocities(
-                    kind, x, y, theta, v, path, projection, window,
-                    bench_limits, bench_lookahead, bench_regulation,
+                    kind, kappa, goal_distance, window, bench_limits.v_max, bench_regulation
                 )
                 assert omega_cmd == kappa * v_cmd
-                curvatures.append(kappa)
                 if kind is ControllerKind.REGULATED:
                     regulated_speeds.append(v_cmd)
-        assert min(curvatures) < 0.0 < max(curvatures)
+                else:
+                    assert v_cmd == bench_limits.v_max
         assert min(regulated_speeds) < bench_limits.v_max  # the regulated speed is on the line too
 
 
@@ -585,6 +576,19 @@ edge_floats = st.one_of(
 )
 
 
+# Regulation configs as the kernels read them; a namespace lets the draw
+# reach values the config class rejects.
+regulation_namespaces = st.builds(
+    SimpleNamespace,
+    enable_curvature=st.booleans(),
+    enable_goal=st.booleans(),
+    min_turn_radius=edge_floats,
+    goal_slowdown_distance=edge_floats,
+    min_regulated_speed=edge_floats,
+    min_approach_speed=edge_floats,
+)
+
+
 def outcome(function, *args):
     """``function(*args)`` as exact hex strings, or the type and message of what it raised."""
     try:
@@ -615,15 +619,7 @@ class TestKernelsAreTheirMinMaxForms:
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(
-        cfg=st.builds(
-            SimpleNamespace,
-            enable_curvature=st.booleans(),
-            enable_goal=st.booleans(),
-            min_turn_radius=edge_floats,
-            goal_slowdown_distance=edge_floats,
-            min_regulated_speed=edge_floats,
-            min_approach_speed=edge_floats,
-        ),
+        cfg=regulation_namespaces,
         args=st.tuples(edge_floats, edge_floats, edge_floats),
     )
     def test_regulate_linear_velocity(self, cfg, args):
@@ -641,6 +637,19 @@ class TestKernelsAreTheirMinMaxForms:
         expected = outcome(dwpp_selection_oracle, window, v_reg, kappa)
         assert outcome(select_velocity, window, v_reg, kappa) == expected
 
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(ControllerKind),
+        kappa=edge_floats,
+        goal_distance=edge_floats,
+        window=st.tuples(*[edge_floats] * 4),
+        v_max=edge_floats,
+        cfg=regulation_namespaces,
+    )
+    def test_command_velocities(self, kind, kappa, goal_distance, window, v_max, cfg):
+        args = kind, kappa, goal_distance, window, v_max, cfg
+        assert outcome(command_velocities, *args) == outcome(command_velocities_oracle, *args)
+
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(v=edge_floats, omega=edge_floats, window=st.tuples(*[edge_floats] * 4))
     def test_clip_to_window(self, v, omega, window):
@@ -648,83 +657,50 @@ class TestKernelsAreTheirMinMaxForms:
 
 
 class TestComputeCommand:
+    # A sharp turn: a 0.5 m radius, inside the regulation's 0.9 m minimum turn radius.
+    KAPPA = 2.0
+
     def setup_method(self):
         self.limits = KinodynamicLimits()
-        self.lookahead = LookaheadConfig()
         self.regulation = RegulationConfig()
 
+    def command(self, kind, kappa, goal_distance, v=0.5):
+        window = window_bounds(v, 0.0, self.limits)
+        return command_velocities(kind, kappa, goal_distance, window, self.limits.v_max, self.regulation)
+
     def test_straight_cruise_all_controllers(self):
-        path = straight_path()
-        window = window_bounds(0.5, 0.0, self.limits)
         for kind in ControllerKind:
-            v, omega = command_velocities(
-                kind, 1.0, 0.0, 0.0, 0.5, path, project_onto_path(path, 1.0, 0.0), window,
-                self.limits, self.lookahead, self.regulation,
-            )
-            assert v == pytest.approx(0.5)
-            assert omega == pytest.approx(0.0, abs=1e-12)
+            assert self.command(kind, 0.0, 5.0) == (0.5, 0.0)
 
     def test_pure_pursuit_corner_command_exceeds_window(self):
-        path = corner_path(135.0)
-        window = window_bounds(0.5, 0.0, self.limits)
-        v, omega = command_velocities(
-            ControllerKind.PURE_PURSUIT, 2.9, 0.0, 0.0, 0.5,
-            path, project_onto_path(path, 2.9, 0.0), window,
-            self.limits, self.lookahead, self.regulation,
-        )
+        v, omega = self.command(ControllerKind.PURE_PURSUIT, self.KAPPA, 3.0)
         reachable = 0.0 + self.limits.ang_accel_max * self.limits.dt
         assert v == 0.5
         assert abs(omega) > reachable
 
     def test_dynamic_window_corner_command_stays_feasible(self):
-        path = corner_path(135.0)
         window = window_bounds(0.5, 0.0, self.limits)
-        v, omega = command_velocities(
-            ControllerKind.DYNAMIC_WINDOW, 2.9, 0.0, 0.0, 0.5,
-            path, project_onto_path(path, 2.9, 0.0), window,
-            self.limits, self.lookahead, self.regulation,
-        )
+        v, omega = self.command(ControllerKind.DYNAMIC_WINDOW, self.KAPPA, 3.0)
         v_lo, v_hi, omega_lo, omega_hi = window
         assert v_lo <= v <= v_hi
         assert omega_lo <= omega <= omega_hi
 
     def test_regulated_slows_down_and_recomputes_omega(self):
-        path = corner_path(135.0)
-        projection = project_onto_path(path, 2.9, 0.0)
-        window = window_bounds(0.5, 0.0, self.limits)
-        v, omega = command_velocities(
-            ControllerKind.REGULATED, 2.9, 0.0, 0.0, 0.5, path, projection, window,
-            self.limits, self.lookahead, self.regulation,
-        )
-        assert v < 0.5
-        lookahead = operative_lookahead(ControllerKind.REGULATED, self.lookahead, 0.5)
-        target = lookahead_point(path, projection, lookahead)
-        kappa = arc_curvature(2.9, 0.0, 0.0, *target)
-        assert omega == pytest.approx(kappa * v, abs=1e-12)
+        v, omega = self.command(ControllerKind.REGULATED, self.KAPPA, 3.0)
+        assert v == 0.5 * 0.5 / 0.9  # scaled by the turn radius over min_turn_radius
+        assert omega == self.KAPPA * v
 
-    def test_pure_pursuit_ignores_scaled_mode(self):
-        path = straight_path()
-        window = window_bounds(0.0, 0.0, self.limits)
-        fixed_cfg = replace(self.lookahead, mode=FIXED_LOOKAHEAD)
-        for cfg in (self.lookahead, fixed_cfg):
-            command = command_velocities(
-                ControllerKind.PURE_PURSUIT, 0.0, 0.0, 0.0, 0.0,
-                path, project_onto_path(path, 0.0, 0.0), window,
-                self.limits, cfg, self.regulation,
-            )
-            assert command == (0.5, 0.0)
+    def test_pure_pursuit_ignores_regulation_and_the_goal(self):
+        # Plain and adaptive pure pursuit differ only in their lookahead
+        # (see TestEffectiveLookahead): both command v_max on the arc.
+        disabled = RegulationConfig(enable_curvature=False, enable_goal=False)
+        for kind in (ControllerKind.PURE_PURSUIT, ControllerKind.ADAPTIVE):
+            for goal_distance, regulation in ((0.0, self.regulation), (3.0, disabled)):
+                window = window_bounds(0.0, 0.0, self.limits)
+                command = command_velocities(kind, self.KAPPA, goal_distance, window, 0.5, regulation)
+                assert command == (0.5, 1.0)
 
-    def test_adaptive_uses_short_lookahead_at_rest(self):
-        # At rest the adaptive law aims 0.3 m ahead while plain pure pursuit
-        # aims 0.6 m ahead; on a curved approach the curvatures differ.
-        path = corner_path(90.0)
-        projection = project_onto_path(path, 2.75, 0.0)
-        window = window_bounds(0.0, 0.0, self.limits)
-        adaptive, plain = (
-            command_velocities(
-                kind, 2.75, 0.0, 0.0, 0.0, path, projection, window,
-                self.limits, self.lookahead, self.regulation,
-            )
-            for kind in (ControllerKind.ADAPTIVE, ControllerKind.PURE_PURSUIT)
-        )
-        assert adaptive[1] != plain[1]
+    def test_regulated_slows_to_the_approach_speed_at_the_goal(self):
+        assert self.command(ControllerKind.REGULATED, 0.0, 0.0) == (0.05, 0.0)
+        v, omega = self.command(ControllerKind.DYNAMIC_WINDOW, 0.0, 0.0, v=0.05)
+        assert (v, omega) == (0.05, 0.0)

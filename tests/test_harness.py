@@ -921,10 +921,16 @@ class TestCli:
                 "paths:\n  - {name: A, segment_length: 1.0e300, waypoint_spacing: 1.0e-10}\n",
                 "paths[0]: segment_length / waypoint_spacing must be finite, got 1e+300 / 1e-10",
             ),
+            (
+                "paths: [{name: A, waypoint_spacing: 1.0e-25}]\n",
+                "paths[0]: segment_length / waypoint_spacing = 3.0 / 1e-25 makes 60000000000000001140850689"
+                " waypoints; a corner path takes at most 1000000",
+            ),
         ],
         ids=[
             "zero_trials", "infinite_max_time", "repeated_key", "overflowing_step_count",
             "exponent_form_number", "exponent_form_for_a_string", "overflowing_waypoint_count",
+            "waypoint_count_over_the_cap",
         ],
     )
     def test_bad_config_exits_nonzero(self, tmp_path, capsys, text, message):
@@ -932,6 +938,20 @@ class TestCli:
         config.write_text(text)
         assert main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message.format(file=config)}\n"
+
+    @pytest.mark.parametrize(
+        "command", [["compare"], ["sweep"], ["simulate", "--controller", "dwpp", "--path", "A"]],
+        ids=["compare", "sweep", "simulate"],
+    )
+    def test_a_path_that_cannot_be_generated_is_named(self, tmp_path, capsys, command):
+        # Both legs are 1e307 m segments, whose squared lengths overflow.
+        config = tmp_path / "huge.yaml"
+        config.write_text("paths: [{name: A, segment_length: 1.0e308, waypoint_spacing: 1.0e307}]\n")
+        assert main([*command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: path A: segment 0 (waypoints 0 to 1) is 1e+307 m long;"
+            " its squared length must be a positive finite float\n"
+        )
 
     def test_compare_rejects_a_path_that_starts_inside_the_goal(self, tmp_path, capsys):
         # Path A runs and writes its files before F fails; the failure removes them all.
@@ -1183,6 +1203,15 @@ def test_config_module_holds_the_config_contract():
         "CornerPathSpec", "ExperimentConfig", "KinodynamicLimits", "LookaheadConfig",
         "NoiseModel", "RegulationConfig", "StabilityConfig", "SweepConfig",
     }
+
+
+def test_controllers_module_imports_only_config():
+    # The tracking laws take numbers: controllers.py reads no path, so it
+    # imports no module of the package but config.
+    tree = ast.parse((Path(pursuitbench.__file__).parent / "controllers.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [module for module in modules if module.startswith((".", "pursuitbench"))] == [".config"]
 
 
 def trajectory_digest(out: Path) -> tuple[int, str]:

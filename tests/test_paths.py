@@ -26,6 +26,7 @@ from pursuitbench import (
     generate_corner_path,
 )
 from pursuitbench import paths
+from pursuitbench.config import MAX_CORNER_WAYPOINTS
 from pursuitbench.paths import (
     arc_curvature,
     lookahead_point,
@@ -140,6 +141,13 @@ class TestCornerPathGeneration:
     def test_spacing_must_fit_in_segment(self):
         with pytest.raises(ParameterError):
             CornerPathSpec(1.0, math.radians(90.0), 1.5)
+
+    def test_waypoint_count_is_capped(self):
+        # Construction only: a path this size is never generated here.
+        assert 2 * 499_999 + 1 < MAX_CORNER_WAYPOINTS < 2 * 500_000 + 1
+        CornerPathSpec(3.0, math.radians(90.0), 3.0 / 499_999)
+        with pytest.raises(ParameterError, match=r"makes 1000001 waypoints; a corner path takes at most 1000000$"):
+            CornerPathSpec(3.0, math.radians(90.0), 3.0 / 500_000)
 
 
 class TestNearestPoint:
