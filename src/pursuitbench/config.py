@@ -30,6 +30,9 @@ COMBINE_LOWER_BOUND = "lower_bound"
 # The most waypoints a corner path may have: with its projection grid, a path takes about 870 bytes per waypoint.
 MAX_CORNER_WAYPOINTS = 1_000_000
 
+# The most steps a run may take: a run and its log hold about 150 bytes per step.
+MAX_RUN_STEPS = 6_000_000
+
 # How an error names what a config field of each type takes.
 _EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
 
@@ -64,6 +67,13 @@ def require_field_types(config) -> None:
     """:func:`require_type` for each field of a config dataclass; a tuple's owner then checks each entry."""
     for name, kind in _typed_fields(type(config)).items():
         object.__setattr__(config, name, require_type(name, getattr(config, name), kind))
+
+
+def _require_positive(config, *names: str) -> None:
+    """:class:`ParameterError` for the first of the fields ``names`` of ``config`` that is not above 0."""
+    for name in names:
+        if not getattr(config, name) > 0.0:
+            raise ParameterError(f"{name} must be positive")
 
 
 class ControllerKind(enum.Enum):
@@ -106,11 +116,7 @@ class KinodynamicLimits:
             raise ParameterError("omega_min must not be positive (runs start at rest)")
         if self.omega_max < 0.0:
             raise ParameterError("omega_max must not be negative (runs start at rest)")
-        for name in ("accel_max", "decel_max", "ang_accel_max", "ang_decel_max"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be positive")
-        if self.dt <= 0.0:
-            raise ParameterError("dt must be positive")
+        _require_positive(self, "accel_max", "decel_max", "ang_accel_max", "ang_decel_max", "dt")
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,7 @@ class LookaheadConfig:
             )
         if not 0.0 < self.min_distance <= self.max_distance:
             raise ParameterError("need 0 < min_distance <= max_distance")
-        if not self.projection_time > 0.0:
-            raise ParameterError("projection_time must be positive")
-        if not self.fixed_distance > 0.0:
-            raise ParameterError("fixed_distance must be positive")
+        _require_positive(self, "projection_time", "fixed_distance")
 
 
 @dataclass(frozen=True)
@@ -167,14 +170,10 @@ class RegulationConfig:
 
     def __post_init__(self) -> None:
         require_field_types(self)
-        if not self.min_turn_radius > 0.0:
-            raise ParameterError("min_turn_radius must be positive")
-        if not self.proximity_threshold > 0.0:
-            raise ParameterError("proximity_threshold must be positive")
+        _require_positive(self, "min_turn_radius", "proximity_threshold")
         if not 0.0 < self.proximity_gain <= 1.0:
             raise ParameterError("proximity_gain must be in (0, 1]")
-        if not self.goal_slowdown_distance > 0.0:
-            raise ParameterError("goal_slowdown_distance must be positive")
+        _require_positive(self, "goal_slowdown_distance")
         for name in ("min_regulated_speed", "min_approach_speed"):
             if not getattr(self, name) >= 0.0:
                 raise ParameterError(f"{name} must be non-negative")
@@ -191,10 +190,7 @@ class StabilityConfig:
 
     def __post_init__(self) -> None:
         require_field_types(self)
-        if not self.steering_time_constant > 0.0:
-            raise ParameterError("steering_time_constant must be positive")
-        if not self.min_dimensionless_lookahead > 0.0:
-            raise ParameterError("min_dimensionless_lookahead must be positive")
+        _require_positive(self, "steering_time_constant", "min_dimensionless_lookahead")
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,7 @@ class CornerPathSpec:
 
     def __post_init__(self) -> None:
         require_field_types(self)
-        if not self.segment_length > 0.0:
-            raise ParameterError("segment_length must be positive")
+        _require_positive(self, "segment_length")
         if not (0.0 < self.waypoint_spacing < self.segment_length):
             raise ParameterError("waypoint_spacing must be in (0, segment_length)")
         # Each leg has round(segment_length / waypoint_spacing) intervals: finitely many, and few enough.
@@ -303,12 +298,17 @@ class ExperimentConfig:
                 raise ParameterError(f"controllers[{position}]: duplicate controller '{kind.value}'")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials!r}")
-        # A run takes round(max_time / dt) steps: at least one, and finitely many.
+        # A run takes round(max_time / dt) steps: at least one, and few enough.
         max_time, dt = self.max_time, self.limits.dt
         if max_time < dt:
             raise ParameterError(f"max_time must be at least limits.dt ({dt:g} s), got {max_time!r}")
         if not math.isfinite(max_time / dt):
             raise ParameterError(f"max_time / limits.dt must be finite, got {max_time!r} / {dt!r}")
+        steps = round(max_time / dt)
+        if steps > MAX_RUN_STEPS:
+            raise ParameterError(
+                f"max_time / limits.dt = {max_time!r} / {dt!r} makes {steps} steps; a run takes at most {MAX_RUN_STEPS}"
+            )
         if not self.goal_tolerance > 0.0:
             raise ParameterError(f"goal_tolerance must be positive, got {self.goal_tolerance!r}")
         if not self.output_dir:

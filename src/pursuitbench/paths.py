@@ -91,12 +91,6 @@ class ReferencePath:
             16.0 * sys.float_info.epsilon * (len(points) + 16) * (float(np.abs(points).max()) + self.length)
         )
 
-    def __len__(self) -> int:
-        return self._waypoints.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ReferencePath({len(self)} waypoints, {self.length:.3f} m)"
-
     @cached_property
     def _grid(self) -> "_CellGrid | None":
         """The projection's cell grid, built on the first query; None if unusable."""

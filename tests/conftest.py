@@ -9,7 +9,6 @@ from pursuitbench import (
     ControllerKind,
     CornerPathSpec,
     KinodynamicLimits,
-    LookaheadConfig,
     NoiseModel,
     ParameterError,
     ReferencePath,
@@ -54,11 +53,6 @@ def u_turn_path(gap: float = 0.3, leg: float = 2.0, spacing: float = 0.05) -> Re
 @pytest.fixture
 def bench_limits() -> KinodynamicLimits:
     return KinodynamicLimits()
-
-
-@pytest.fixture
-def bench_lookahead() -> LookaheadConfig:
-    return LookaheadConfig()
 
 
 @pytest.fixture

@@ -297,3 +297,35 @@ def test_criterion_10_dwpp_follows_linear_pure_pursuit_theory(bench_profile, loo
         f"L={lookahead:.3f} m, seed={seed}: dwpp gap={dwpp_gap:.3%}, pp gap={pp_gap:.3%},"
         f" pp clipped on its first 10 steps: {pp_clipped}",
     )
+
+
+def test_projection_moves_back_less_than_a_segment_per_step(bench_profile):
+    # Arc-length progress is not monotone: where a law cuts the 135-degree
+    # corner, the projection of the next pose can lie a few millimetres behind
+    # the last one. A step back by a whole segment would be a jump to another leg.
+    sweep = load_sweep_config("simulation_table6")
+    fixed = [
+        replace(
+            sweep.base,
+            lookahead=replace(sweep.base.lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=value),
+            regulation=replace(sweep.base.regulation, enable_curvature=False, enable_goal=False),
+        )
+        for value in sweep.lookahead_values
+    ]
+    seed = bench_profile.noise.seed
+    runs = [
+        ("table1", bench_profile, spec, kind, replace(bench_profile.noise, seed=seed + trial))
+        for _, spec in bench_profile.paths
+        for kind in bench_profile.controllers
+        for trial in range(bench_profile.trials)
+    ] + [("table6", config, config.paths[0][1], ControllerKind.DYNAMIC_WINDOW, None) for config in fixed]
+    worst, ok = {}, True
+    for profile, config, spec, kind, noise in runs:
+        back = -float(np.diff(run_scenario(generate_corner_path(spec), kind, config, noise).log.arc_length).min())
+        ok = ok and back < spec.waypoint_spacing
+        worst[f"{profile} {kind.value}"] = max(worst.get(f"{profile} {kind.value}", 0.0), back)
+    report(
+        "the projection moves back less than one segment per step on both shipped profiles",
+        ok,
+        ", ".join(f"{label}: {1000.0 * back:.2f} mm" for label, back in worst.items()),
+    )

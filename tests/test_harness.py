@@ -41,6 +41,7 @@ from pursuitbench import (
 )
 from pursuitbench import harness
 from pursuitbench.cli import main
+from pursuitbench.config import MAX_RUN_STEPS
 from pursuitbench.metrics import METRICS, mean_sd
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
@@ -210,6 +211,13 @@ class TestLoadConfig:
     def test_experiment_config_names_an_empty_value(self, overrides, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**overrides)
+
+    def test_run_step_count_is_capped(self):
+        # Construction only: a run this long is never started here.
+        limits = KinodynamicLimits(dt=0.25)
+        ExperimentConfig(limits=limits, max_time=MAX_RUN_STEPS * 0.25)
+        with pytest.raises(ParameterError, match=r"makes 6000001 steps; a run takes at most 6000000$"):
+            ExperimentConfig(limits=limits, max_time=(MAX_RUN_STEPS + 1) * 0.25)
 
     @pytest.mark.parametrize(
         "build, message",
@@ -926,11 +934,15 @@ class TestCli:
                 "paths[0]: segment_length / waypoint_spacing = 3.0 / 1e-25 makes 60000000000000001140850689"
                 " waypoints; a corner path takes at most 1000000",
             ),
+            (
+                "max_time: 1.0e+9\n",
+                "max_time / limits.dt = 1000000000.0 / 0.033 makes 30303030303 steps; a run takes at most 6000000",
+            ),
         ],
         ids=[
             "zero_trials", "infinite_max_time", "repeated_key", "overflowing_step_count",
             "exponent_form_number", "exponent_form_for_a_string", "overflowing_waypoint_count",
-            "waypoint_count_over_the_cap",
+            "waypoint_count_over_the_cap", "step_count_over_the_cap",
         ],
     )
     def test_bad_config_exits_nonzero(self, tmp_path, capsys, text, message):
@@ -1159,6 +1171,25 @@ def test_package_imports_no_unused_name():
                     if name not in used:
                         unused.append(f"{file.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_every_conftest_fixture_is_requested():
+    # A test or a fixture somewhere in tests/ names each conftest fixture as a parameter.
+    def is_fixture(node):
+        return any(ast.unparse(decorator).startswith("pytest.fixture") for decorator in node.decorator_list)
+
+    tests = Path(__file__).parent
+    conftest = ast.parse((tests / "conftest.py").read_text(encoding="utf-8"))
+    fixtures = {node.name for node in conftest.body if isinstance(node, ast.FunctionDef) and is_fixture(node)}
+    requested = {
+        arg.arg
+        for file in sorted(tests.glob("*.py"))
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and (node.name.startswith("test") or is_fixture(node))
+        for arg in node.args.args
+    }
+    assert fixtures
+    assert sorted(fixtures - requested) == []
 
 
 def test_readme_library_examples_run(tmp_path, monkeypatch):

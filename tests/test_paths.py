@@ -117,7 +117,7 @@ class TestTypes:
 class TestCornerPathGeneration:
     def test_right_angle_layout(self):
         path = generate_corner_path(CornerPathSpec(3.0, math.radians(90.0), 0.1))
-        assert len(path) == 61
+        assert len(path.waypoints) == 61
         np.testing.assert_allclose(path.waypoints[30], [3.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(path.waypoints[-1], [3.0, 3.0], atol=1e-12)
         assert path.length == pytest.approx(6.0)
@@ -268,7 +268,7 @@ def draw_query(data, path) -> tuple[float, float]:
     The far points reach the fallback scan, also from outside the grid's bounding box.
     """
     grid = path._grid
-    index = data.draw(st.integers(0, len(path) - 2), label="segment")
+    index = data.draw(st.integers(0, len(path.waypoints) - 2), label="segment")
     a, b = path.waypoints[index], path.waypoints[index + 1]
     u = data.draw(st.floats(0.0, 1.0), label="fraction")
     cells = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 20.0))
@@ -387,7 +387,7 @@ class TestKernelsMatchOracles:
         path = ReferencePath(np.vstack((fine, [[1020.0, 1000.0]])))
         grid = path._grid
         listed = len(grid.segments)
-        assert listed <= 32 * (len(path) - 1)
+        assert listed <= 32 * (len(path.waypoints) - 1)
         for x, y in [(3.004, 0.01), (19.999, -0.02), (520.0, 500.3), (1020.0, 1000.0)]:
             projection, scanned = project_counting_scans(path, x, y)
             assert_same_projection(projection, nearest_point_oracle(path, x, y))
@@ -420,7 +420,7 @@ class TestLookaheadPoint:
         px, py, segment_index, _, _ = project_onto_path(path, 2.7, 0.0)
         distances = np.hypot(path.waypoints[:, 0] - px, path.waypoints[:, 1] - py)
         chosen = None
-        for i in range(segment_index + 1, len(path)):
+        for i in range(segment_index + 1, len(path.waypoints)):
             if distances[i - 1] < 0.6 <= distances[i]:
                 chosen = path.waypoints[i]
                 break
@@ -438,7 +438,7 @@ class TestLookaheadPoint:
             target = find_lookahead_point(path, x, y, lookahead)
             distances = np.hypot(path.waypoints[:, 0] - px, path.waypoints[:, 1] - py)
             expected = None
-            for i in range(segment_index + 1, len(path)):
+            for i in range(segment_index + 1, len(path.waypoints)):
                 if distances[i - 1] < lookahead <= distances[i]:
                     expected = path.waypoints[i]
                     break
