@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ControllerKind, ParameterError
+from .config import ControllerKind, NoiseModel, ParameterError
 from .harness import (
     _build, _output_dir, emit_report, load_config, load_sweep_config, run_comparison, run_lookahead_sweep,
 )
@@ -32,7 +33,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = replace(load_config(args.config), noise=NoiseModel())  # noise-free, whatever the config says
     named = dict(config.paths)
     if args.path in named:
         reference = _build(f"path {args.path}", generate_corner_path, named[args.path])

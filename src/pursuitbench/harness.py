@@ -181,10 +181,10 @@ def load_config(source: str | Path = "experiment_table1") -> ExperimentConfig:
     return load_sweep_config(source).base
 
 
-def _trial_noise(config: ExperimentConfig, trial: int) -> NoiseModel:
-    # Single-trial runs stay unperturbed; SD columns need >= 2 trials anyway.
+def _trial_config(config: ExperimentConfig, trial: int) -> ExperimentConfig:
+    # Seed noise.seed + trial. One trial keeps any actuation noise but starts unperturbed (SD needs >= 2).
     sigma_pose = config.noise.sigma_pose_init if config.trials > 1 else 0.0
-    return replace(config.noise, sigma_pose_init=sigma_pose, seed=config.noise.seed + trial)
+    return replace(config, noise=replace(config.noise, sigma_pose_init=sigma_pose, seed=config.noise.seed + trial))
 
 
 def _output_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
@@ -211,8 +211,8 @@ def run_comparison(
     """Run every (path, controller, trial) scenario and write CSV artifacts.
 
     Returns each (path name, controller name)'s per-trial metrics, trial
-    ``i`` at index ``i``, in config order. Trial ``i`` uses seed
-    ``noise.seed + i``. Outputs: one trajectory CSV per scenario, the
+    ``i`` at index ``i``, in config order. Trial ``i`` runs ``config`` with
+    seed ``noise.seed + i``. Outputs: one trajectory CSV per scenario, the
     generated reference paths, and ``metrics.csv`` with one row per scenario.
     Re-running the same config reproduces the files byte for byte. Every CSV
     is written as ``<name>.partial`` and, once every scenario has run and
@@ -222,6 +222,7 @@ def run_comparison(
     trial), an ``OSError`` or an interrupt, leaves ``out`` as it was.
     """
     out = _output_dir(config, out_dir)
+    trial_configs = [_trial_config(config, trial) for trial in range(config.trials)]
     results: dict[tuple[str, str], list[ScenarioMetrics]] = {}
     written: list[Path] = []
     try:
@@ -231,16 +232,16 @@ def run_comparison(
             reference.to_csv(written[-1])
             for kind in config.controllers:
                 trials = results[(name, kind.value)] = []
-                for trial in range(config.trials):
+                for trial, trial_config in enumerate(trial_configs):
                     label = f"path {name}, controller {kind.value}, trial {trial}"
-                    result = _build(label, run_scenario, reference, kind, config, _trial_noise(config, trial))
+                    result = _build(label, run_scenario, reference, kind, trial_config)
                     written.append(out / f"traj_{name}_{kind.value}_trial{trial}.csv.partial")
                     result.log.to_csv(written[-1])
                     trials.append(scenario_metrics(result))
         header = ("path", "controller", "trial", "seed", *(metric.name for metric in METRICS), "reached_goal")
         rows = (
             (
-                name, controller, trial, _trial_noise(config, trial).seed,
+                name, controller, trial, trial_configs[trial].noise.seed,
                 *(getattr(metrics, metric.name) for metric in METRICS), int(metrics.reached_goal),
             )
             for (name, controller), trials in results.items()
@@ -277,7 +278,7 @@ def run_lookahead_sweep(
     rows = []
     for value in sweep.lookahead_values:
         lookahead = replace(config.lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=value)
-        fixed = replace(config, lookahead=lookahead, regulation=regulation)
+        fixed = replace(config, lookahead=lookahead, regulation=regulation, noise=NoiseModel())
         label = f"path {name}, lookahead {value}"
         result = _build(label, run_scenario, reference, ControllerKind.DYNAMIC_WINDOW, fixed)
         mean_cte, _ = cross_track_stats(result.log)
@@ -318,15 +319,15 @@ def emit_report(
         "",
     ]
     cells = {key: [mean_sd(results[key], metric.name) for metric in METRICS] for key in keys}
-    cell_width = 16
+    cell_width, path_width = 16, max(8, 1 + max(map(len, path_names)))
     for index, metric in enumerate(METRICS):
         fmt = metric.metadata["format"]
         lines.append(f"{metric.metadata['title']} (mean ± sd)")
-        lines.append("path".ljust(8) + "".join(name.upper().rjust(cell_width) for name in controller_names))
+        lines.append("path".ljust(path_width) + "".join(name.upper().rjust(cell_width) for name in controller_names))
         for path_name in path_names:
             stats = (cells[(path_name, controller)][index] for controller in controller_names)
             row = "".join(f"{fmt.format(cell.mean)} ± {fmt.format(cell.sd)}".rjust(cell_width) for cell in stats)
-            lines.append(path_name.ljust(8) + row)
+            lines.append(path_name.ljust(path_width) + row)
         lines.append("")
 
     v_max, stability = config.limits.v_max, config.stability

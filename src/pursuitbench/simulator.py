@@ -164,16 +164,14 @@ def _initial_pose(
     return x, y, wrap_angle(theta)
 
 
-def run_scenario(
-    path: ReferencePath, kind: ControllerKind, config: ExperimentConfig, noise: NoiseModel | None = None
-) -> ScenarioResult:
+def run_scenario(path: ReferencePath, kind: ControllerKind, config: ExperimentConfig) -> ScenarioResult:
     """Run one tracking scenario under ``config`` until the goal is reached or time runs out.
 
     It reads the config's ``limits``, ``lookahead``, ``regulation``,
-    ``max_time`` and ``goal_tolerance``, each validated when the config was
-    built. It does not read ``config.noise``, the experiment's base model:
-    the run's disturbances are ``noise``, none by default. ``kind`` must be
-    a :class:`ControllerKind`.
+    ``noise``, ``max_time`` and ``goal_tolerance``, each validated when the
+    config was built; ``config.noise`` is taken as it stands, so a noise-free
+    run is a config with ``noise=NoiseModel()``. ``kind`` must be a
+    :class:`ControllerKind`.
 
     Per step: project the pose onto the path once; from that projection find
     the curvature of the arc to the lookahead target and the arc length left to
@@ -189,11 +187,9 @@ def run_scenario(
     within ``goal_tolerance`` raises :class:`ParameterError`. Identical inputs
     (including the noise seed) reproduce the log bit for bit.
     """
-    limits, lookahead, regulation = config.limits, config.lookahead, config.regulation
+    limits, lookahead, regulation, noise = config.limits, config.lookahead, config.regulation, config.noise
     max_time, goal_tolerance = config.max_time, config.goal_tolerance
     require_type("kind", kind, ControllerKind)
-    if noise is None:
-        noise = NoiseModel()
     sigma_v, sigma_omega = noise.sigma_v, noise.sigma_omega
     velocity_noise = sigma_v > 0.0 or sigma_omega > 0.0
     # A noise-free run draws nothing, so it never loads numpy.random.

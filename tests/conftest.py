@@ -9,7 +9,6 @@ from pursuitbench import (
     ControllerKind,
     CornerPathSpec,
     KinodynamicLimits,
-    NoiseModel,
     ParameterError,
     ReferencePath,
     RegulationConfig,
@@ -279,11 +278,9 @@ def _clip_oracle(command, velocity, limits) -> tuple[float, float]:
     return clip_to_window_oracle(*command, dynamic_window_oracle(*velocity, limits))
 
 
-def run_scenario_oracle(path, kind, config, noise=None) -> ScenarioResult:
-    limits, lookahead, regulation = config.limits, config.lookahead, config.regulation
+def run_scenario_oracle(path, kind, config) -> ScenarioResult:
+    limits, lookahead, regulation, noise = config.limits, config.lookahead, config.regulation, config.noise
     max_time, goal_tolerance = config.max_time, config.goal_tolerance
-    if noise is None:
-        noise = NoiseModel()
     rng = np.random.default_rng(noise.seed)
     first, second = path.waypoints[0], path.waypoints[1]
     x, y = float(first[0]), float(first[1])

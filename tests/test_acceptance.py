@@ -47,10 +47,11 @@ def bench_profile():
 def comparison_runs(bench_profile):
     """One deterministic run per (path, controller) under the default profile."""
     runs = {}
+    noise_free = replace(bench_profile, noise=NoiseModel(seed=bench_profile.noise.seed))
     for name, spec in bench_profile.paths:
         reference = generate_corner_path(spec)
         for kind in bench_profile.controllers:
-            result = run_scenario(reference, kind, bench_profile, NoiseModel(seed=bench_profile.noise.seed))
+            result = run_scenario(reference, kind, noise_free)
             runs[(name, kind)] = (reference, result)
     return runs
 
@@ -64,10 +65,10 @@ def sample_window(rng):
 def test_criterion_1_dynamic_window_zero_violations(bench_profile):
     start = time.monotonic()
     ratios = {}
+    noise_free = replace(bench_profile, noise=NoiseModel(seed=bench_profile.noise.seed))
     for name, spec in bench_profile.paths:
         reference = generate_corner_path(spec)
-        noise = NoiseModel(seed=bench_profile.noise.seed)
-        result = run_scenario(reference, ControllerKind.DYNAMIC_WINDOW, bench_profile, noise)
+        result = run_scenario(reference, ControllerKind.DYNAMIC_WINDOW, noise_free)
         ratios[name] = violation_ratio(result.log)
     elapsed = time.monotonic() - start
     ok = all(ratio == 0.0 for ratio in ratios.values()) and elapsed < 10.0
@@ -283,11 +284,11 @@ def test_criterion_10_dwpp_follows_linear_pure_pursuit_theory(bench_profile, loo
         bench_profile,
         lookahead=replace(bench_profile.lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=lookahead),
         regulation=replace(bench_profile.regulation, enable_curvature=False, enable_goal=False),
+        noise=NoiseModel(sigma_pose_init=0.01, seed=seed),
     )
     path = straight_path(6.0, spacing=0.01)
-    noise = NoiseModel(sigma_pose_init=0.01, seed=seed)
-    dwpp = run_scenario(path, ControllerKind.DYNAMIC_WINDOW, config, noise).log
-    pp = run_scenario(path, ControllerKind.PURE_PURSUIT, config, noise).log
+    dwpp = run_scenario(path, ControllerKind.DYNAMIC_WINDOW, config).log
+    pp = run_scenario(path, ControllerKind.PURE_PURSUIT, config).log
     dwpp_gap, pp_gap = linear_theory_gap(dwpp, lookahead), linear_theory_gap(pp, lookahead)
     pp_clipped = bool(np.all(pp.v_exec[:10] != pp.v_cmd[:10]))
     ok = dwpp_gap <= 0.01 and pp_clipped and pp_gap > dwpp_gap
@@ -309,19 +310,20 @@ def test_projection_moves_back_less_than_a_segment_per_step(bench_profile):
             sweep.base,
             lookahead=replace(sweep.base.lookahead, mode=FIXED_LOOKAHEAD, fixed_distance=value),
             regulation=replace(sweep.base.regulation, enable_curvature=False, enable_goal=False),
+            noise=NoiseModel(),
         )
         for value in sweep.lookahead_values
     ]
     seed = bench_profile.noise.seed
     runs = [
-        ("table1", bench_profile, spec, kind, replace(bench_profile.noise, seed=seed + trial))
+        ("table1", replace(bench_profile, noise=replace(bench_profile.noise, seed=seed + trial)), spec, kind)
         for _, spec in bench_profile.paths
         for kind in bench_profile.controllers
         for trial in range(bench_profile.trials)
-    ] + [("table6", config, config.paths[0][1], ControllerKind.DYNAMIC_WINDOW, None) for config in fixed]
+    ] + [("table6", config, config.paths[0][1], ControllerKind.DYNAMIC_WINDOW) for config in fixed]
     worst, ok = {}, True
-    for profile, config, spec, kind, noise in runs:
-        back = -float(np.diff(run_scenario(generate_corner_path(spec), kind, config, noise).log.arc_length).min())
+    for profile, config, spec, kind in runs:
+        back = -float(np.diff(run_scenario(generate_corner_path(spec), kind, config).log.arc_length).min())
         ok = ok and back < spec.waypoint_spacing
         worst[f"{profile} {kind.value}"] = max(worst.get(f"{profile} {kind.value}", 0.0), back)
     report(

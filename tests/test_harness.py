@@ -66,7 +66,7 @@ noise: {sigma_pose_init: 0.01, seed: 3}
 
 
 def _run_corner(limits=KinodynamicLimits(), spec=CornerPathSpec(1.5, 1.0), max_time=30.0, goal_tolerance=0.15):
-    config = ExperimentConfig(limits=limits, max_time=max_time, goal_tolerance=goal_tolerance)
+    config = ExperimentConfig(limits=limits, max_time=max_time, goal_tolerance=goal_tolerance, noise=NoiseModel())
     return run_scenario(generate_corner_path(spec), ControllerKind.DYNAMIC_WINDOW, config)
 
 
@@ -618,6 +618,21 @@ class TestRunComparison:
         seeds = [int(row.split(",")[3]) for row in rows]
         assert sorted(set(seeds)) == [3, 4]
 
+    def test_each_trial_is_the_run_of_its_config(self, tmp_path):
+        # Trial 0 runs the loaded config itself, trial 1 the same config with the next seed.
+        file = tmp_path / "noisy.yaml"
+        file.write_text(SMALL_CONFIG.replace("noise: {", "noise: {sigma_v: 0.02, sigma_omega: 0.02, "))
+        config = load_config(file)
+        out = tmp_path / "out"
+        run_comparison(config, out)
+        trial_configs = [config, replace(config, noise=replace(config.noise, seed=config.noise.seed + 1))]
+        ((name, spec),) = config.paths
+        for kind in config.controllers:
+            for trial, trial_config in enumerate(trial_configs):
+                run_scenario(generate_corner_path(spec), kind, trial_config).log.to_csv(tmp_path / "run.csv")
+                written = out / f"traj_{name}_{kind.value}_trial{trial}.csv"
+                assert written.read_bytes() == (tmp_path / "run.csv").read_bytes(), written.name
+
     def test_rerun_is_byte_identical(self, small_config, tmp_path):
         run_comparison(small_config, tmp_path / "a")
         run_comparison(small_config, tmp_path / "b")
@@ -791,6 +806,19 @@ class TestEmitReport:
         text = emit_report(results, cfg, tmp_path / "out")
         assert "BELOW ADVISORY THRESHOLD" in text
 
+    def test_every_row_starts_its_cells_at_one_column(self, small_config, tmp_path):
+        # A path name longer than the default column widens it for every row.
+        spec = small_config.paths[0][1]
+        config = replace(small_config, paths=(("B", spec), ("sharp_corner_135", spec)))
+        trials = [ScenarioMetrics(1.0, 0.05, 0.2, 20.0, reached_goal=True)]
+        results = {(name, kind.value): trials for name, _ in config.paths for kind in config.controllers}
+        lines = emit_report(results, config, tmp_path).splitlines()
+        for metric in METRICS:
+            start = lines.index(f"{metric.metadata['title']} (mean ± sd)") + 1
+            header, *rows = lines[start:start + 1 + len(config.paths)]
+            assert [row.split()[0] for row in rows] == ["B", "sharp_corner_135"]
+            assert {len(row) for row in rows} == {len(header)}, metric.name
+
     def test_empty_results_rejected(self, small_config, tmp_path):
         with pytest.raises(ParameterError):
             emit_report({}, small_config, tmp_path / "out")
@@ -841,6 +869,23 @@ class TestCli:
         assert code == 0
         assert (out / "traj_B_dwpp.csv").exists()
         assert "reached=True" in capsys.readouterr().out
+
+    def test_sweep_and_simulate_are_noise_free_whatever_the_noise_section_says(self, tmp_path):
+        outputs = []
+        for noise in (
+            "sigma_v: 0.0, sigma_omega: 0.0, sigma_pose_init: 0.0",
+            "sigma_v: 0.05, sigma_omega: 0.05, sigma_pose_init: 0.02",
+        ):
+            config = tmp_path / f"cfg{len(outputs)}.yaml"
+            config.write_text(
+                SMALL_CONFIG.replace("sigma_pose_init: 0.01", noise) + "lookahead_values: [0.3, 0.6]\n"
+            )
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+            simulate = ["simulate", "--controller", "rpp", "--path", "B", "--config", str(config), "--out", str(out)]
+            assert main(simulate) == 0
+            outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "traj_B_rpp.csv")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "controller, encoding",
@@ -1171,6 +1216,58 @@ def test_package_imports_no_unused_name():
                     if name not in used:
                         unused.append(f"{file.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_package_defines_no_unreferenced_name():
+    # Each module-level function, class and constant, and each non-dunder
+    # method, is named somewhere in the package outside its own definition.
+    # Exempt: the root's exports, __version__, and a method that overrides a
+    # hook of a base class from outside the package, which that base calls
+    # (ControllerKind._missing_ for Enum, flatten_mapping for yaml's loader).
+    package = Path(pursuitbench.__file__).parent
+    trees = {file.stem: ast.parse(file.read_text(encoding="utf-8")) for file in sorted(package.glob("*.py"))}
+    exempt = {"__version__"} | {
+        alias.asname or alias.name
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    references = [
+        (module, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    definitions = []  # (module, label, name, defining node)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+                definitions += [(module, name, name, node) for name in names]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((module, node.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(importlib.import_module(f"pursuitbench.{module}"), node.name)
+                outside = [base for base in cls.__mro__[1:] if base.__module__.split(".")[0] != "pursuitbench"]
+                hooks = {name for base in outside for name in vars(base)}
+                definitions += [
+                    (module, f"{node.name}.{item.name}", item.name, item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in hooks
+                ]
+    unreferenced = [
+        f"{module}.py: {label}"
+        for module, label, name, node in definitions
+        if label not in exempt
+        and not any(
+            other == name and (where != module or not node.lineno <= line <= node.end_lineno)
+            for where, other, line in references
+        )
+    ]
+    assert unreferenced == []
 
 
 def test_every_conftest_fixture_is_requested():

@@ -7,6 +7,7 @@ from conftest import corner_path, polyline_distances, straight_path
 from pursuitbench import (
     ControllerKind,
     ExperimentConfig,
+    NoiseModel,
     ParameterError,
     ScenarioMetrics,
     TrajectoryLog,
@@ -47,7 +48,7 @@ def empty_log():
 
 
 def run(path, kind):
-    return run_scenario(path, kind, ExperimentConfig())
+    return run_scenario(path, kind, ExperimentConfig(noise=NoiseModel()))
 
 
 class TestViolationRatio:

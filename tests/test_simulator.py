@@ -57,9 +57,12 @@ def euler_reference(x, y, theta, v, omega, dt, substeps=1000):
     return x, y
 
 
-def run(path, kind, simulate=run_scenario, noise=None, **settings):
-    """``simulate(path, kind, ExperimentConfig(**settings), noise)``; unset settings are table1's."""
-    return simulate(path, kind, ExperimentConfig(**settings), noise)
+def run(path, kind, simulate=run_scenario, noise=NoiseModel(), **settings):
+    """``simulate(path, kind, ExperimentConfig(noise=noise, **settings))``; noise-free unless ``noise`` is given.
+
+    Unset settings are table1's.
+    """
+    return simulate(path, kind, ExperimentConfig(noise=noise, **settings))
 
 
 def outcome(simulate, *args, **kwargs):
@@ -582,7 +585,7 @@ if "numpy.random" in sys.modules:
     print("preloaded")
     sys.exit()
 path = generate_corner_path(CornerPathSpec(1.5, 1.5, 0.05))
-result = run_scenario(path, ControllerKind.DYNAMIC_WINDOW, ExperimentConfig(max_time=12.0), NoiseModel(seed=3))
+result = run_scenario(path, ControllerKind.DYNAMIC_WINDOW, ExperimentConfig(max_time=12.0, noise=NoiseModel(seed=3)))
 print(len(result.log) > 0, "numpy.random" in sys.modules)
 """
     src = str(Path(simulator.__file__).resolve().parent.parent)
