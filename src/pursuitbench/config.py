@@ -1,8 +1,8 @@
 """Every config type, the rule for what each field takes, and the one exception the package raises.
 
-Each config dataclass checks its field types, then its ranges. The YAML
-format is the loader's, in ``harness``; this module imports no other module
-of the package.
+Each config dataclass alone checks its field types, then its ranges. The
+loader, in ``harness``, only maps YAML onto these classes; this module
+imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def require_type(name: str, value, kind: type):
     A float field takes any real number but a bool whose float value is
     finite (ints and numpy floats included) and stores that float, so no
     float field is NaN or infinite. Any other field, a nested config
-    included, takes exactly its type. The message is the config loader's, so
-    a config built in code fails as a loaded one does.
+    included, takes exactly its type. The loader leaves each value to its
+    dataclass, so a loaded config fails in these words, after the section name.
     """
     if kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an int beyond the float range is no float
@@ -325,7 +325,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         require_field_types(self)
         values = self.lookahead_values
-        for position, value in enumerate(values):
-            require_type(f"lookahead_values[{position}]", value, float)
+        values = tuple(require_type(f"lookahead_values[{i}]", value, float) for i, value in enumerate(values))
+        object.__setattr__(self, "lookahead_values", values)
         if not values or not all(a < b for a, b in zip((0.0, *values), values)):
             raise ParameterError("lookahead_values must be non-empty, positive and strictly increasing")

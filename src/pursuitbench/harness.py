@@ -6,14 +6,14 @@ the config dataclasses themselves: a missing key takes the field default of
 empty file equals ``ExperimentConfig()``, which is the shipped
 ``experiment_table1`` profile. A section mapping (``limits``, ``lookahead``,
 ``regulation``, ``stability``, ``noise``) is merged over the default instance
-of that section and a ``paths`` entry over ``_PATH_ENTRY``. Every given key
-must exist in those defaults, and ``config.require_type`` checks its value
-against the type of its default, as every config dataclass checks its own
-fields: a float takes any finite int or float, while an int, bool or str
-takes exactly that type, so a bool is never read as a number. The
-dataclasses then check the ranges. ``load_config`` accepts
-either a file path or the name of a shipped profile (``experiment_table1``,
-``simulation_table6``).
+of that section and a ``paths`` entry over ``_PATH_ENTRY``. The loader only
+maps YAML onto that shape: sections must be mappings and lists non-empty
+lists, a key absent from the defaults is rejected, ``controllers`` names
+become ``ControllerKind`` and ``corner_angle_deg`` radians. Every other value
+goes as given to its config dataclass, which checks its type and range, so a
+loaded config fails as one built in code does, after the section name.
+``load_config`` accepts either a file path or the name of a shipped profile
+(``experiment_table1``, ``simulation_table6``).
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ _PATH_ENTRY = {
 def _corner(entry: Mapping) -> tuple[str, CornerPathSpec]:
     """A ``paths`` entry merged over ``_PATH_ENTRY``, as (name, spec)."""
     merged = {**_PATH_ENTRY, **entry}
-    angle = math.radians(merged["corner_angle_deg"])
+    angle = math.radians(require_type("corner_angle_deg", merged["corner_angle_deg"], float))
     return merged["name"], CornerPathSpec(merged["segment_length"], angle, merged["waypoint_spacing"])
 
 
-# Every top-level key with a default of the type it takes in YAML: the fields
+# Every top-level key with a default of the shape it takes in YAML: the fields
 # of ``ExperimentConfig``, except that ``paths`` and ``controllers`` are lists
 # of entries like their first one, plus the sweep's ``lookahead_values``.
 _TOP_LEVEL = {
@@ -66,8 +66,8 @@ _TOP_LEVEL = {
     "lookahead_values": list(SweepConfig.lookahead_values),
 }
 
-# How each entry of a top-level list becomes part of the config value.
-_LIST_ENTRY = {"paths": _corner, "controllers": ControllerKind, "lookahead_values": float}
+# How an entry of a top-level list becomes part of the config value; a ``lookahead_values`` entry stays as given.
+_LIST_ENTRY = {"paths": _corner, "controllers": ControllerKind}
 
 
 def _label(key: str, name) -> str:
@@ -83,12 +83,13 @@ def _build(key: str, factory, *args, **kwargs):
 
 
 def _check(key: str, value, default):
-    """YAML ``value`` checked against ``default``; see the module docstring.
+    """YAML ``value`` mapped onto the shape of ``default``; see the module docstring.
 
     A mapping default returns only the keys given, for the caller to merge;
     a dataclass default returns the dataclass with the given fields replaced;
     a list default takes a non-empty list of entries like its first one and
-    returns them as a tuple, each converted by ``_LIST_ENTRY`` once checked.
+    returns them as a tuple, each converted by ``_LIST_ENTRY`` once mapped.
+    Any other value is returned as given, for its dataclass to check.
     """
     if is_dataclass(default):
         own = {field.name: getattr(default, field.name) for field in fields(default)}
@@ -106,10 +107,9 @@ def _check(key: str, value, default):
         if not isinstance(value, list) or not value:
             raise ParameterError(f"{key} must be a non-empty list")
         labels = [f"{key}[{position}]" for position in range(len(value))]
-        return tuple(
-            _build(label, _LIST_ENTRY[key], _check(label, item, default[0])) for label, item in zip(labels, value)
-        )
-    return require_type(key, value, type(default))
+        convert = _LIST_ENTRY.get(key, lambda entry: entry)
+        return tuple(_build(label, convert, _check(label, item, default[0])) for label, item in zip(labels, value))
+    return value
 
 
 def _read_config_text(source: str | Path) -> str:
@@ -158,7 +158,7 @@ _UniqueKeyLoader.add_implicit_resolver(
 
 
 def _parse(source: str | Path) -> dict:
-    """The keys a config file sets, checked and converted to config values."""
+    """The keys a config file sets, mapped onto config values."""
     text = _read_config_text(source)
     try:
         raw = yaml.load(text, _UniqueKeyLoader)
@@ -310,11 +310,14 @@ def emit_report(
         raise ParameterError(f"no results for path '{missing[0]}' and controller '{missing[1]}'")
     out = _output_dir(config, out_dir)
 
+    noise = config.noise
+    actuation = f" and actuation noise (sigma_v = {noise.sigma_v:g} m/s, sigma_omega = {noise.sigma_omega:g} rad/s)"
     lines = [
         "Controller comparison summary",
         f"{len(path_names)} path(s) x {len(controller_names)} controller(s) x {config.trials} trial(s)",
         "SD columns come from seeded initial-pose perturbation"
-        f" (sigma = {config.noise.sigma_pose_init:g} m / rad when trials > 1); they measure",
+        f" (sigma = {noise.sigma_pose_init:g} m / rad when trials > 1)"
+        f"{actuation if noise.sigma_v > 0.0 or noise.sigma_omega > 0.0 else ''}; they measure",
         "repeatability of the deterministic simulator, not real-world variability.",
         "",
     ]

@@ -71,6 +71,8 @@ class TrajectoryLog:
             column = getattr(self, field.name).view()
             if column.size != size:
                 raise ParameterError("log columns must have equal length")
+            if field.name.startswith("viol_") and column.dtype != bool:
+                raise ParameterError(f"{field.name} must be a boolean column, got dtype {column.dtype}")
             column.setflags(write=False)
             object.__setattr__(self, field.name, column)
 

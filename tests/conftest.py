@@ -49,6 +49,20 @@ def u_turn_path(gap: float = 0.3, leg: float = 2.0, spacing: float = 0.05) -> Re
     )
 
 
+def arc_path(radius: float, lead_in: float = 1.0, sweep_deg: float = 270.0, spacing: float = 0.01) -> ReferencePath:
+    """A lead-in along +x, then a counter-clockwise arc of ``radius`` about (``lead_in``, ``radius``).
+
+    Both parts are sampled about ``spacing`` apart. After a 1 m lead-in, a
+    270-degree arc keeps the goal farther than 0.15 m from every earlier
+    waypoint for any radius above 0.15 m, so no run stops short of the arc.
+    """
+    lead = np.linspace(0.0, lead_in, round(lead_in / spacing) + 1)
+    sweep = math.radians(sweep_deg)
+    phi = np.linspace(0.0, sweep, round(sweep * radius / spacing) + 1)[1:]
+    arc = np.column_stack((lead_in + radius * np.sin(phi), radius * (1.0 - np.cos(phi))))
+    return ReferencePath(np.vstack((np.column_stack((lead, np.zeros_like(lead))), arc)))
+
+
 @pytest.fixture
 def bench_limits() -> KinodynamicLimits:
     return KinodynamicLimits()

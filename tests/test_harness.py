@@ -771,6 +771,17 @@ class TestRunLookaheadSweep:
         assert len(csv_lines) == 4
         assert [float(line.split(",")[0]) for line in csv_lines[1:]] == [0.3, 0.5, 0.7]
 
+    def test_library_sweep_values_are_floats_and_write_the_loaded_bytes(self, tmp_path):
+        file = tmp_path / "sweep.yaml"
+        file.write_text(SMALL_CONFIG + "lookahead_values: [1, 1.5]\n")
+        loaded = load_sweep_config(file)
+        built = SweepConfig(loaded.base, (1, np.float64(1.5)))
+        assert built.lookahead_values == (1.0, 1.5)
+        assert [type(value) for value in built.lookahead_values] == [float, float]
+        run_lookahead_sweep(loaded, tmp_path / "loaded")
+        run_lookahead_sweep(built, tmp_path / "built")
+        assert (tmp_path / "built" / "sweep.csv").read_bytes() == (tmp_path / "loaded" / "sweep.csv").read_bytes()
+
 
 class TestEmitReport:
     def test_report_layout(self, small_config, tmp_path):
@@ -818,6 +829,29 @@ class TestEmitReport:
             header, *rows = lines[start:start + 1 + len(config.paths)]
             assert [row.split()[0] for row in rows] == ["B", "sharp_corner_135"]
             assert {len(row) for row in rows} == {len(header)}, metric.name
+
+    @pytest.mark.parametrize(
+        "noise, header",
+        [
+            (
+                "sigma_pose_init: 0.01",
+                "SD columns come from seeded initial-pose perturbation (sigma = 0.01 m / rad when trials > 1);"
+                " they measure",
+            ),
+            (
+                "sigma_v: 0.05, sigma_pose_init: 0.0",
+                "SD columns come from seeded initial-pose perturbation (sigma = 0 m / rad when trials > 1)"
+                " and actuation noise (sigma_v = 0.05 m/s, sigma_omega = 0 rad/s); they measure",
+            ),
+        ],
+        ids=["pose_only", "actuation"],
+    )
+    def test_sd_header_names_every_noise_source(self, tmp_path, noise, header):
+        file = tmp_path / "noise.yaml"
+        file.write_text(SMALL_CONFIG.replace("sigma_pose_init: 0.01", noise))
+        config = load_config(file)
+        lines = emit_report(run_comparison(config, tmp_path / "out"), config, tmp_path / "out").splitlines()
+        assert lines[2:4] == [header, "repeatability of the deterministic simulator, not real-world variability."]
 
     def test_empty_results_rejected(self, small_config, tmp_path):
         with pytest.raises(ParameterError):

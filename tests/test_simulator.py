@@ -78,6 +78,14 @@ def outcome(simulate, *args, **kwargs):
     return columns, result.reached_goal, float.hex(result.travel_time)
 
 
+def zero_columns(size: int) -> dict:
+    """Every ``TrajectoryLog`` column as ``size`` zeros: the flags boolean, the rest float."""
+    return {
+        field.name: np.zeros(size, dtype=bool if field.name.startswith("viol_") else float)
+        for field in fields(TrajectoryLog)
+    }
+
+
 def cells(column) -> list:
     """A log column as exact hex strings, or as bools."""
     return column.tolist() if column.dtype == bool else list(map(float.hex, column.tolist()))
@@ -637,13 +645,13 @@ class TestTrajectoryLogIO:
 
     @pytest.mark.parametrize("name", ["cte", "arc_length"])
     def test_projection_column_length_checked(self, name):
-        columns = {field.name: np.zeros(2, dtype=float) for field in fields(TrajectoryLog)}
+        columns = zero_columns(2)
         columns[name] = np.zeros(1)
         with pytest.raises(ParameterError):
             TrajectoryLog(**columns)
 
     def test_columns_are_read_only_views_of_the_callers_arrays(self):
-        columns = {field.name: np.zeros(2) for field in fields(TrajectoryLog)}
+        columns = zero_columns(2)
         log = TrajectoryLog(**columns)
         columns["x"][0] = 1.0
         assert log.x[0] == 1.0  # a view, not a copy
@@ -653,6 +661,15 @@ class TestTrajectoryLogIO:
             log.x[0] = 2.0
         columns["y"] = np.zeros(3)
         with pytest.raises(ParameterError, match="^log columns must have equal length$"):
+            TrajectoryLog(**columns)
+
+    @pytest.mark.parametrize("dtype", [float, int, np.uint8])
+    def test_flag_column_must_be_boolean(self, dtype):
+        # A flag column of another dtype would break ``any_violation`` and ``to_csv``.
+        columns = zero_columns(2)
+        columns["viol_a"] = np.zeros(2, dtype=dtype)
+        message = f"^viol_a must be a boolean column, got dtype {np.dtype(dtype)}$"
+        with pytest.raises(ParameterError, match=message):
             TrajectoryLog(**columns)
 
     @settings(
